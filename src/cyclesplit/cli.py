@@ -182,9 +182,18 @@ def _poly_from_arg(value: str, ring: Ring | None) -> NCPoly:
     return parse_poly(body, ring)
 
 
+def _decode_element(obj, ring: Ring):
+    """A ring element from its JSON payload; a malformed payload is a
+    parse error, not a failed check."""
+    try:
+        return ring.element_from_json(obj)
+    except (ValueError, TypeError) as exc:
+        raise ParseError(f"bad element payload for {ring.describe()}: {exc}", 1) from exc
+
+
 def _element_from_arg(value: str, ring: Ring):
     body, _ = _load_text_or_file(value)
-    return ring.element_from_json(json.loads(body))
+    return _decode_element(json.loads(body), ring)
 
 
 def _emit(payload, fmt: str, out):
@@ -321,7 +330,10 @@ def _cmd_search(ns, out):
 def _cmd_centralizer(ns, out):
     ring = parse_ring_spec(ns.ring)
     body, _ = _load_text_or_file(ns.elements)
-    gens = [ring.element_from_json(obj) for obj in json.loads(body)]
+    objs = json.loads(body)
+    if not isinstance(objs, list):
+        raise ParseError("--elements must be a JSON list of element payloads", 1)
+    gens = [_decode_element(obj, ring) for obj in objs]
     desc = centralizer_of_set(ring, gens)
     payload = {
         "count": desc.count,

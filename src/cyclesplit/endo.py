@@ -32,7 +32,7 @@ from functools import lru_cache
 
 from .examples import EXAMPLE1_DESCRIPTOR, example1_algebra, example1_cubic
 from .rings import Element, ResidueRing, TableAlgebra
-from .search import SearchTask, enumerate_splittings
+from .search import SearchOutcome, SearchTask, enumerate_splittings
 
 COMPOSITION_ORDER = "left-operand-first"
 
@@ -642,9 +642,18 @@ def classify_cycles(modulus: int) -> list[CycleRecord]:
     instance is not found: either falsifies the classification for this p.
     """
     p = _require_prime(modulus)
+    return _classify_census(p, _cubic_census(p))
+
+
+def _cubic_census(p: int) -> SearchOutcome:
+    """Every splitting of X^3 - X^2 with leading 1 over the algebra mod p."""
     algebra = _algebra_for(p)
     f = example1_cubic(algebra)
-    outcome = enumerate_splittings(SearchTask(algebra, f, 3, "all_splittings"))
+    return enumerate_splittings(SearchTask(algebra, f, 3, "all_splittings"))
+
+
+def _classify_census(p: int, outcome: SearchOutcome) -> list[CycleRecord]:
+    algebra = outcome.task.ring
     found_keys = {
         _canonical_cycle_key(tuple(a.payload for a in w.pseudoroots))
         for w in outcome.witnesses
@@ -710,11 +719,9 @@ def verify_cycle_suite(modulus: int) -> CycleSuiteReport:
     the union of cycle supports, and the classes whose roots form a module
     basis are exactly c_tau_t with invertible first parameter."""
     p = _require_prime(modulus)
-    algebra = _algebra_for(p)
     roots = classify_roots(p)
-    cycles = classify_cycles(p)
-    f = example1_cubic(algebra)
-    outcome = enumerate_splittings(SearchTask(algebra, f, 3, "all_splittings"))
+    outcome = _cubic_census(p)
+    cycles = _classify_census(p, outcome)
 
     support = {v.payload for rec in cycles for v in rec.roots}
     union_ok = support == set(distinct_root_elements(roots))

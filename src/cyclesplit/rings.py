@@ -127,7 +127,7 @@ class Element:
 
     @property
     def is_zero(self) -> bool:
-        return self.payload == self.ring._zero_payload()
+        return self.payload == self.ring._zero
 
     def __repr__(self):
         return f"Element({self.ring.describe()}, {self.payload!r})"
@@ -155,6 +155,12 @@ class Ring:
     def _zero_payload(self):
         raise NotImplementedError
 
+    @cached_property
+    def _zero(self):
+        # built once per ring; stored in the instance dict, so it is no
+        # dataclass field and takes no part in __eq__ or __hash__
+        return self._zero_payload()
+
     def _one_payload(self):
         raise NotImplementedError
 
@@ -166,7 +172,7 @@ class Ring:
         return Element(self, self._canon(payload))
 
     def zero(self) -> Element:
-        return Element(self, self._zero_payload())
+        return Element(self, self._zero)
 
     def one(self) -> Element:
         return Element(self, self._one_payload())

@@ -4,8 +4,12 @@ rings. This is the brute-force oracle the rest of the library leans on.
 The splitting search fixes the rightmost factor first: a candidate a_n
 survives only if right division by (X - a_n) leaves remainder zero, and the
 search recurses on the quotient. That turns the naive |A|^n sweep into
-iterated root finding. Results are canonically ordered and therefore
-identical across runs regardless of how the work is partitioned.
+iterated root finding. Every quotient keeps the target's leading coefficient
+f_n, because X - a is monic, so the last dividend is f_n X + c_0. When f_n is
+a unit the last factor is solved in closed form, a_1 = -f_n^{-1} c_0; when it
+is not, the last factor is swept over the ring like the others. Results are
+canonically ordered and therefore identical across runs regardless of how
+the work is partitioned.
 """
 
 from __future__ import annotations
@@ -13,7 +17,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .ncpoly import NCPoly, left_eval, right_divide_linear, right_eval
-from .rings import Element, InfiniteRingError, Ring, RingError
+from .rings import (
+    Element,
+    InfiniteRingError,
+    Ring,
+    RingError,
+    UnsupportedOperationError,
+    inverse,
+    is_unit,
+)
 from .splitting import SplittingWitness, commutation_hypothesis, expand
 
 NODE_BUDGET = 10**8
@@ -120,17 +132,28 @@ def find_roots(f: NCPoly, ring: Ring | None = None) -> list[Element]:
     return roots
 
 
-def _splitting_tuples(f: NCPoly, depth: int, elements, counter: _NodeCounter):
+def _splitting_tuples(
+    f: NCPoly, depth: int, elements, counter: _NodeCounter, lead_inv: Element | None
+):
     """All tuples (a_1, ..., a_depth) with f = leading * (X-a_1)...(X-a_depth),
-    up to the constant ``leading`` which the caller peels off at depth 0."""
+    up to the constant ``leading`` which the caller peels off at depth 0.
+
+    ``lead_inv`` is the inverse of ``leading`` when it is a unit, else None.
+    A linear last dividend leading * X + c_0 then has the one candidate
+    -lead_inv * c_0 in place of the sweep over ``elements``.
+    """
     if depth == 0:
         yield ()
         return
-    for a in elements:
+    if depth == 1 and lead_inv is not None and f.degree == 1:
+        candidates = (-(lead_inv * f.coeffs[0]),)
+    else:
+        candidates = elements
+    for a in candidates:
         counter.tick()
         q, r = right_divide_linear(f, a)
         if r.is_zero:
-            for prefix in _splitting_tuples(q, depth - 1, elements, counter):
+            for prefix in _splitting_tuples(q, depth - 1, elements, counter, lead_inv):
                 yield prefix + (a,)
 
 
@@ -156,11 +179,16 @@ def enumerate_splittings(task: SearchTask) -> SearchOutcome:
     if task.n < 1:
         raise ValueError("factor count must be at least 1")
     leading = f.coeffs[-1]
+    try:
+        lead_inv = inverse(leading) if is_unit(leading) else None
+    except UnsupportedOperationError:
+        # invertibility is undecidable at this size: sweep the last factor too
+        lead_inv = None
     counter = _NodeCounter()
     elements = list(ring.elements())
 
     found = []
-    for tup in _splitting_tuples(f, task.n, elements, counter):
+    for tup in _splitting_tuples(f, task.n, elements, counter, lead_inv):
         w = SplittingWitness(ring, leading, tup)
         if expand(w) != f:
             # depth-0 check: the final quotient must have been the constant

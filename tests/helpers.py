@@ -76,6 +76,35 @@ def random_poly(ring: Ring, rng: random.Random, max_degree: int):
     return poly(ring, [random_element(ring, rng) for _ in range(deg + 1)])
 
 
+def brute_force_census(ring: Ring, f, n: int, mode: str):
+    """Reference splitting census: every n-tuple of elements, kept when its
+    splitting with f's leading coefficient expands to f (and, in mode
+    ``commuting_splittings_only``, satisfies the commutation hypothesis).
+
+    Returns (witnesses, cycle_ids, cycle_count) in the canonical order and
+    numbering that ``SearchOutcome`` documents.
+    """
+    from cyclesplit.splitting import SplittingWitness, commutation_hypothesis, expand
+
+    leading = f.coeffs[-1]
+    found = []
+    for tup in itertools.product(list(ring.elements()), repeat=n):
+        w = SplittingWitness(ring, leading, tup)
+        if expand(w) != f:
+            continue
+        if mode == "commuting_splittings_only" and not commutation_hypothesis(f, tup)[0]:
+            continue
+        found.append(w)
+    found.sort(key=lambda w: tuple(a.payload for a in w.pseudoroots))
+    class_of = {}
+    cycle_ids = []
+    for w in found:
+        payloads = tuple(a.payload for a in w.pseudoroots)
+        key = min(payloads[k:] + payloads[:k] for k in range(n))
+        cycle_ids.append(class_of.setdefault(key, len(class_of)))
+    return tuple(found), tuple(cycle_ids), len(class_of)
+
+
 def assert_cayley_axioms(cache, block_size: int = 32):
     """Check associativity of + and * and both distributive laws on every
     triple of a finite ring, via vectorized index-table lookups."""

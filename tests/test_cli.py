@@ -83,6 +83,11 @@ def test_cli_parse_errors_exit_2():
     assert code == 2
     code, _ = invoke("verify", "--witness", "@/no/such/file.json")
     assert code == 2
+    # malformed element payloads are parse errors, not failed checks
+    code, _ = invoke("divide", "--ring", "Mat:2:Z", "--poly", "X^2", "--element", "[[1,0]]")
+    assert code == 2
+    code, _ = invoke("centralizer", "--ring", "Mat:2:Zmod:3", "--elements", "[[[1,0]]]")
+    assert code == 2
 
 
 def test_cli_deterministic_output():

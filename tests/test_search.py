@@ -10,8 +10,8 @@ from cyclesplit.examples import (
     example2_matrices,
     example2_matrix_ring,
 )
-from cyclesplit.ncpoly import from_int_coeffs, poly, right_eval, x_minus
-from cyclesplit.rings import ResidueRing, commutator, parse_ring_spec
+from cyclesplit.ncpoly import constant, from_int_coeffs, poly, right_eval, x_minus
+from cyclesplit.rings import MatrixRing, ResidueRing, commutator, parse_ring_spec
 from cyclesplit.search import (
     FiniteRingCache,
     SearchSpaceTooLargeError,
@@ -22,7 +22,7 @@ from cyclesplit.search import (
     run_task,
 )
 from cyclesplit.splitting import SplittingWitness, expand, verify_cyclic_splitting
-from helpers import random_element
+from helpers import brute_force_census, random_element
 
 
 def test_find_roots_example1_algebra_z2():
@@ -88,6 +88,48 @@ def test_enumerate_splittings_degree_one():
     c = ring.from_int(2)
     outcome = enumerate_splittings(SearchTask(ring, x_minus(c), 1, "all_splittings"))
     assert [w.pseudoroots for w in outcome.witnesses] == [(c,)]
+
+
+def _differential_cases():
+    ut3 = parse_ring_spec("UT:2:Zmod:3")
+    shift = x_minus(ut3.from_int(2))  # X - c with c central: X^2 - X at X - c
+    mat2 = parse_ring_spec("Mat:2:Zmod:2")
+    z5 = parse_ring_spec("Zmod:5")
+    ut4 = parse_ring_spec("UT:2:Zmod:4")
+    z6 = parse_ring_spec("Zmod:6")
+    z4 = parse_ring_spec("Zmod:4")
+    a, b = ut3.element(((1, 0), (0, 0))), ut3.element(((0, 1), (0, 0)))
+    u = ut3.element(((1, 1), (0, 2)))  # a unit that commutes with neither
+    # is_unit raises UnsupportedOperationError here: no determinant over a table algebra
+    undecided = MatrixRing(1, example1_algebra(ResidueRing(2)))
+    return [
+        ("shifted monic, UT:2:Zmod:3", ut3, shift * shift - shift, 2),
+        ("noncentral coefficients, UT:2:Zmod:3", ut3, x_minus(a) * x_minus(b), 2),
+        ("noncentral unit leading, UT:2:Zmod:3", ut3, constant(u) * x_minus(a) * x_minus(b), 2),
+        ("X^3 - X, Mat:2:Zmod:2", mat2, from_int_coeffs(mat2, [0, -1, 0, 1]), 3),
+        ("unit non-monic leading 2, Zmod:5", z5, from_int_coeffs(z5, [1, 3, 2]), 2),
+        ("non-unit leading 2, UT:2:Zmod:4", ut4, from_int_coeffs(ut4, [0, 2, 2]), 2),
+        ("non-unit leading 3, Zmod:6", z6, from_int_coeffs(z6, [0, 3, 0, 3]), 3),
+        ("non-unit leading 2, Zmod:6", z6, from_int_coeffs(z6, [4, 0, 2]), 2),
+        ("n < deg f, Zmod:4", z4, from_int_coeffs(z4, [0, 0, 1]), 1),
+        ("n > deg f, Zmod:4", z4, from_int_coeffs(z4, [0, 0, 1]), 3),
+        ("n > deg f, unit leading, Zmod:5", z5, from_int_coeffs(z5, [1, 3, 2]), 3),
+        ("undecidable unit, Mat:1 over a table algebra", undecided,
+         from_int_coeffs(undecided, [0, -1, 1]), 2),
+    ]
+
+
+@pytest.mark.parametrize("mode", ["all_splittings", "commuting_splittings_only"])
+def test_search_matches_brute_force_census(mode):
+    """The search, with its closed-form last factor where the leading
+    coefficient is a unit and its sweep elsewhere, equals the plain
+    |A|^n product sweep."""
+    for label, ring, f, n in _differential_cases():
+        outcome = enumerate_splittings(SearchTask(ring, f, n, mode))
+        witnesses, cycle_ids, cycle_count = brute_force_census(ring, f, n, mode)
+        assert outcome.witnesses == witnesses, label
+        assert outcome.cycle_ids == cycle_ids, label
+        assert outcome.cycle_count == cycle_count, label
 
 
 def test_commuting_mode_witnesses_satisfy_the_cyclic_law():
