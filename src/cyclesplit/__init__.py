@@ -35,7 +35,6 @@ from .ncpoly import (
     left_divide_linear,
     left_eval,
     poly,
-    poly_mul,
     right_divide_linear,
     right_eval,
     x_minus,

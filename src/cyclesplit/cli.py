@@ -9,7 +9,7 @@ Polynomial surface grammar: a sum of signed monomials ``c``, ``c*X^k``,
 scalars embed as c times the unit of the coefficient ring. Matrix-valued
 coefficients enter through the JSON schema instead (``--poly @file``).
 
-Identical invocations with identical seeds produce byte-identical output.
+Identical invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import endo as endo_mod
@@ -43,9 +42,6 @@ from .splitting import (
     witness_from_json,
 )
 
-DEFAULT_SEED = 1729
-
-
 class ParseError(Exception):
     def __init__(self, message: str, position: int):
         self.position = position
@@ -54,18 +50,6 @@ class ParseError(Exception):
 
 class CheckFailure(Exception):
     """A verification item failed; carries the failing item's name."""
-
-
-@dataclass(frozen=True)
-class Invocation:
-    """One parsed command invocation; ``args`` carries the command-specific
-    payload flags."""
-
-    command: str
-    args: argparse.Namespace
-    output_format: str
-    seed: int
-    out_path: str | None
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +180,16 @@ def _element_from_arg(value: str, ring: Ring):
     return _decode_element(json.loads(body), ring)
 
 
+def _witness_from_arg(value: str):
+    """A splitting witness from its JSON or @file; a malformed witness is a
+    parse error, not a failed check."""
+    obj = json.loads(_load_text_or_file(value)[0])
+    try:
+        return witness_from_json(obj)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"bad witness: {exc!r}", 1) from exc
+
+
 def _emit(payload, fmt: str, out):
     if fmt == "json":
         out.write(json.dumps(payload, sort_keys=True, indent=2))
@@ -237,14 +231,14 @@ def _check(out, label: str, ok: bool, detail: str = ""):
 
 
 def _cmd_expand(ns, out):
-    w = witness_from_json(json.loads(_load_text_or_file(ns.witness)[0]))
+    w = _witness_from_arg(ns.witness)
     f = expand(w)
     _emit(f.to_json(), ns.format, out)
     return 0
 
 
 def _cmd_rotate(ns, out):
-    w = witness_from_json(json.loads(_load_text_or_file(ns.witness)[0]))
+    w = _witness_from_arg(ns.witness)
     _emit(rotate(w, ns.k).to_json(), ns.format, out)
     return 0
 
@@ -270,7 +264,7 @@ def _cmd_eval(ns, out):
 
 
 def _cmd_verify(ns, out):
-    w = witness_from_json(json.loads(_load_text_or_file(ns.witness)[0]))
+    w = _witness_from_arg(ns.witness)
     report = verify_cyclic_splitting(w)
     _emit(report.to_json(), ns.format, out)
     if report.passed:
@@ -519,12 +513,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, **kwargs)
         p.add_argument("--format", choices=("text", "json", "csv"), default="text")
         p.add_argument("--out", default=None, help="write output to a file")
-        p.add_argument(
-            "--seed",
-            type=int,
-            default=DEFAULT_SEED,
-            help="seed for sampled checks (default %(default)s)",
-        )
         return p
 
     p = add("expand", help="expand a splitting witness")
@@ -617,20 +605,13 @@ def run(argv=None, out=None) -> int:
         ns = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    inv = Invocation(
-        command=ns.command,
-        args=ns,
-        output_format=ns.format,
-        seed=ns.seed,
-        out_path=ns.out,
-    )
     stream = out or sys.stdout
     close_after = False
-    if inv.out_path:
-        stream = open(inv.out_path, "w", encoding="utf-8")
+    if ns.out:
+        stream = open(ns.out, "w", encoding="utf-8")
         close_after = True
     try:
-        return _COMMANDS[inv.command](inv.args, stream)
+        return _COMMANDS[ns.command](ns, stream)
     except (ParseError, SpecParseError, json.JSONDecodeError, OSError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

@@ -17,6 +17,12 @@ classes of splittings of X^3 - X^2 into their parameter families, checks
 both monoid actions entrywise, and verifies the minimal-polynomial poset
 and the translation properties.
 
+Elements are handled as their payloads, the coordinate tuples over
+(a_1, a_2, a_3). Products, sums and negatives are the payload operations
+of the ``TableAlgebra`` over ``ResidueRing(p)``, the engine the splitting
+search uses too; an endomorphism acts as the linear map of its basis
+images; determinants come from ``rings.scalar_det``.
+
 Composition order (frozen): ``compose_endos(e1, e2)`` applies e1 first and
 e2 second. Under this order the matrix model is a monoid homomorphism:
 M(compose(e1, e2)) = M(e1) M(e2). The evidence for freezing this order over
@@ -26,20 +32,18 @@ embedded in reports.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .examples import EXAMPLE1_DESCRIPTOR, example1_algebra, example1_cubic
-from .rings import Element, ResidueRing, TableAlgebra
+from .rings import Element, ResidueRing, TableAlgebra, scalar_det
 from .search import SearchOutcome, SearchTask, enumerate_splittings
 
 COMPOSITION_ORDER = "left-operand-first"
 
 Vec = tuple[int, int, int]
 
-_SC = EXAMPLE1_DESCRIPTOR.structure_constants
-_UNIT: Vec = (1, 1, 1)
+_UNIT: Vec = EXAMPLE1_DESCRIPTOR.unit_vector
 _ZERO: Vec = (0, 0, 0)
 
 
@@ -48,50 +52,28 @@ class ClassificationError(Exception):
     means the family tables are falsified for this base."""
 
 
-def _require_prime(p: int) -> int:
-    if not isinstance(p, int) or p < 2:
-        raise ValueError("modulus must be a prime >= 2")
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            raise ValueError(f"modulus {p} is not prime")
-        d += 1
-    return p
+def _require_prime(modulus: int) -> int:
+    # ResidueRing rejects a non-int and a modulus below 2 (True included)
+    if not ResidueRing(modulus).is_prime:
+        raise ValueError(f"modulus {modulus} is not prime")
+    return modulus
 
 
-def _vadd(x: Vec, y: Vec, p: int) -> Vec:
-    return ((x[0] + y[0]) % p, (x[1] + y[1]) % p, (x[2] + y[2]) % p)
+def _algebra_for(modulus: int) -> TableAlgebra:
+    # validated before the cache: 5.0 equals 5 and hashes alike, so the
+    # cache alone would hand it the algebra over Z/5
+    return _cubic_algebra(_require_prime(modulus))
 
 
-def _vsub(x: Vec, y: Vec, p: int) -> Vec:
-    return ((x[0] - y[0]) % p, (x[1] - y[1]) % p, (x[2] - y[2]) % p)
+@lru_cache(maxsize=None)
+def _cubic_algebra(p: int) -> TableAlgebra:
+    return example1_algebra(ResidueRing(p))
 
 
-def _vneg(x: Vec, p: int) -> Vec:
-    return ((-x[0]) % p, (-x[1]) % p, (-x[2]) % p)
-
-
-def _vmul(x: Vec, y: Vec, p: int) -> Vec:
-    out = [0, 0, 0]
-    for i in range(3):
-        xi = x[i]
-        if not xi:
-            continue
-        for j in range(3):
-            yj = y[j]
-            if not yj:
-                continue
-            c = xi * yj
-            vec = _SC[i][j]
-            for k in range(3):
-                if vec[k]:
-                    out[k] += c * vec[k]
-    return (out[0] % p, out[1] % p, out[2] % p)
-
-
-def _cubic_value(x: Vec, p: int) -> Vec:
-    x2 = _vmul(x, x, p)
-    return _vsub(_vmul(x2, x, p), x2, p)
+def _is_root(algebra: TableAlgebra, x: Vec) -> bool:
+    """Is x a root of X^3 - X^2, that is x^3 = x^2?"""
+    x2 = algebra._mul(x, x)
+    return algebra._mul(x2, x) == x2
 
 
 # ---------------------------------------------------------------------------
@@ -184,11 +166,6 @@ class EndoMap:
         return self.family.label()
 
 
-@lru_cache(maxsize=None)
-def _algebra_for(p: int) -> TableAlgebra:
-    return example1_algebra(ResidueRing(p))
-
-
 def _mk_endo(algebra: TableAlgebra, vecs: tuple[Vec, Vec, Vec]) -> EndoMap:
     return EndoMap(
         algebra,
@@ -204,23 +181,23 @@ def enumerate_endos(modulus: int) -> list[EndoMap]:
     so only the images of a_1 and a_2 are searched, with multiplicativity
     pruning as early as possible.
     """
-    p = _require_prime(modulus)
-    algebra = _algebra_for(p)
-    vecs = list(itertools.product(range(p), repeat=3))
-    idempotents = [u for u in vecs if _vmul(u, u, p) == u]
+    algebra = _algebra_for(modulus)
+    mul, add, neg = algebra._mul, algebra._add, algebra._neg
+    one, zero = algebra._one_payload(), algebra._zero
+    vecs = list(algebra.payloads())
+    idempotents = [u for u in vecs if mul(u, u) == u]
+    nilpotents = [v for v in vecs if mul(v, v) == zero]
     found = []
     for u in idempotents:
-        for v in vecs:
-            if _vmul(v, v, p) != _ZERO:
+        for v in nilpotents:
+            if mul(u, v) != zero or mul(v, u) != v:
                 continue
-            if _vmul(u, v, p) != _ZERO or _vmul(v, u, p) != v:
+            w = add(one, neg(add(u, v)))
+            if mul(u, w) != zero or mul(v, w) != zero:
                 continue
-            w = _vsub(_UNIT, _vadd(u, v, p), p)
-            if _vmul(u, w, p) != _ZERO or _vmul(v, w, p) != _ZERO:
+            if mul(w, u) != neg(v) or mul(w, v) != v:
                 continue
-            if _vmul(w, u, p) != _vneg(v, p) or _vmul(w, v, p) != v:
-                continue
-            if _vmul(w, w, p) != w:
+            if mul(w, w) != w:
                 continue
             found.append((u, v, w))
     found.sort()
@@ -267,9 +244,8 @@ def predicted_composition(f1: EndoFamily, f2: EndoFamily, p: int) -> EndoFamily:
 
 
 def identity_endo(modulus: int) -> EndoMap:
-    p = _require_prime(modulus)
-    algebra = _algebra_for(p)
-    return _mk_endo(algebra, _family_images(IDENTITY_FAMILY, p))
+    algebra = _algebra_for(modulus)
+    return _mk_endo(algebra, _family_images(IDENTITY_FAMILY, modulus))
 
 
 def automorphisms(endos: list[EndoMap]) -> list[EndoMap]:
@@ -464,27 +440,23 @@ def minpoly_divides(a: str, b: str) -> bool:
     return a == b or a in _PROPER_DIVISORS[b]
 
 
-def _eval_scalar_poly(coeffs: tuple[int, ...], x: Vec, p: int) -> Vec:
-    acc = _ZERO
-    for c in reversed(coeffs):
-        acc = _vadd(_vmul(acc, x, p), _vscale(c, _UNIT, p), p)
-    return acc
-
-
-def _vscale(c: int, x: Vec, p: int) -> Vec:
-    return ((c * x[0]) % p, (c * x[1]) % p, (c * x[2]) % p)
-
-
 def minpoly_label(x: Vec, p: int) -> str:
     """Divisibility-least label in the lattice that annihilates x.
 
     Raises ClassificationError when no unique least annihilator exists.
     """
-    annihilating = {
-        label
-        for label, coeffs in MINPOLY_LATTICE.items()
-        if _eval_scalar_poly(coeffs, x, p) == _ZERO
-    }
+    algebra = _algebra_for(p)
+    mul, add = algebra._mul, algebra._add
+    x2 = mul(x, x)
+    powers = (algebra._one_payload(), x, x2, mul(x2, x))
+    annihilating = set()
+    for label, coeffs in MINPOLY_LATTICE.items():
+        value = algebra._zero
+        for c, power in zip(coeffs, powers):
+            if c:
+                value = add(value, mul(algebra._from_int(c), power))
+        if value == algebra._zero:
+            annihilating.add(label)
     minimal = [
         label
         for label in annihilating
@@ -499,12 +471,8 @@ def minpoly_label(x: Vec, p: int) -> str:
 
 def root_elements(modulus: int) -> list[Vec]:
     """Exhaustive scan: every x in A with x^3 = x^2, in lexicographic order."""
-    p = _require_prime(modulus)
-    return [
-        x
-        for x in itertools.product(range(p), repeat=3)
-        if _cubic_value(x, p) == _ZERO
-    ]
+    algebra = _algebra_for(modulus)
+    return [x for x in algebra.payloads() if _is_root(algebra, x)]
 
 
 def _all_root_families(p: int) -> list[RootFamily]:
@@ -676,15 +644,9 @@ def _classify_census(p: int, outcome: SearchOutcome) -> list[CycleRecord]:
     return records
 
 
-def _det3_mod(rows: tuple[Vec, Vec, Vec], p: int) -> int:
-    (a, b, c), (d, e, f_), (g, h, i) = rows
-    return (a * (e * i - f_ * h) - b * (d * i - f_ * g) + c * (d * h - e * g)) % p
-
-
 def cycle_is_basis(record: CycleRecord) -> bool:
-    p = record.algebra.base.modulus
-    rows = tuple(r.payload for r in record.roots)
-    return _det3_mod(rows, p) % p != 0
+    base = record.algebra.base
+    return base._is_unit(scalar_det(base, [r.payload for r in record.roots]))
 
 
 @dataclass(frozen=True)
@@ -808,7 +770,7 @@ def action_on_root(e: EndoMap, record: RootRecord) -> RootRecord:
     """
     p = e.p
     img = e.apply_vec(record.element.payload)
-    if _cubic_value(img, p) != _ZERO:
+    if not _is_root(e.algebra, img):
         raise ClassificationError(f"image {img} is not a root")
     fam = classify_element_as_root(img, p)
     return RootRecord(e.algebra, Element(e.algebra, img), fam, minpoly_label(img, p))
@@ -846,6 +808,7 @@ class ActionTablesReport:
 def verify_action_tables(modulus: int) -> ActionTablesReport:
     """Entrywise check of both action tables over all parameter values."""
     p = _require_prime(modulus)
+    algebra = _algebra_for(p)
     endos = enumerate_endos(p)
     root_mismatches = []
     cycle_mismatches = []
@@ -856,7 +819,7 @@ def verify_action_tables(modulus: int) -> ActionTablesReport:
             root_checks += 1
             vec = fam.element_vec(p)
             img = e.apply_vec(vec)
-            if _cubic_value(img, p) != _ZERO:
+            if not _is_root(algebra, img):
                 images_are_roots = False
             expected = predicted_root_action(e.family, fam, p).element_vec(p)
             if img != expected:
@@ -975,31 +938,35 @@ def minpoly_and_poset(modulus: int) -> PosetReport:
         rec.minpoly == _expected_minpoly(rec.family, p) for rec in records
     )
 
+    strict_pairs = [
+        (i, j)
+        for i, x in enumerate(records)
+        for j, y in enumerate(records)
+        if _strictly_above(x.minpoly, y.minpoly)
+    ]
+    # every image is a root, so at most 3p+1 distinct payloads need a label
+    labels = {}
     monotone_ok = True
     level_order_ok = True
-    for e in endos:
-        for rec in records:
-            mp_img = minpoly_label(e.apply_vec(rec.element.payload), p)
-            if not minpoly_divides(mp_img, rec.minpoly):
-                monotone_ok = False
-            if MINPOLY_DEGREE[mp_img] > MINPOLY_DEGREE[rec.minpoly]:
-                level_order_ok = False
-
     failing_kinds = set()
     patterns = set()
     failing_pair_count = 0
     automorphisms_preserve_ok = True
-    strict_pairs = [
-        (x, y)
-        for x in records
-        for y in records
-        if _strictly_above(x.minpoly, y.minpoly)
-    ]
     for e in endos:
-        for x, y in strict_pairs:
-            mp_x = minpoly_label(e.apply_vec(x.element.payload), p)
-            mp_y = minpoly_label(e.apply_vec(y.element.payload), p)
-            if not minpoly_divides(mp_x, mp_y):
+        image_mps = []
+        for rec in records:
+            img = e.apply_vec(rec.element.payload)
+            if img not in labels:
+                labels[img] = minpoly_label(img, p)
+            mp_img = labels[img]
+            image_mps.append(mp_img)
+            if not minpoly_divides(mp_img, rec.minpoly):
+                monotone_ok = False
+            if MINPOLY_DEGREE[mp_img] > MINPOLY_DEGREE[rec.minpoly]:
+                level_order_ok = False
+        for i, j in strict_pairs:
+            if not minpoly_divides(image_mps[i], image_mps[j]):
+                x, y = records[i], records[j]
                 failing_pair_count += 1
                 failing_kinds.add(e.family.kind)
                 if id(e) in autos:

@@ -122,10 +122,6 @@ def constant(a: Element) -> NCPoly:
     return poly(a.ring, [a])
 
 
-def poly_mul(f: NCPoly, g: NCPoly) -> NCPoly:
-    return f * g
-
-
 def poly_from_json(obj, ring: Ring | None = None) -> NCPoly:
     from .rings import parse_ring_spec
 
@@ -201,7 +197,3 @@ def eval_commuting(f: NCPoly, a: Element) -> Element:
         if not (c * a - a * c).is_zero:
             raise CommutationError(i)
     return right_eval(f, a)
-
-
-def poly_commutes(f: NCPoly, g: NCPoly) -> bool:
-    return f * g == g * f

@@ -435,6 +435,20 @@ class ResidueRing(Ring):
         return self._canon(obj)
 
 
+def scalar_det(base: Ring, rows):
+    """Determinant of a square matrix of ``base`` payloads, over one of the
+    commutative scalar bases Z, Q and Z/n."""
+    if isinstance(base, IntegerRing):
+        return linalg.det_int(rows)
+    if isinstance(base, RationalRing):
+        return linalg.det_fraction(rows)
+    if isinstance(base, ResidueRing):
+        return linalg.det_mod(rows, base.modulus)
+    raise UnsupportedOperationError(
+        f"determinant over {base.describe()} is not supported"
+    )
+
+
 @dataclass(frozen=True)
 class MatrixRing(Ring):
     """k x k matrices over a base ring; optionally upper triangular.
@@ -539,17 +553,7 @@ class MatrixRing(Ring):
 
     def det_payload(self, payload):
         """Determinant over the (commutative scalar) base ring."""
-        base = self.base
-        rows = [list(r) for r in payload]
-        if isinstance(base, IntegerRing):
-            return linalg.det_int(rows)
-        if isinstance(base, RationalRing):
-            return linalg.det_fraction(rows)
-        if isinstance(base, ResidueRing):
-            return linalg.det_mod(rows, base.modulus)
-        raise UnsupportedOperationError(
-            f"determinant over {base.describe()} is not supported"
-        )
+        return scalar_det(self.base, payload)
 
     def _is_unit(self, payload):
         return self.base._is_unit(self.det_payload(payload))
@@ -571,22 +575,12 @@ class MatrixRing(Ring):
                     for i in range(k)
                     if i != c
                 ]
-                cof = self._minor_det(minor)
+                cof = scalar_det(self.base, minor)
                 if (r + c) % 2:
                     cof = self.base._neg(cof)
                 row.append(self.base._mul(cof, det_inv))
             inv.append(tuple(row))
         return self._canon(tuple(inv))
-
-    def _minor_det(self, rows):
-        base = self.base
-        if isinstance(base, IntegerRing):
-            return linalg.det_int(rows)
-        if isinstance(base, RationalRing):
-            return linalg.det_fraction(rows)
-        if isinstance(base, ResidueRing):
-            return linalg.det_mod(rows, base.modulus)
-        raise UnsupportedOperationError("minor determinant unsupported over this base")
 
     def spec_string(self):
         prefix = "UT" if self.upper_triangular else "Mat"
@@ -657,12 +651,18 @@ class TableAlgebra(Ring):
 
     @cached_property
     def _table(self):
-        # structure constants embedded into the base ring, indexed [i][j] -> vector
+        # the nonzero structure constants as (i, j, k, c): e_i * e_j has
+        # coefficient c on e_k. Zeros are dropped after embedding into the
+        # base, where a nonzero integer can vanish (2 over Z/2).
         base = self.base
-        return tuple(
-            tuple(tuple(base._from_int(c) for c in vec) for vec in row)
-            for row in self.descriptor.structure_constants
-        )
+        table = []
+        for i, row in enumerate(self.descriptor.structure_constants):
+            for j, vec in enumerate(row):
+                for k, n in enumerate(vec):
+                    c = base._from_int(n)
+                    if c != base._zero:
+                        table.append((i, j, k, c))
+        return tuple(table)
 
     def _basis_payload(self, i):
         m = self.descriptor.basis_size
@@ -708,24 +708,17 @@ class TableAlgebra(Ring):
         return tuple(self.base._neg(x) for x in a)
 
     def _mul(self, a, b):
-        m = self.descriptor.basis_size
         badd, bmul = self.base._add, self.base._mul
-        zero = self.base._zero_payload()
-        out = [zero] * m
-        table = self._table
-        for i in range(m):
+        zero = self.base._zero
+        out = [zero] * self.descriptor.basis_size
+        for i, j, k, c in self._table:
             ai = a[i]
             if ai == zero:
                 continue
-            for j in range(m):
-                bj = b[j]
-                if bj == zero:
-                    continue
-                coeff = bmul(ai, bj)
-                vec = table[i][j]
-                for k in range(m):
-                    if vec[k] != zero:
-                        out[k] = badd(out[k], bmul(coeff, vec[k]))
+            bj = b[j]
+            if bj == zero:
+                continue
+            out[k] = badd(out[k], bmul(bmul(ai, bj), c))
         return tuple(out)
 
     def _zero_payload(self):
@@ -1071,6 +1064,8 @@ _Q = RationalRing()
 
 def parse_ring_spec(text: str) -> Ring:
     """Parse the exact, case-sensitive ring spec grammar."""
+    if not isinstance(text, str):
+        raise SpecParseError(f"a ring spec is a string, got {text!r}")
     if text == "Z":
         return _Z
     if text == "Q":

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import linalg
 from .ncpoly import (
     CommutationError,
     NCPoly,
@@ -24,16 +23,14 @@ from .ncpoly import (
 )
 from .rings import (
     Element,
-    IntegerRing,
     MatrixRing,
-    RationalRing,
-    ResidueRing,
     Ring,
     RingMismatchError,
     TableAlgebra,
     UnsupportedOperationError,
     commutator,
     parse_ring_spec,
+    scalar_det,
 )
 
 
@@ -302,17 +299,7 @@ def vandermonde(w: SplittingWitness) -> VandermondeReport:
             rows.append(
                 tuple(blocks[i][j][r][c] for j in range(n) for c in range(k))
             )
-    flat = [list(r) for r in rows]
-    if isinstance(base, IntegerRing):
-        det = linalg.det_int(flat)
-    elif isinstance(base, RationalRing):
-        det = linalg.det_fraction(flat)
-    elif isinstance(base, ResidueRing):
-        det = linalg.det_mod(flat, base.modulus)
-    else:
-        raise UnsupportedOperationError(
-            f"determinant over {base.describe()} is not supported"
-        )
+    det = scalar_det(base, rows)
     return VandermondeReport(
         base=base,
         size=n * k,

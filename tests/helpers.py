@@ -105,6 +105,20 @@ def brute_force_census(ring: Ring, f, n: int, mode: str):
     return tuple(found), tuple(cycle_ids), len(class_of)
 
 
+def dense_table_mul(algebra, a, b):
+    """Reference table-algebra product: the plain triple loop over every
+    structure constant, zeros included, each embedded into the base."""
+    base = algebra.base
+    m = algebra.descriptor.basis_size
+    out = [base._zero_payload()] * m
+    for i in range(m):
+        for j in range(m):
+            for k in range(m):
+                c = base._from_int(algebra.descriptor.structure_constants[i][j][k])
+                out[k] = base._add(out[k], base._mul(base._mul(a[i], b[j]), c))
+    return tuple(out)
+
+
 def assert_cayley_axioms(cache, block_size: int = 32):
     """Check associativity of + and * and both distributive laws on every
     triple of a finite ring, via vectorized index-table lookups."""

@@ -2,6 +2,7 @@ import pytest
 
 from cyclesplit import endo
 from cyclesplit.endo import (
+    MINPOLY_LATTICE,
     CycleFamily,
     EndoFamily,
     RootFamily,
@@ -15,6 +16,7 @@ from cyclesplit.endo import (
     enumerate_endos,
     identity_endo,
     minpoly_and_poset,
+    minpoly_divides,
     minpoly_label,
     predicted_composition,
     root_elements,
@@ -23,15 +25,20 @@ from cyclesplit.endo import (
     verify_monoid_table,
     verify_translate_properties,
 )
+from cyclesplit.examples import example1_algebra
+from cyclesplit.ncpoly import from_int_coeffs, right_eval
+from cyclesplit.rings import ResidueRing
 
 PRIMES = (2, 3, 5)
 
 
 def test_modulus_must_be_prime():
-    with pytest.raises(ValueError):
-        enumerate_endos(4)
-    with pytest.raises(ValueError):
-        enumerate_endos(1)
+    identity_endo(5)  # caches the algebra over Z/5; 5.0 must not reach it
+    for modulus in (4, 1, 0, -3, 9, True, 5.0):
+        with pytest.raises(ValueError):
+            enumerate_endos(modulus)
+        with pytest.raises(ValueError):
+            minpoly_label((0, 0, 0), modulus)
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -134,6 +141,30 @@ def test_minpoly_label_requires_root():
     # the generic element is annihilated only by the full cubic
     assert minpoly_label((1, 0, 0), 3) == "X(X-1)"  # a_1 is idempotent
     assert minpoly_label((0, 1, 0), 5) == "X^2"
+
+
+@pytest.mark.parametrize("p", (2, 3))
+def test_minpoly_label_matches_right_eval(p):
+    algebra = example1_algebra(ResidueRing(p))
+    lattice = {
+        label: from_int_coeffs(algebra, coeffs)
+        for label, coeffs in MINPOLY_LATTICE.items()
+    }
+    non_roots = 0
+    for x in algebra.elements():
+        annihilating = {
+            label for label, f in lattice.items() if right_eval(f, x).is_zero
+        }
+        least = [
+            a for a in annihilating if all(minpoly_divides(a, b) for b in annihilating)
+        ]
+        if least:
+            assert minpoly_label(x.payload, p) == least[0]
+        else:
+            non_roots += 1
+            with pytest.raises(endo.ClassificationError):
+                minpoly_label(x.payload, p)
+    assert non_roots == p**3 - (3 * p + 1)
 
 
 @pytest.mark.parametrize("p", (2, 3, 5))

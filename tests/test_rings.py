@@ -36,7 +36,7 @@ from cyclesplit.rings import (
     is_unit,
     parse_ring_spec,
 )
-from helpers import random_element
+from helpers import dense_table_mul, random_element
 
 Z = parse_ring_spec("Z")
 Q = parse_ring_spec("Q")
@@ -132,6 +132,44 @@ def test_table_algebra_rejects_nonassociative_table():
     )
     with pytest.raises(ValueError):
         TableAlgebra(bad, Z)
+
+
+# basis (1, e) with e * e = 2e: over Z/2 the constant 2 vanishes
+TABLE_DESCRIPTORS = {
+    "example1": EXAMPLE1_DESCRIPTOR,
+    "e^2=2e": TableAlgebraDescriptor(
+        basis_size=2,
+        structure_constants=(((1, 0), (0, 1)), ((0, 1), (0, 2))),
+        unit_vector=(1, 0),
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "name, spec",
+    [
+        ("example1", "Zmod:3"),
+        ("example1", "Zmod:4"),
+        ("example1", "Z"),
+        ("example1", "Q"),
+        ("e^2=2e", "Zmod:2"),
+        ("e^2=2e", "Zmod:4"),
+        ("e^2=2e", "Z"),
+    ],
+)
+def test_table_mul_matches_dense_reference(name, spec):
+    algebra = TableAlgebra(TABLE_DESCRIPTORS[name], parse_ring_spec(spec))
+    assert all(c != algebra.base._zero for *_, c in algebra._table)
+    if algebra.is_finite:
+        pairs = itertools.product(list(algebra.payloads()), repeat=2)
+    else:
+        rng = random.Random(spec)
+        pairs = [
+            (random_element(algebra, rng).payload, random_element(algebra, rng).payload)
+            for _ in range(500)
+        ]
+    for a, b in pairs:
+        assert algebra._mul(a, b) == dense_table_mul(algebra, a, b)
 
 
 def test_pow_examples():
