@@ -23,7 +23,17 @@ from fractions import Fraction
 
 from . import endo as endo_mod
 from . import examples as ex
-from .ncpoly import NCPoly, left_divide_linear, left_eval, eval_commuting, poly, poly_from_json, right_divide_linear, right_eval
+from .ncpoly import (
+    MAX_DEGREE,
+    NCPoly,
+    eval_commuting,
+    left_divide_linear,
+    left_eval,
+    poly,
+    poly_from_json,
+    right_divide_linear,
+    right_eval,
+)
 from .rings import (
     RationalRing,
     Ring,
@@ -33,7 +43,7 @@ from .rings import (
     commutator,
     parse_ring_spec,
 )
-from .search import SearchTask, counterexample_hunt, enumerate_splittings, find_roots
+from .search import SearchTask, counterexample_hunt, enumerate_splittings, find_roots, task_from_json
 from .splitting import (
     expand,
     rotate,
@@ -74,7 +84,10 @@ def parse_poly(text: str, ring: Ring) -> NCPoly:
             j += 1
         if j == start:
             raise ParseError("expected a digit", start + 1)
-        return int(text[start:j]), j
+        try:
+            return int(text[start:j]), j
+        except ValueError as exc:  # more digits than int() converts
+            raise ParseError(str(exc), start + 1) from exc
 
     i = skip_ws(i)
     first = True
@@ -109,7 +122,10 @@ def parse_poly(text: str, ring: Ring) -> NCPoly:
             power = 1
             i += 1
             if i < n and text[i] == "^":
-                power, i = read_int(i + 1)
+                start = i + 1
+                power, i = read_int(start)
+                if power > MAX_DEGREE:
+                    raise ParseError(f"exponent {power} is above the cap of {MAX_DEGREE}", start + 1)
         elif not have_coeff:
             raise ParseError(f"unexpected character {text[i]!r}", i + 1)
         coeffs[power] = coeffs.get(power, Fraction(0)) + sign * coeff
@@ -160,7 +176,10 @@ def _poly_from_arg(value: str, ring: Ring | None) -> NCPoly:
     body, from_file = _load_text_or_file(value)
     if from_file:
         obj = json.loads(body)
-        return poly_from_json(obj, ring=None if ring is None else ring)
+        try:
+            return poly_from_json(obj, ring=ring)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ParseError(f"bad polynomial: {exc!r}", 1) from exc
     if ring is None:
         raise CheckFailure("--poly text syntax needs --ring")
     return parse_poly(body, ring)
@@ -290,9 +309,11 @@ def _cmd_roots(ns, out):
 
 def _cmd_search(ns, out):
     if ns.task:
-        from .search import task_from_json
-
-        task = task_from_json(json.loads(_load_text_or_file(ns.task)[0]))
+        obj = json.loads(_load_text_or_file(ns.task)[0])
+        try:
+            task = task_from_json(obj)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ParseError(f"bad search task: {exc!r}", 1) from exc
         ring, f = task.ring, task.target
         ns.mode, ns.n, ns.ring = task.mode, task.n, ring.spec_string()
     else:

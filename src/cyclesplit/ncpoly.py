@@ -7,6 +7,12 @@ products convolve coefficients while preserving their order:
 
 The degree of the zero polynomial is ``None`` (a bona fide "minus infinity"
 marker), never an integer sentinel.
+
+Division by X - a, on either side, is one synthetic-division kernel over
+payload lists (``_divide_linear``): ``right_divide_linear`` and
+``left_divide_linear`` wrap it for ``NCPoly`` and ``Element`` values, and the
+splitting search calls it directly so its inner loop builds no wrappers.
+Evaluation, products and ``expand`` still work on elements.
 """
 
 from __future__ import annotations
@@ -14,6 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .rings import Element, Ring, RingMismatchError
+
+# The largest exponent the polynomial parser accepts and the largest factor
+# count a splitting search takes (the search recurses once per factor).
+MAX_DEGREE = 256
 
 
 class CommutationError(Exception):
@@ -129,42 +139,50 @@ def poly_from_json(obj, ring: Ring | None = None) -> NCPoly:
     return poly(r, [r.element_from_json(c) for c in obj["coeffs"]])
 
 
+def _divide_linear(ring: Ring, coeffs, a, right: bool):
+    """Synthetic division of sum(coeffs[i] X^i) by X - a on payloads.
+
+    ``coeffs`` lists payloads low to high, at least one of them. Horner's
+    partial sums are the quotient: q_{n-1} = f_n, then q_{j-1} = f_j + q_j a
+    going down, and the last sum f_0 + q_0 a is the remainder. ``right``
+    puts a on the right of each partial sum (f = q (X - a) + r); otherwise
+    on the left (f = (X - a) q + r). Returns (quotient payloads low to high,
+    remainder payload); the quotient's top is f_n, so it stays normalized.
+    """
+    add, mul = ring._add, ring._mul
+    times = mul if right else (lambda p, b: mul(b, p))
+    acc = coeffs[-1]
+    partial = []
+    for j in range(len(coeffs) - 2, -1, -1):
+        partial.append(acc)
+        acc = add(coeffs[j], times(acc, a))
+    partial.reverse()
+    return partial, acc
+
+
+def _divide_element(f: NCPoly, a: Element, right: bool) -> tuple[NCPoly, Element]:
+    if a.ring != f.ring:
+        raise RingMismatchError("divisor point belongs to a different ring")
+    ring = f.ring
+    if f.is_zero:
+        return NCPoly(ring, ()), ring.zero()
+    q, r = _divide_linear(ring, [c.payload for c in f.coeffs], a.payload, right)
+    return NCPoly(ring, tuple(Element(ring, p) for p in q)), Element(ring, r)
+
+
 def right_divide_linear(f: NCPoly, a: Element) -> tuple[NCPoly, Element]:
     """Unique (q, r) with f = q * (X - a) + r.
 
-    Synthetic division, total for any a since X - a is monic:
-    q_{n-1} = f_n, then q_{j-1} = f_j + q_j * a going down, r = f_0 + q_0 * a.
+    Synthetic division (``_divide_linear``), total for any a since X - a is
+    monic.
     """
-    if a.ring != f.ring:
-        raise RingMismatchError("divisor point belongs to a different ring")
-    if f.is_zero:
-        return NCPoly(f.ring, ()), f.ring.zero()
-    n = len(f.coeffs) - 1
-    if n == 0:
-        return NCPoly(f.ring, ()), f.coeffs[0]
-    q = [f.ring.zero()] * n
-    q[n - 1] = f.coeffs[n]
-    for j in range(n - 1, 0, -1):
-        q[j - 1] = f.coeffs[j] + q[j] * a
-    r = f.coeffs[0] + q[0] * a
-    return poly(f.ring, q), r
+    return _divide_element(f, a, right=True)
 
 
 def left_divide_linear(f: NCPoly, a: Element) -> tuple[NCPoly, Element]:
-    """Unique (q, r) with f = (X - a) * q + r (mirrored recurrence)."""
-    if a.ring != f.ring:
-        raise RingMismatchError("divisor point belongs to a different ring")
-    if f.is_zero:
-        return NCPoly(f.ring, ()), f.ring.zero()
-    n = len(f.coeffs) - 1
-    if n == 0:
-        return NCPoly(f.ring, ()), f.coeffs[0]
-    q = [f.ring.zero()] * n
-    q[n - 1] = f.coeffs[n]
-    for j in range(n - 1, 0, -1):
-        q[j - 1] = f.coeffs[j] + a * q[j]
-    r = f.coeffs[0] + a * q[0]
-    return poly(f.ring, q), r
+    """Unique (q, r) with f = (X - a) * q + r (the same recurrence with a
+    on the left)."""
+    return _divide_element(f, a, right=False)
 
 
 def right_eval(f: NCPoly, a: Element) -> Element:

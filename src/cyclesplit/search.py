@@ -10,13 +10,21 @@ a unit the last factor is solved in closed form, a_1 = -f_n^{-1} c_0; when it
 is not, the last factor is swept over the ring like the others. Results are
 canonically ordered and therefore identical across runs regardless of how
 the work is partitioned.
+
+The sweep runs on payloads: each candidate division is the payload kernel of
+``ncpoly``, and ``Element`` and ``SplittingWitness`` values are built only
+for tuples that reach depth 0, where ``expand`` re-checks them end to end. In
+mode ``commuting_splittings_only`` the candidates are narrowed once, before
+the sweep, to the payloads that commute with every coefficient of the
+target; the closed-form candidate is held to the same membership test.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
-from .ncpoly import NCPoly, left_eval, right_divide_linear, right_eval
+from .ncpoly import MAX_DEGREE, NCPoly, _divide_linear, left_eval, right_eval
 from .rings import (
     Element,
     InfiniteRingError,
@@ -26,7 +34,7 @@ from .rings import (
     inverse,
     is_unit,
 )
-from .splitting import SplittingWitness, commutation_hypothesis, expand
+from .splitting import SplittingWitness, expand
 
 NODE_BUDGET = 10**8
 
@@ -51,6 +59,8 @@ class SearchTask:
             raise InfiniteRingError("search needs a finite ring")
         if self.target.is_zero:
             raise ValueError("target polynomial must be nonzero")
+        if self.n > MAX_DEGREE:
+            raise ValueError(f"factor count {self.n} is above the cap of {MAX_DEGREE}")
 
     def to_json(self):
         return {
@@ -74,12 +84,14 @@ def task_from_json(obj) -> SearchTask:
 class SearchOutcome:
     """Witnesses in canonical (payload-lexicographic) order. ``cycle_ids[i]``
     is the cycle class of ``witnesses[i]``; classes are numbered in order of
-    their canonical representatives."""
+    their canonical representatives. ``nodes`` counts the candidate
+    divisions the search made."""
 
     task: SearchTask
     witnesses: tuple[SplittingWitness, ...]
     cycle_ids: tuple[int, ...]
     cycle_count: int
+    nodes: int = 0
 
     def to_json_lines(self):
         for w, cid in zip(self.witnesses, self.cycle_ids):
@@ -133,27 +145,33 @@ def find_roots(f: NCPoly, ring: Ring | None = None) -> list[Element]:
 
 
 def _splitting_tuples(
-    f: NCPoly, depth: int, elements, counter: _NodeCounter, lead_inv: Element | None
+    ring: Ring, coeffs: list, depth: int, candidates: dict, counter: _NodeCounter, lead_inv
 ):
-    """All tuples (a_1, ..., a_depth) with f = leading * (X-a_1)...(X-a_depth),
-    up to the constant ``leading`` which the caller peels off at depth 0.
+    """All payload tuples (a_1, ..., a_depth) drawn from ``candidates`` with
+    f = leading * (X-a_1)...(X-a_depth), where ``coeffs`` are f's payloads
+    low to high, up to the constant ``leading`` which the caller peels off
+    at depth 0. ``candidates`` is a dict with payload keys, so it is both
+    the sweep order and the membership test.
 
-    ``lead_inv`` is the inverse of ``leading`` when it is a unit, else None.
-    A linear last dividend leading * X + c_0 then has the one candidate
-    -lead_inv * c_0 in place of the sweep over ``elements``.
+    ``lead_inv`` is the payload of the inverse of ``leading`` when it is a
+    unit, else None. A linear last dividend leading * X + c_0 then has the
+    one candidate -lead_inv * c_0 in place of the sweep, kept only if it is
+    one of ``candidates``.
     """
     if depth == 0:
         yield ()
         return
-    if depth == 1 and lead_inv is not None and f.degree == 1:
-        candidates = (-(lead_inv * f.coeffs[0]),)
+    if depth == 1 and lead_inv is not None and len(coeffs) == 2:
+        a = ring._neg(ring._mul(lead_inv, coeffs[0]))
+        sweep = (a,) if a in candidates else ()
     else:
-        candidates = elements
-    for a in candidates:
+        sweep = candidates
+    zero = ring._zero
+    for a in sweep:
         counter.tick()
-        q, r = right_divide_linear(f, a)
-        if r.is_zero:
-            for prefix in _splitting_tuples(q, depth - 1, elements, counter, lead_inv):
+        q, r = _divide_linear(ring, coeffs, a, right=True)
+        if r == zero:
+            for prefix in _splitting_tuples(ring, q, depth - 1, candidates, counter, lead_inv):
                 yield prefix + (a,)
 
 
@@ -166,8 +184,9 @@ def enumerate_splittings(task: SearchTask) -> SearchOutcome:
     """Every ordered pseudoroot tuple whose expansion equals the target.
 
     The leading coefficient is pinned to the target's own leading
-    coefficient. In mode ``commuting_splittings_only`` the witness must also
-    satisfy the commutation hypothesis of the expanded polynomial. Witnesses
+    coefficient. In mode ``commuting_splittings_only`` every pseudoroot must
+    also commute with every coefficient of the target (the commutation
+    hypothesis), so only the centralizer of the coefficients is swept. Witnesses
     related by rotation share a cycle id (lexicographically minimal rotation
     is the class representative).
     """
@@ -180,35 +199,37 @@ def enumerate_splittings(task: SearchTask) -> SearchOutcome:
         raise ValueError("factor count must be at least 1")
     leading = f.coeffs[-1]
     try:
-        lead_inv = inverse(leading) if is_unit(leading) else None
+        lead_inv = inverse(leading).payload if is_unit(leading) else None
     except UnsupportedOperationError:
         # invertibility is undecidable at this size: sweep the last factor too
         lead_inv = None
     counter = _NodeCounter()
-    elements = list(ring.elements())
+    coeffs = [c.payload for c in f.coeffs]
+    candidates = dict.fromkeys(ring.payloads())
+    if task.mode == "commuting_splittings_only":
+        # the centralizer of the coefficients: a commutes with c iff ac = ca
+        mul = ring._mul
+        candidates = {a: None for a in candidates if all(mul(a, c) == mul(c, a) for c in coeffs)}
 
     found = []
-    for tup in _splitting_tuples(f, task.n, elements, counter, lead_inv):
-        w = SplittingWitness(ring, leading, tup)
+    for tup in _splitting_tuples(ring, coeffs, task.n, candidates, counter, lead_inv):
+        w = SplittingWitness(ring, leading, tuple(Element(ring, a) for a in tup))
         if expand(w) != f:
             # depth-0 check: the final quotient must have been the constant
             # leading coefficient; expand re-checks end to end
             continue
-        if task.mode == "commuting_splittings_only":
-            ok, _ = commutation_hypothesis(f, tup)
-            if not ok:
-                continue
-        found.append(w)
+        found.append((tup, w))
 
-    found.sort(key=lambda w: tuple(a.payload for a in w.pseudoroots))
+    found.sort(key=itemgetter(0))
     class_of: dict[tuple, int] = {}
     cycle_ids = []
-    for w in found:
-        key = _canonical_rotation(tuple(a.payload for a in w.pseudoroots))
+    for tup, _ in found:
+        key = _canonical_rotation(tup)
         if key not in class_of:
             class_of[key] = len(class_of)
         cycle_ids.append(class_of[key])
-    return SearchOutcome(task, tuple(found), tuple(cycle_ids), len(class_of))
+    witnesses = tuple(w for _, w in found)
+    return SearchOutcome(task, witnesses, tuple(cycle_ids), len(class_of), counter.count)
 
 
 def counterexample_hunt(f: NCPoly, ring: Ring | None = None) -> SplittingWitness | None:

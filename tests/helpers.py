@@ -105,6 +105,25 @@ def brute_force_census(ring: Ring, f, n: int, mode: str):
     return tuple(found), tuple(cycle_ids), len(class_of)
 
 
+def divide_linear_reference(f, a, side: str):
+    """Reference synthetic division of f by X - a on Element values, the
+    recurrence written out for one side at a time: returns (quotient
+    coefficients low to high, remainder) with f = q (X - a) + r for
+    ``side == "right"`` and f = (X - a) q + r for ``side == "left"``."""
+    coeffs = list(f.coeffs)
+    if not coeffs:
+        return [], f.ring.zero()
+    n = len(coeffs) - 1
+    q = [None] * n
+    if n == 0:
+        return q, coeffs[0]
+    q[n - 1] = coeffs[n]
+    for j in range(n - 1, 0, -1):
+        q[j - 1] = coeffs[j] + (q[j] * a if side == "right" else a * q[j])
+    r = coeffs[0] + (q[0] * a if side == "right" else a * q[0])
+    return q, r
+
+
 def dense_table_mul(algebra, a, b):
     """Reference table-algebra product: the plain triple loop over every
     structure constant, zeros included, each embedded into the base."""

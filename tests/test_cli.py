@@ -5,7 +5,7 @@ import pytest
 
 from cyclesplit.cli import ParseError, parse_poly, run
 from cyclesplit.examples import example1_matrix_ring, example1_witness
-from cyclesplit.ncpoly import from_int_coeffs
+from cyclesplit.ncpoly import MAX_DEGREE, from_int_coeffs, x_power
 from cyclesplit.rings import parse_ring_spec
 
 
@@ -42,6 +42,18 @@ def test_parse_poly_rejects_products():
             parse_poly(bad, ring)
 
 
+def test_parse_poly_degree_cap():
+    ring = parse_ring_spec("Zmod:6")
+    assert parse_poly(f"X^{MAX_DEGREE}", ring) == x_power(ring, MAX_DEGREE)
+    for text in (f"X^{MAX_DEGREE + 1}", "X^99999999", "1 + X^" + "9" * 5000):
+        with pytest.raises(ParseError):
+            parse_poly(text, ring)
+    code, _ = invoke("roots", "--ring", "Zmod:6", "--poly", "X^99999999")
+    assert code == 2
+    code, _ = invoke("search", "--ring", "Zmod:2", "--poly", "X^1500", "--mode", "all_splittings")
+    assert code == 2
+
+
 def test_cli_example_suites_pass():
     code, text = invoke("example1", "--ring", "UT:2:Z")
     assert code == 0
@@ -76,7 +88,7 @@ def test_cli_verify_perturbed_witness_fails(tmp_path):
     assert payload["passed"] is True
 
 
-def test_cli_parse_errors_exit_2():
+def test_cli_parse_errors_exit_2(tmp_path):
     code, _ = invoke("roots", "--ring", "Nope", "--poly", "X")
     assert code == 2
     code, _ = invoke("roots", "--ring", "Zmod:6", "--poly", "X^2*(X-1)")
@@ -97,6 +109,14 @@ def test_cli_parse_errors_exit_2():
     assert code == 2
     code, _ = invoke("verify", "--witness", '{"ring":5,"leading":1,"pseudoroots":[1]}')
     assert code == 2
+    # and so are malformed search tasks and polynomial files
+    code, _ = invoke("search", "--task", "{}")
+    assert code == 2
+    for body in ("{}", "[1]"):
+        path = tmp_path / "f.json"
+        path.write_text(body)
+        code, _ = invoke("divide", "--ring", "Zmod:3", "--poly", f"@{path}", "--element", "1")
+        assert code == 2
 
 
 def test_cli_deterministic_output():

@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cyclesplit.examples import (
+    example1_algebra,
     example1_cubic,
     example1_matrices,
     example1_matrix_ring,
 )
 from cyclesplit.ncpoly import (
     CommutationError,
+    _divide_linear,
     eval_commuting,
     from_int_coeffs,
     left_divide_linear,
@@ -22,9 +24,9 @@ from cyclesplit.ncpoly import (
     x_minus,
     x_power,
 )
-from cyclesplit.rings import RingMismatchError, commutator, parse_ring_spec
+from cyclesplit.rings import ResidueRing, RingMismatchError, commutator, parse_ring_spec
 from cyclesplit.search import FiniteRingCache
-from helpers import random_element, random_poly
+from helpers import divide_linear_reference, random_element, random_poly
 
 Z = parse_ring_spec("Z")
 UT2 = parse_ring_spec("UT:2:Zmod:2")
@@ -99,6 +101,33 @@ def test_degree_one_divisions():
 
 
 DUALITY_RINGS = ["Z", "Q", "Zmod:6", "UT:2:Zmod:3", "Mat:2:Z", "Mat:3:Zmod:5"]
+
+
+@pytest.mark.parametrize(
+    "spec", ["Z", "Q", "Zmod:6", "UT:2:Zmod:4", "Mat:2:UT:2:Zmod:2", "example1:Zmod:2"]
+)
+def test_division_kernel_matches_element_recurrence(spec):
+    """The payload kernel, and both Element-level wrappers around it, agree
+    with the plain recurrence on each side, over commutative rings, a
+    matrix ring over a noncommutative base and the example-1 algebra."""
+    if spec == "example1:Zmod:2":
+        ring = example1_algebra(ResidueRing(2))
+    else:
+        ring = parse_ring_spec(spec)
+    rng = random.Random(11)
+    for _ in range(60):
+        f = random_poly(ring, rng, 5)
+        a = random_element(ring, rng)
+        for side, divide in (("right", right_divide_linear), ("left", left_divide_linear)):
+            q_ref, r_ref = divide_linear_reference(f, a, side)
+            q, r = divide(f, a)
+            assert list(q.coeffs) == q_ref and r == r_ref, (spec, side)
+            if f.is_zero:
+                continue
+            q_pay, r_pay = _divide_linear(
+                ring, [c.payload for c in f.coeffs], a.payload, side == "right"
+            )
+            assert q_pay == [c.payload for c in q_ref] and r_pay == r_ref.payload, (spec, side)
 
 
 @pytest.mark.parametrize("spec", DUALITY_RINGS)

@@ -10,7 +10,15 @@ from cyclesplit.examples import (
     example2_matrices,
     example2_matrix_ring,
 )
-from cyclesplit.ncpoly import constant, from_int_coeffs, poly, right_eval, x_minus
+from cyclesplit.ncpoly import (
+    MAX_DEGREE,
+    constant,
+    from_int_coeffs,
+    poly,
+    right_eval,
+    x_minus,
+    x_power,
+)
 from cyclesplit.rings import MatrixRing, ResidueRing, commutator, parse_ring_spec
 from cyclesplit.search import (
     FiniteRingCache,
@@ -116,7 +124,16 @@ def _differential_cases():
         ("n > deg f, unit leading, Zmod:5", z5, from_int_coeffs(z5, [1, 3, 2]), 3),
         ("undecidable unit, Mat:1 over a table algebra", undecided,
          from_int_coeffs(undecided, [0, -1, 1]), 2),
+        ("closed-form candidate outside the centralizer, UT:2:Zmod:3", ut3,
+         _noncentral_closed_form_target(ut3), 2),
     ]
+
+
+def _noncentral_closed_form_target(ring):
+    """diag(1,2) X^2 + [[1,2],[0,1]] X over UT:2:Zmod:3. It splits as
+    ([[2,1],[0,1]], 0), and that closed-form last factor commutes with
+    neither nonzero coefficient, so commuting mode must reject the splitting."""
+    return poly(ring, [ring.zero(), ring.element(((1, 2), (0, 1))), ring.element(((1, 0), (0, 2)))])
 
 
 @pytest.mark.parametrize("mode", ["all_splittings", "commuting_splittings_only"])
@@ -130,6 +147,40 @@ def test_search_matches_brute_force_census(mode):
         assert outcome.witnesses == witnesses, label
         assert outcome.cycle_ids == cycle_ids, label
         assert outcome.cycle_count == cycle_count, label
+
+
+@pytest.mark.parametrize("mode", ["all_splittings", "commuting_splittings_only"])
+def test_closed_form_candidate_is_held_to_the_centralizer(mode):
+    ring = parse_ring_spec("UT:2:Zmod:3")
+    f = _noncentral_closed_form_target(ring)
+    split = (ring.element(((2, 1), (0, 1))), ring.zero())
+    witnesses, _, _ = brute_force_census(ring, f, 2, mode)
+    outcome = enumerate_splittings(SearchTask(ring, f, 2, mode))
+    expected = mode == "all_splittings"
+    assert (split in [w.pseudoroots for w in witnesses]) == expected
+    assert (split in [w.pseudoroots for w in outcome.witnesses]) == expected
+
+
+def test_commuting_mode_sweeps_only_the_centralizer():
+    ring = parse_ring_spec("UT:2:Zmod:3")
+    a, b = ring.element(((1, 0), (0, 0))), ring.element(((0, 1), (0, 0)))
+    f = x_minus(a) * x_minus(b)
+    every = enumerate_splittings(SearchTask(ring, f, 2, "all_splittings"))
+    commuting = enumerate_splittings(SearchTask(ring, f, 2, "commuting_splittings_only"))
+    assert 0 < commuting.nodes < every.nodes
+    # a unit leading coefficient: one sweep of the ring, one closed-form
+    # division per survivor
+    survivors = sum(1 for x in ring.elements() if right_eval(f, x).is_zero)
+    assert every.nodes == ring.cardinality + survivors
+
+
+def test_factor_count_cap():
+    ring = parse_ring_spec("Zmod:2")
+    f = x_power(ring, MAX_DEGREE)
+    outcome = enumerate_splittings(SearchTask(ring, f, MAX_DEGREE, "all_splittings"))
+    assert [w.pseudoroots for w in outcome.witnesses] == [(ring.zero(),) * MAX_DEGREE]
+    with pytest.raises(ValueError):
+        SearchTask(ring, f, MAX_DEGREE + 1, "all_splittings")
 
 
 def test_commuting_mode_witnesses_satisfy_the_cyclic_law():
