@@ -10,9 +10,9 @@ marker), never an integer sentinel.
 
 Division by X - a, on either side, is one synthetic-division kernel over
 payload lists (``_divide_linear``): ``right_divide_linear`` and
-``left_divide_linear`` wrap it for ``NCPoly`` and ``Element`` values, and the
-splitting search calls it directly so its inner loop builds no wrappers.
-Evaluation, products and ``expand`` still work on elements.
+``left_divide_linear`` wrap it for ``NCPoly`` and ``Element`` values, so a
+division runs its Horner loop on payloads and wraps only the quotient and the
+remainder. Evaluation, products and ``expand`` still work on elements.
 """
 
 from __future__ import annotations
@@ -42,8 +42,9 @@ class NCPoly:
     coeffs: tuple[Element, ...]
 
     def __post_init__(self):
+        ring = self.ring
         for c in self.coeffs:
-            if c.ring != self.ring:
+            if c.ring is not ring and c.ring != ring:
                 raise RingMismatchError("coefficient belongs to a different ring")
         if self.coeffs and self.coeffs[-1].is_zero:
             raise ValueError("coefficients must be normalized (use poly())")
@@ -161,13 +162,13 @@ def _divide_linear(ring: Ring, coeffs, a, right: bool):
 
 
 def _divide_element(f: NCPoly, a: Element, right: bool) -> tuple[NCPoly, Element]:
-    if a.ring != f.ring:
+    if a.ring is not f.ring and a.ring != f.ring:
         raise RingMismatchError("divisor point belongs to a different ring")
     ring = f.ring
     if f.is_zero:
         return NCPoly(ring, ()), ring.zero()
     q, r = _divide_linear(ring, [c.payload for c in f.coeffs], a.payload, right)
-    return NCPoly(ring, tuple(Element(ring, p) for p in q)), Element(ring, r)
+    return NCPoly(ring, tuple([Element(ring, p) for p in q])), Element(ring, r)
 
 
 def right_divide_linear(f: NCPoly, a: Element) -> tuple[NCPoly, Element]:

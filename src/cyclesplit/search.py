@@ -11,12 +11,13 @@ is not, the last factor is swept over the ring like the others. Results are
 canonically ordered and therefore identical across runs regardless of how
 the work is partitioned.
 
-The sweep runs on payloads: each candidate division is the payload kernel of
-``ncpoly``, and ``Element`` and ``SplittingWitness`` values are built only
-for tuples that reach depth 0, where ``expand`` re-checks them end to end. In
-mode ``commuting_splittings_only`` the candidates are narrowed once, before
-the sweep, to the payloads that commute with every coefficient of the
-target; the closed-form candidate is held to the same membership test.
+Each candidate division is one ``right_divide_linear`` call, on elements
+built once per candidate before the sweep; the closed form, the membership
+test and the canonical order work on payloads, and a ``SplittingWitness`` is
+built only for tuples that reach depth 0, where ``expand`` re-checks them end
+to end. In mode ``commuting_splittings_only`` the candidates are narrowed
+once, before the sweep, to the payloads that commute with every coefficient
+of the target; the closed-form candidate is held to the same membership test.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .ncpoly import MAX_DEGREE, NCPoly, _divide_linear, left_eval, right_eval
+from .ncpoly import MAX_DEGREE, NCPoly, left_eval, right_divide_linear, right_eval
 from .rings import (
     Element,
     InfiniteRingError,
@@ -145,13 +146,12 @@ def find_roots(f: NCPoly, ring: Ring | None = None) -> list[Element]:
 
 
 def _splitting_tuples(
-    ring: Ring, coeffs: list, depth: int, candidates: dict, counter: _NodeCounter, lead_inv
+    f: NCPoly, depth: int, candidates: dict, counter: _NodeCounter, lead_inv
 ):
     """All payload tuples (a_1, ..., a_depth) drawn from ``candidates`` with
-    f = leading * (X-a_1)...(X-a_depth), where ``coeffs`` are f's payloads
-    low to high, up to the constant ``leading`` which the caller peels off
-    at depth 0. ``candidates`` is a dict with payload keys, so it is both
-    the sweep order and the membership test.
+    f = leading * (X-a_1)...(X-a_depth), up to the constant ``leading`` which
+    the caller peels off at depth 0. ``candidates`` maps each payload to its
+    element, so it is the sweep order and the membership test at once.
 
     ``lead_inv`` is the payload of the inverse of ``leading`` when it is a
     unit, else None. A linear last dividend leading * X + c_0 then has the
@@ -161,18 +161,21 @@ def _splitting_tuples(
     if depth == 0:
         yield ()
         return
-    if depth == 1 and lead_inv is not None and len(coeffs) == 2:
-        a = ring._neg(ring._mul(lead_inv, coeffs[0]))
-        sweep = (a,) if a in candidates else ()
+    ring = f.ring
+    if depth == 1 and lead_inv is not None and f.degree == 1:
+        a = ring._neg(ring._mul(lead_inv, f.coeffs[0].payload))
+        sweep = (candidates[a],) if a in candidates else ()
     else:
-        sweep = candidates
+        sweep = candidates.values()
     zero = ring._zero
     for a in sweep:
         counter.tick()
-        q, r = _divide_linear(ring, coeffs, a, right=True)
-        if r == zero:
-            for prefix in _splitting_tuples(ring, q, depth - 1, candidates, counter, lead_inv):
-                yield prefix + (a,)
+        # the public name, not the payload kernel: bench/tracer.py counts
+        # the search's divisions where it is looked up here
+        q, r = right_divide_linear(f, a)
+        if r.payload == zero:
+            for prefix in _splitting_tuples(q, depth - 1, candidates, counter, lead_inv):
+                yield prefix + (a.payload,)
 
 
 def _canonical_rotation(payloads: tuple) -> tuple:
@@ -205,15 +208,16 @@ def enumerate_splittings(task: SearchTask) -> SearchOutcome:
         lead_inv = None
     counter = _NodeCounter()
     coeffs = [c.payload for c in f.coeffs]
-    candidates = dict.fromkeys(ring.payloads())
+    payloads = ring.payloads()
     if task.mode == "commuting_splittings_only":
         # the centralizer of the coefficients: a commutes with c iff ac = ca
         mul = ring._mul
-        candidates = {a: None for a in candidates if all(mul(a, c) == mul(c, a) for c in coeffs)}
+        payloads = [a for a in payloads if all(mul(a, c) == mul(c, a) for c in coeffs)]
+    candidates = {a: Element(ring, a) for a in payloads}
 
     found = []
-    for tup in _splitting_tuples(ring, coeffs, task.n, candidates, counter, lead_inv):
-        w = SplittingWitness(ring, leading, tuple(Element(ring, a) for a in tup))
+    for tup in _splitting_tuples(f, task.n, candidates, counter, lead_inv):
+        w = SplittingWitness(ring, leading, tuple(candidates[a] for a in tup))
         if expand(w) != f:
             # depth-0 check: the final quotient must have been the constant
             # leading coefficient; expand re-checks end to end
