@@ -35,7 +35,6 @@ from .ncpoly import (
     right_eval,
 )
 from .rings import (
-    RationalRing,
     Ring,
     RingError,
     SpecParseError,
@@ -143,21 +142,12 @@ def parse_poly(text: str, ring: Ring) -> NCPoly:
             out.append(ring.from_int(int(c)))
         else:
             try:
-                out.append(ring.from_base_scalar(_scalar_for(ring, c)))
-            except (ValueError, NotImplementedError) as exc:
+                out.append(ring.from_base_scalar(c))
+            except ValueError as exc:
                 raise ParseError(
                     f"coefficient {c} is not representable over {ring.spec_string()}", 1
                 ) from exc
     return poly(ring, out)
-
-
-def _scalar_for(ring: Ring, c: Fraction):
-    base = getattr(ring, "base", ring)
-    while hasattr(base, "base"):
-        base = base.base
-    if isinstance(base, RationalRing):
-        return c
-    raise ValueError("rational coefficients need a rational base")
 
 
 # ---------------------------------------------------------------------------
@@ -165,24 +155,28 @@ def _scalar_for(ring: Ring, c: Fraction):
 # ---------------------------------------------------------------------------
 
 
-def _load_text_or_file(value: str) -> tuple[str, bool]:
+def _load_json(value: str):
+    """The JSON value of an argument, or of the file it names after ``@``."""
+    body = value
     if value.startswith("@"):
         with open(value[1:], "r", encoding="utf-8") as fh:
-            return fh.read(), True
-    return value, False
+            body = fh.read()
+    try:
+        return json.loads(body)
+    except RecursionError as exc:  # nesting deeper than the decoder's stack
+        raise ParseError("JSON nests too deeply", 1) from exc
 
 
 def _poly_from_arg(value: str, ring: Ring | None) -> NCPoly:
-    body, from_file = _load_text_or_file(value)
-    if from_file:
-        obj = json.loads(body)
+    if value.startswith("@"):
+        obj = _load_json(value)
         try:
             return poly_from_json(obj, ring=ring)
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad polynomial: {exc!r}", 1) from exc
     if ring is None:
         raise CheckFailure("--poly text syntax needs --ring")
-    return parse_poly(body, ring)
+    return parse_poly(value, ring)
 
 
 def _decode_element(obj, ring: Ring):
@@ -195,14 +189,13 @@ def _decode_element(obj, ring: Ring):
 
 
 def _element_from_arg(value: str, ring: Ring):
-    body, _ = _load_text_or_file(value)
-    return _decode_element(json.loads(body), ring)
+    return _decode_element(_load_json(value), ring)
 
 
 def _witness_from_arg(value: str):
     """A splitting witness from its JSON or @file; a malformed witness is a
     parse error, not a failed check."""
-    obj = json.loads(_load_text_or_file(value)[0])
+    obj = _load_json(value)
     try:
         return witness_from_json(obj)
     except (KeyError, TypeError, ValueError) as exc:
@@ -309,7 +302,7 @@ def _cmd_roots(ns, out):
 
 def _cmd_search(ns, out):
     if ns.task:
-        obj = json.loads(_load_text_or_file(ns.task)[0])
+        obj = _load_json(ns.task)
         try:
             task = task_from_json(obj)
         except (KeyError, TypeError, ValueError) as exc:
@@ -344,8 +337,7 @@ def _cmd_search(ns, out):
 
 def _cmd_centralizer(ns, out):
     ring = parse_ring_spec(ns.ring)
-    body, _ = _load_text_or_file(ns.elements)
-    objs = json.loads(body)
+    objs = _load_json(ns.elements)
     if not isinstance(objs, list):
         raise ParseError("--elements must be a JSON list of element payloads", 1)
     gens = [_decode_element(obj, ring) for obj in objs]
@@ -373,6 +365,7 @@ def _cmd_endos(ns, out):
 def _cmd_export(ns, out):
     builder = endo_mod.TABLE_BUILDERS.get(ns.table)
     if ns.table == "descriptor":
+        parse_ring_spec(ns.base)  # refuse a base no reader could parse back
         payload = ex.EXAMPLE1_DESCRIPTOR.to_json(ns.base)
         out.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
         return 0

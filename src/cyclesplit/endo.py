@@ -21,7 +21,7 @@ Elements are handled as their payloads, the coordinate tuples over
 (a_1, a_2, a_3). Products, sums and negatives are the payload operations
 of the ``TableAlgebra`` over ``ResidueRing(p)``, the engine the splitting
 search uses too; an endomorphism acts as the linear map of its basis
-images; determinants come from ``rings.scalar_det``.
+images; determinants come from the base ring's own ``det``.
 
 Composition order (frozen): ``compose_endos(e1, e2)`` applies e1 first and
 e2 second. Under this order the matrix model is a monoid homomorphism:
@@ -36,8 +36,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .examples import EXAMPLE1_DESCRIPTOR, example1_algebra, example1_cubic
-from .rings import Element, ResidueRing, TableAlgebra, scalar_det
-from .search import SearchOutcome, SearchTask, enumerate_splittings
+from .rings import Element, ResidueRing, TableAlgebra
+from .search import SearchOutcome, SearchTask, canonical_rotation, enumerate_splittings
 
 COMPOSITION_ORDER = "left-operand-first"
 
@@ -578,11 +578,6 @@ class CycleRecord:
     family: CycleFamily
 
 
-def _canonical_cycle_key(vecs: tuple[Vec, ...]) -> tuple[Vec, ...]:
-    n = len(vecs)
-    return min(tuple(vecs[k:] + vecs[:k]) for k in range(n))
-
-
 def _all_cycle_families(p: int) -> list[CycleFamily]:
     fams = [CycleFamily("c_tau", (t,)) for t in range(p)]
     fams += [CycleFamily("c_tau_t", (t, u)) for t in range(p) for u in range(p)]
@@ -593,7 +588,7 @@ def _all_cycle_families(p: int) -> list[CycleFamily]:
 def predicted_cycle_classes(p: int) -> dict[tuple[Vec, ...], CycleFamily]:
     table = {}
     for fam in _all_cycle_families(p):
-        key = _canonical_cycle_key(fam.support_vecs(p))
+        key = canonical_rotation(fam.support_vecs(p))
         if key in table:
             raise ClassificationError(
                 f"cycle families {table[key].label()} and {fam.label()} collide"
@@ -623,7 +618,7 @@ def _cubic_census(p: int) -> SearchOutcome:
 def _classify_census(p: int, outcome: SearchOutcome) -> list[CycleRecord]:
     algebra = outcome.task.ring
     found_keys = {
-        _canonical_cycle_key(tuple(a.payload for a in w.pseudoroots))
+        canonical_rotation(tuple(a.payload for a in w.pseudoroots))
         for w in outcome.witnesses
     }
     predicted = predicted_cycle_classes(p)
@@ -637,7 +632,7 @@ def _classify_census(p: int, outcome: SearchOutcome) -> list[CycleRecord]:
             )
     records = []
     for fam in _all_cycle_families(p):
-        key = _canonical_cycle_key(fam.support_vecs(p))
+        key = canonical_rotation(fam.support_vecs(p))
         records.append(
             CycleRecord(algebra, tuple(Element(algebra, v) for v in key), fam)
         )
@@ -646,7 +641,7 @@ def _classify_census(p: int, outcome: SearchOutcome) -> list[CycleRecord]:
 
 def cycle_is_basis(record: CycleRecord) -> bool:
     base = record.algebra.base
-    return base._is_unit(scalar_det(base, [r.payload for r in record.roots]))
+    return base._is_unit(base.det([r.payload for r in record.roots]))
 
 
 @dataclass(frozen=True)
@@ -831,8 +826,8 @@ def verify_action_tables(modulus: int) -> ActionTablesReport:
         for fam in _all_cycle_families(p):
             cycle_checks += 1
             img = tuple(e.apply_vec(v) for v in fam.support_vecs(p))
-            got = _canonical_cycle_key(img)
-            expected = _canonical_cycle_key(
+            got = canonical_rotation(img)
+            expected = canonical_rotation(
                 predicted_cycle_action(e.family, fam, p).support_vecs(p)
             )
             if got != expected:
@@ -1057,16 +1052,16 @@ def verify_translate_properties(modulus: int) -> TranslateReport:
         CycleFamily("c_tau_t", (1, 0)).support_vecs(p),
     ]
     one_step_cycle_images = {
-        _canonical_cycle_key(tuple(e.apply_vec(v) for v in support))
+        canonical_rotation(tuple(e.apply_vec(v) for v in support))
         for e in endos
         for support in seed_cycles
     }
     cycles_from_seeds = cycle_keys <= one_step_cycle_images
 
-    sink_key = _canonical_cycle_key(CycleFamily("c_tau", (0,)).support_vecs(p))
+    sink_key = canonical_rotation(CycleFamily("c_tau", (0,)).support_vecs(p))
     cycles_to_sink = all(
         any(
-            _canonical_cycle_key(tuple(e.apply_vec(v) for v in key)) == sink_key
+            canonical_rotation(tuple(e.apply_vec(v) for v in key)) == sink_key
             for e in endos
         )
         for key in cycle_keys
@@ -1212,7 +1207,7 @@ def cycle_action_rows(modulus: int) -> tuple[list[str], list[list[str]]]:
     for e in endos:
         row = [e.label()]
         for f in fams:
-            key = _canonical_cycle_key(
+            key = canonical_rotation(
                 tuple(e.apply_vec(v) for v in f.support_vecs(p))
             )
             row.append(predicted[key].label())

@@ -6,6 +6,13 @@ and finite-basis table algebras given by structure constants. Multiplication
 is never assumed commutative. All values are immutable after construction
 and every operation is a pure function, so elements can be shared freely.
 
+The scalar rings Z, Q and Z/n decide exact linear algebra over themselves
+(``det``, ``solve`` and ``kernel``); every other ring refuses it. Matrix
+rings and table algebras are free modules over their base
+(``FreeModuleRing``: coordinates, a module basis and a base matrix per
+element), so determinants, inverses and centralizers hand their linear
+algebra to the base in one call instead of asking which scalar ring it is.
+
 Ring spec grammar (exact, case sensitive):
 
     Z | Q | Zmod:<n> | Mat:<k>:<base> | UT:<k>:<base> | Table:<path>
@@ -181,8 +188,9 @@ class Ring:
         return Element(self, self._from_int(n))
 
     def from_base_scalar(self, scalar) -> Element:
-        """Embed a base-ring scalar (the ring itself for scalar rings)."""
-        raise NotImplementedError
+        """Embed a value of the innermost scalar ring (Z, Q or Z/n): the
+        ring itself for scalar rings, the scalar times the unit otherwise."""
+        return self.element(scalar)
 
     # -- structure ------------------------------------------------------------
     @property
@@ -211,6 +219,24 @@ class Ring:
 
     def _inverse(self, payload):
         raise NotImplementedError
+
+    # -- exact linear algebra over a commutative scalar ring ----------------------
+    # Matrices are lists of row lists of payloads. Only Z, Q and Z/n decide
+    # these; every other ring refuses here.
+    def det(self, rows):
+        """Determinant of a square matrix."""
+        raise UnsupportedOperationError(f"determinant over {self.describe()} is not supported")
+
+    def solve(self, rows, rhs):
+        """One solution of rows . x = rhs as a payload tuple, or None."""
+        raise UnsupportedOperationError(f"linear solve over {self.describe()} is not supported")
+
+    def kernel(self, rows, ncols):
+        """The solutions of rows . x = 0 in ``ncols`` unknowns, as
+        ``(basis, count, solutions)``: a module basis or None, the number of
+        solutions or None when infinite, and an iterable of every solution
+        once or None when they are not enumerable."""
+        raise UnsupportedOperationError(f"kernel over {self.describe()} is not supported")
 
     # -- serialization ------------------------------------------------------------
     def spec_string(self) -> str:
@@ -262,9 +288,6 @@ class IntegerRing(Ring):
     def _from_int(self, n):
         return _require_int(n)
 
-    def from_base_scalar(self, scalar):
-        return self.element(scalar)
-
     @property
     def cardinality(self):
         return None
@@ -280,6 +303,23 @@ class IntegerRing(Ring):
         if payload in (1, -1):
             return payload
         raise NotInvertibleError(f"{payload} is not a unit in Z")
+
+    def det(self, rows):
+        return linalg.det_int(rows)
+
+    def solve(self, rows, rhs):
+        # the rational solution with free unknowns at 0, when it is integral
+        sol = linalg.solve_rational(rows, list(rhs))
+        if sol is None or any(f.denominator != 1 for f in sol):
+            return None
+        return tuple(int(f) for f in sol)
+
+    def kernel(self, rows, ncols):
+        basis = [
+            linalg.primitive_integer_vector(v)
+            for v in linalg.nullspace_rational(rows, ncols)
+        ]
+        return basis, None, None
 
     def spec_string(self):
         return "Z"
@@ -318,9 +358,6 @@ class RationalRing(Ring):
     def _from_int(self, n):
         return Fraction(_require_int(n))
 
-    def from_base_scalar(self, scalar):
-        return self.element(scalar)
-
     @property
     def cardinality(self):
         return None
@@ -336,6 +373,15 @@ class RationalRing(Ring):
         if payload == 0:
             raise NotInvertibleError("0 is not a unit in Q")
         return 1 / payload
+
+    def det(self, rows):
+        return linalg.det_fraction(rows)
+
+    def solve(self, rows, rhs):
+        return linalg.solve_rational(rows, list(rhs))
+
+    def kernel(self, rows, ncols):
+        return linalg.nullspace_rational(rows, ncols), None, None
 
     def spec_string(self):
         return "Q"
@@ -386,9 +432,6 @@ class ResidueRing(Ring):
     def _from_int(self, n):
         return _require_int(n) % self.modulus
 
-    def from_base_scalar(self, scalar):
-        return self.element(scalar)
-
     @property
     def cardinality(self):
         return self.modulus
@@ -425,6 +468,30 @@ class ResidueRing(Ring):
                 f"{payload} is not a unit in Z/{self.modulus}"
             ) from exc
 
+    def det(self, rows):
+        return linalg.det_mod(rows, self.modulus)
+
+    def solve(self, rows, rhs):
+        if not self.is_prime:
+            return super().solve(rows, rhs)
+        return linalg.solve_mod_prime(rows, list(rhs), self.modulus)
+
+    def kernel(self, rows, ncols):
+        n = self.modulus
+        if not self.is_prime:
+            # Smith form of the integer lift: a count and an enumeration
+            count, make_iter = linalg.kernel_mod(rows, ncols, n)
+            return None, count, make_iter()
+        basis = linalg.nullspace_mod_prime(rows, ncols, n)
+
+        def solutions():
+            for combo in itertools.product(range(n), repeat=len(basis)):
+                yield tuple(
+                    sum(c * v[i] for c, v in zip(combo, basis)) % n for i in range(ncols)
+                )
+
+        return basis, n ** len(basis), solutions()
+
     def spec_string(self):
         return f"Zmod:{self.modulus}"
 
@@ -435,22 +502,45 @@ class ResidueRing(Ring):
         return self._canon(obj)
 
 
-def scalar_det(base: Ring, rows):
-    """Determinant of a square matrix of ``base`` payloads, over one of the
-    commutative scalar bases Z, Q and Z/n."""
-    if isinstance(base, IntegerRing):
-        return linalg.det_int(rows)
-    if isinstance(base, RationalRing):
-        return linalg.det_fraction(rows)
-    if isinstance(base, ResidueRing):
-        return linalg.det_mod(rows, base.modulus)
-    raise UnsupportedOperationError(
-        f"determinant over {base.describe()} is not supported"
-    )
+class FreeModuleRing(Ring):
+    """A ring that is a free module of finite rank over its ``base``, with
+    coordinates on a distinguished basis: the matrix units of the allowed
+    positions for matrix rings, the table basis for table algebras."""
+
+    base: Ring
+
+    def coords(self, payload):
+        """Coordinates of ``payload`` on the distinguished basis."""
+        raise NotImplementedError
+
+    def from_coords(self, vec):
+        """The payload with coordinates ``vec``."""
+        raise NotImplementedError
+
+    def base_matrix(self, payload):
+        """A square matrix of base payloads representing ``payload``."""
+        raise NotImplementedError
+
+    def module_basis(self):
+        """Payloads of the distinguished basis, built from the base's own
+        one and zero, so a base that is itself a matrix ring works too."""
+        one, zero = self.base._one_payload(), self.base._zero_payload()
+        rank = len(self.coords(self._zero_payload()))
+        return tuple(
+            self.from_coords([one if j == i else zero for j in range(rank)])
+            for i in range(rank)
+        )
+
+    def from_base_scalar(self, scalar):
+        s = self.base.from_base_scalar(scalar).payload
+        bmul = self.base._mul
+        return self.element(
+            self.from_coords([bmul(s, c) for c in self.coords(self._one_payload())])
+        )
 
 
 @dataclass(frozen=True)
-class MatrixRing(Ring):
+class MatrixRing(FreeModuleRing):
     """k x k matrices over a base ring; optionally upper triangular.
 
     Payloads are tuples of row tuples of base payloads.
@@ -464,15 +554,37 @@ class MatrixRing(Ring):
         if not isinstance(self.size, int) or self.size < 1:
             raise ValueError("matrix size must be an integer >= 1")
 
+    @cached_property
     def _positions(self):
+        # the entries a payload may fill, in coordinate order
         k = self.size
         if self.upper_triangular:
-            return [(r, c) for r in range(k) for c in range(r, k)]
-        return [(r, c) for r in range(k) for c in range(k)]
+            return tuple((r, c) for r in range(k) for c in range(r, k))
+        return tuple((r, c) for r in range(k) for c in range(k))
+
+    def coords(self, payload):
+        return [payload[r][c] for r, c in self._positions]
+
+    def from_coords(self, vec):
+        k = self.size
+        # not the cached ``base._zero``: caching it writes the base's instance
+        # dict, which slows every ``self.modulus`` read in Z/n arithmetic
+        # (about a third on CPython 3.11)
+        zero = self.base._zero_payload()
+        grid = [[zero] * k for _ in range(k)]
+        for (r, c), v in zip(self._positions, vec):
+            grid[r][c] = v
+        return tuple(tuple(row) for row in grid)
+
+    def base_matrix(self, payload):
+        return [list(row) for row in payload]
 
     def _canon(self, payload):
         k = self.size
-        rows = tuple(tuple(self.base._canon(e) for e in row) for row in payload)
+        try:
+            rows = tuple(tuple(self.base._canon(e) for e in row) for row in payload)
+        except TypeError as exc:  # a scalar where a row or matrix belongs
+            raise ValueError(f"payload is not a {k}x{k} matrix") from exc
         if len(rows) != k or any(len(r) != k for r in rows):
             raise ValueError(f"payload is not a {k}x{k} matrix")
         if self.upper_triangular:
@@ -519,22 +631,12 @@ class MatrixRing(Ring):
             tuple(d if r == c else z for c in range(self.size)) for r in range(self.size)
         )
 
-    def from_base_scalar(self, scalar):
-        s = self.base._canon(scalar)
-        z = self.base._zero_payload()
-        return self.element(
-            tuple(
-                tuple(s if r == c else z for c in range(self.size))
-                for r in range(self.size)
-            )
-        )
-
     @property
     def cardinality(self):
         n = self.base.cardinality
         if n is None:
             return None
-        return n ** len(self._positions())
+        return n ** len(self._positions)
 
     @property
     def is_commutative(self):
@@ -542,24 +644,14 @@ class MatrixRing(Ring):
 
     def payloads(self):
         base_payloads = list(self.base.payloads())
-        positions = self._positions()
-        zero = self.base._zero_payload()
-        k = self.size
-        for combo in itertools.product(base_payloads, repeat=len(positions)):
-            grid = [[zero] * k for _ in range(k)]
-            for (r, c), v in zip(positions, combo):
-                grid[r][c] = v
-            yield tuple(tuple(row) for row in grid)
-
-    def det_payload(self, payload):
-        """Determinant over the (commutative scalar) base ring."""
-        return scalar_det(self.base, payload)
+        for combo in itertools.product(base_payloads, repeat=len(self._positions)):
+            yield self.from_coords(combo)
 
     def _is_unit(self, payload):
-        return self.base._is_unit(self.det_payload(payload))
+        return self.base._is_unit(self.base.det(payload))
 
     def _inverse(self, payload):
-        det = self.det_payload(payload)
+        det = self.base.det(payload)
         if not self.base._is_unit(det):
             raise NotInvertibleError("matrix determinant is not a unit in the base")
         det_inv = self.base._inverse(det)
@@ -575,7 +667,7 @@ class MatrixRing(Ring):
                     for i in range(k)
                     if i != c
                 ]
-                cof = scalar_det(self.base, minor)
+                cof = self.base.det(minor)
                 if (r + c) % 2:
                     cof = self.base._neg(cof)
                 row.append(self.base._mul(cof, det_inv))
@@ -608,7 +700,7 @@ class TableAlgebraDescriptor:
     unit_vector: tuple[int, ...]
 
     def __post_init__(self):
-        m = self.basis_size
+        m = _require_int(self.basis_size)
         sc = tuple(
             tuple(tuple(_require_int(c) for c in vec) for vec in row)
             for row in self.structure_constants
@@ -635,7 +727,7 @@ class TableAlgebraDescriptor:
 
 
 @dataclass(frozen=True)
-class TableAlgebra(Ring):
+class TableAlgebra(FreeModuleRing):
     """Free module of rank m over a base ring with table multiplication.
 
     Payloads are length-m tuples of base payloads. Associativity and the
@@ -664,21 +756,12 @@ class TableAlgebra(Ring):
                         table.append((i, j, k, c))
         return tuple(table)
 
-    def _basis_payload(self, i):
-        m = self.descriptor.basis_size
-        z = self.base._zero_payload()
-        o = self.base._one_payload()
-        return tuple(o if j == i else z for j in range(m))
-
     def basis_elements(self):
-        return tuple(
-            Element(self, self._basis_payload(i))
-            for i in range(self.descriptor.basis_size)
-        )
+        return tuple(Element(self, b) for b in self.module_basis())
 
     def _check_table(self):
         m = self.descriptor.basis_size
-        basis = [self._basis_payload(i) for i in range(m)]
+        basis = self.module_basis()
         for i in range(m):
             for j in range(m):
                 for k in range(m):
@@ -694,11 +777,13 @@ class TableAlgebra(Ring):
                 raise ValueError(f"unit vector fails the unit law on basis element {i}")
 
     def _canon(self, payload):
-        vec = tuple(self.base._canon(e) for e in payload)
-        if len(vec) != self.descriptor.basis_size:
-            raise ValueError(
-                f"payload must be a vector of length {self.descriptor.basis_size}"
-            )
+        m = self.descriptor.basis_size
+        try:
+            vec = tuple(self.base._canon(e) for e in payload)
+        except TypeError as exc:  # a scalar where the vector belongs
+            raise ValueError(f"payload must be a vector of length {m}") from exc
+        if len(vec) != m:
+            raise ValueError(f"payload must be a vector of length {m}")
         return vec
 
     def _add(self, a, b):
@@ -733,12 +818,6 @@ class TableAlgebra(Ring):
         nn = self.base._from_int(n)
         return tuple(self.base._mul(nn, c) for c in one)
 
-    def from_base_scalar(self, scalar):
-        s = self.base._canon(scalar)
-        return self.element(
-            tuple(self.base._mul(s, c) for c in self._one_payload())
-        )
-
     @property
     def cardinality(self):
         n = self.base.cardinality
@@ -749,7 +828,7 @@ class TableAlgebra(Ring):
     @cached_property
     def is_commutative(self):
         m = self.descriptor.basis_size
-        basis = [self._basis_payload(i) for i in range(m)]
+        basis = self.module_basis()
         return all(
             self._mul(basis[i], basis[j]) == self._mul(basis[j], basis[i])
             for i in range(m)
@@ -761,27 +840,18 @@ class TableAlgebra(Ring):
         for combo in itertools.product(base_payloads, repeat=self.descriptor.basis_size):
             yield tuple(combo)
 
-    def left_regular_matrix(self, payload):
-        """Matrix of left multiplication by ``payload`` over the base,
-        columns indexed by the basis."""
-        m = self.descriptor.basis_size
-        cols = [self._mul(payload, self._basis_payload(j)) for j in range(m)]
-        return [[cols[j][i] for j in range(m)] for i in range(m)]
+    def coords(self, payload):
+        return list(payload)
 
-    def _solve_left_mul(self, payload, rhs):
-        """Solve (payload) * y = rhs for y over the base, or return None."""
-        rows = self.left_regular_matrix(payload)
-        base = self.base
-        if isinstance(base, RationalRing):
-            return linalg.solve_rational(rows, list(rhs))
-        if isinstance(base, IntegerRing):
-            sol = linalg.solve_rational(rows, list(rhs))
-            if sol is None or any(f.denominator != 1 for f in sol):
-                return None
-            return tuple(int(f) for f in sol)
-        if isinstance(base, ResidueRing) and base.is_prime:
-            return linalg.solve_mod_prime(rows, list(rhs), base.modulus)
-        return None
+    def from_coords(self, vec):
+        return tuple(vec)
+
+    def base_matrix(self, payload):
+        """The matrix of left multiplication by ``payload``, columns indexed
+        by the basis."""
+        cols = [self._mul(payload, b) for b in self.module_basis()]
+        m = len(cols)
+        return [[cols[j][i] for j in range(m)] for i in range(m)]
 
     def _is_unit(self, payload):
         try:
@@ -791,29 +861,23 @@ class TableAlgebra(Ring):
             return False
 
     def _inverse(self, payload):
-        base = self.base
-        if isinstance(base, (RationalRing, IntegerRing)) or (
-            isinstance(base, ResidueRing) and base.is_prime
-        ):
-            y = self._solve_left_mul(payload, self._one_payload())
-            if y is not None:
-                y = self._canon(y)
-                if (
-                    self._mul(payload, y) == self._one_payload()
-                    and self._mul(y, payload) == self._one_payload()
-                ):
-                    return y
-            raise NotInvertibleError("element has no two-sided inverse")
-        card = self.cardinality
-        if card is not None and card <= INVERSE_SEARCH_LIMIT:
-            one = self._one_payload()
-            for y in self.payloads():
-                if self._mul(payload, y) == one and self._mul(y, payload) == one:
-                    return y
-            raise NotInvertibleError("element has no two-sided inverse")
-        raise UnsupportedOperationError(
-            f"invertibility over {base.describe()} is not decidable at this size"
-        )
+        # the candidates: the solution of payload * y = 1 over the base, or
+        # the whole ring when the base cannot solve and the ring is small
+        one = self._one_payload()
+        try:
+            y = self.base.solve(self.base_matrix(payload), one)
+            candidates = () if y is None else (self._canon(y),)
+        except UnsupportedOperationError:
+            card = self.cardinality
+            if card is None or card > INVERSE_SEARCH_LIMIT:
+                raise UnsupportedOperationError(
+                    f"invertibility over {self.base.describe()} is not decidable at this size"
+                ) from None
+            candidates = self.payloads()
+        for y in candidates:
+            if self._mul(payload, y) == one and self._mul(y, payload) == one:
+                return y
+        raise NotInvertibleError("element has no two-sided inverse")
 
     def spec_string(self):
         if self.source_path is not None:
@@ -876,8 +940,8 @@ class CentralizerDescription:
 
     ``elements`` is the explicit list when the centralizer is finite and
     small enough to enumerate; ``basis`` is a module basis over the base
-    (matrix and table algebras over a field or over Z). Both may be
-    present. ``count`` is None for infinite centralizers.
+    (matrix and table algebras over Q, Z or Z/p, and every commutative
+    ring). Both may be present. ``count`` is None for infinite centralizers.
     """
 
     ring: Ring
@@ -890,168 +954,64 @@ class CentralizerDescription:
         return all(commutator(x, g).is_zero for g in self.gens)
 
 
-def _module_structure(ring):
-    """(basis payloads, coords function) for rings that are free base modules."""
-    if isinstance(ring, MatrixRing):
-        positions = ring._positions()
-        zero = ring.base._zero_payload()
-        k = ring.size
-
-        def unit_payload(pos):
-            grid = [[zero] * k for _ in range(k)]
-            grid[pos[0]][pos[1]] = ring.base._one_payload()
-            return tuple(tuple(row) for row in grid)
-
-        basis = [unit_payload(pos) for pos in positions]
-
-        def coords(payload):
-            return [payload[r][c] for (r, c) in positions]
-
-        return basis, coords
-    if isinstance(ring, TableAlgebra):
-        m = ring.descriptor.basis_size
-        basis = [ring._basis_payload(i) for i in range(m)]
-
-        def coords(payload):
-            return list(payload)
-
-        return basis, coords
-    raise UnsupportedOperationError(
-        f"{ring.describe()} is not a free module over a scalar base"
-    )
-
-
-def _commutation_system(ring, gens):
-    """Integer/fraction rows of the linear system x*g - g*x = 0 for all gens."""
-    basis, coords = _module_structure(ring)
-    dim = len(basis)
+def _commutation_system(ring: FreeModuleRing, gens):
+    """Rows of the linear system x*g - g*x = 0 for all gens, in the
+    coordinates of ``ring`` over its base, and the number of unknowns."""
+    basis = ring.module_basis()
     rows = []
     for g in gens:
-        cols = []
-        for b in basis:
-            diff = ring._add(ring._mul(b, g.payload), ring._neg(ring._mul(g.payload, b)))
-            cols.append(coords(diff))
-        for coord_index in range(len(cols[0])):
-            rows.append([cols[j][coord_index] for j in range(dim)])
-    return basis, coords, dim, rows
-
-
-def _scale_payload(ring, scalar, payload):
-    if isinstance(ring, MatrixRing):
-        return tuple(tuple(ring.base._mul(scalar, e) for e in row) for row in payload)
-    return tuple(ring.base._mul(scalar, e) for e in payload)
-
-
-def _payload_from_coords(ring, basis, vec):
-    acc = ring._zero_payload()
-    for c, b in zip(vec, basis):
-        acc = ring._add(acc, _scale_payload(ring, ring.base._canon(c), b))
-    return acc
+        cols = [
+            ring.coords(ring._add(ring._mul(b, g.payload), ring._neg(ring._mul(g.payload, b))))
+            for b in basis
+        ]
+        rows.extend(list(row) for row in zip(*cols))
+    return rows, len(basis)
 
 
 def centralizer_of_set(ring: Ring, gens) -> CentralizerDescription:
     """Centralizer of a set of elements.
 
-    Matrix and table algebras over a field get a solution-space basis of
-    x*g = g*x; over Z the rational kernel is scaled to a primitive integer
-    basis; over Z/n with n composite the kernel is enumerated through a
-    Smith normal form of the integer lift. The explicit element list is
-    also produced whenever the centralizer is finite with at most
-    ``ENUM_LIMIT`` members (by scan for small rings, from the linear
-    solution set otherwise).
+    A commutative ring, or an empty set, is its own centralizer. Otherwise
+    the ring must be a matrix ring or table algebra, and the centralizer is
+    the kernel of the linear system x*g = g*x, which the base decides with
+    its own ``kernel``: a rational basis over Q, a primitive integer basis
+    over Z, a basis and its span over Z/p, and a Smith-form count and
+    enumeration over composite Z/n. The explicit element list is also
+    produced whenever the kernel is enumerable with at most ``ENUM_LIMIT``
+    members; a larger one is refused when it has no basis either.
     """
     gens = tuple(gens)
     for g in gens:
         if g.ring != ring:
             raise RingMismatchError("generator does not belong to the ring")
-
-    card = ring.cardinality
-    is_module = isinstance(ring, (MatrixRing, TableAlgebra))
+    is_module = isinstance(ring, FreeModuleRing)
 
     if ring.is_commutative or not gens:
-        elems = None
-        count = card
-        if card is not None and card <= ENUM_LIMIT:
-            elems = tuple(ring.elements())
+        card = ring.cardinality
+        elems = tuple(ring.elements()) if card is not None and card <= ENUM_LIMIT else None
         if is_module:
-            module_basis, _ = _module_structure(ring)
-            basis = tuple(Element(ring, b) for b in module_basis)
+            basis = tuple(Element(ring, b) for b in ring.module_basis())
         else:
             basis = (ring.one(),)
-        return CentralizerDescription(ring, gens, elems, basis, count)
+        return CentralizerDescription(ring, gens, elems, basis, card)
 
     if not is_module:
-        if card is not None and card <= ENUM_LIMIT:
+        raise UnsupportedOperationError(f"centralizer over {ring.describe()} is not supported")
+
+    rows, dim = _commutation_system(ring, gens)
+    vecs, count, solutions = ring.base.kernel(rows, dim)
+    basis = None if vecs is None else tuple(Element(ring, ring.from_coords(v)) for v in vecs)
+    elems = None
+    if solutions is not None:
+        if count <= ENUM_LIMIT:
             elems = tuple(
-                x
-                for x in ring.elements()
-                if all(commutator(x, g).is_zero for g in gens)
+                Element(ring, p) for p in sorted(ring.from_coords(v) for v in solutions)
             )
-            return CentralizerDescription(ring, gens, elems, None, len(elems))
-        raise UnsupportedOperationError(
-            f"centralizer over {ring.describe()} is not supported at this size"
-        )
-
-    base = ring.base
-    module_basis, coords, dim, rows = _commutation_system(ring, gens)
-
-    def to_elements(vectors):
-        return tuple(
-            Element(ring, _payload_from_coords(ring, module_basis, v))
-            for v in vectors
-        )
-
-    if isinstance(base, RationalRing):
-        return CentralizerDescription(
-            ring, gens, None, to_elements(linalg.nullspace_rational(rows, dim)), None
-        )
-
-    if isinstance(base, IntegerRing):
-        prim = [
-            linalg.primitive_integer_vector(v)
-            for v in linalg.nullspace_rational(rows, dim)
-        ]
-        return CentralizerDescription(ring, gens, None, to_elements(prim), None)
-
-    if isinstance(base, ResidueRing):
-        n = base.modulus
-        int_rows = [[int(e) for e in r] for r in rows]
-        basis = None
-        if base.is_prime:
-            basis = to_elements(linalg.nullspace_mod_prime(int_rows, dim, n))
-            count = n ** len(basis)
-            if count > ENUM_LIMIT:
-                return CentralizerDescription(ring, gens, None, basis, count)
-            combos = itertools.product(range(n), repeat=len(basis))
-            sols = {
-                _payload_from_coords(
-                    ring,
-                    [b.payload for b in basis],
-                    [c for c in combo],
-                )
-                for combo in combos
-            }
-            elems = tuple(sorted((Element(ring, s) for s in sols), key=lambda e: e.payload))
-            return CentralizerDescription(ring, gens, elems, basis, count)
-        count, make_iter = linalg.kernel_mod(int_rows, dim, n)
-        if count > ENUM_LIMIT:
+        elif basis is None:
             raise UnsupportedOperationError(
-                f"centralizer has {count} elements, above the enumeration limit"
+                f"centralizer has more than {ENUM_LIMIT} elements, above the enumeration limit"
             )
-        elems = tuple(
-            sorted(
-                (
-                    Element(ring, _payload_from_coords(ring, module_basis, v))
-                    for v in make_iter()
-                ),
-                key=lambda e: e.payload,
-            )
-        )
-        return CentralizerDescription(ring, gens, elems, None, count)
-
-    raise UnsupportedOperationError(
-        f"centralizer over base {base.describe()} is not supported"
-    )
+    return CentralizerDescription(ring, gens, elems, basis, count)
 
 
 # ---------------------------------------------------------------------------
@@ -1061,42 +1021,60 @@ def centralizer_of_set(ring: Ring, gens) -> CentralizerDescription:
 _Z = IntegerRing()
 _Q = RationalRing()
 
+# Bases nest at most this deep in one spec, Table: files included, so a
+# self-referencing descriptor is refused instead of recursing without end.
+MAX_SPEC_DEPTH = 16
 
-def parse_ring_spec(text: str) -> Ring:
+
+def parse_ring_spec(text: str, _depth: int = 0) -> Ring:
     """Parse the exact, case-sensitive ring spec grammar."""
     if not isinstance(text, str):
         raise SpecParseError(f"a ring spec is a string, got {text!r}")
+    if _depth > MAX_SPEC_DEPTH:
+        raise SpecParseError(f"ring spec nests bases more than {MAX_SPEC_DEPTH} deep")
     if text == "Z":
         return _Z
     if text == "Q":
         return _Q
     if text.startswith("Zmod:"):
-        body = text[len("Zmod:"):]
-        if not body.isdigit():
+        n = _decimal(text[len("Zmod:"):])
+        if n is None:
             raise SpecParseError(f"bad modulus in {text!r}")
-        n = int(body)
         if n < 2:
             raise SpecParseError("modulus must be >= 2")
         return ResidueRing(n)
     for prefix, ut in (("Mat:", False), ("UT:", True)):
         if text.startswith(prefix):
-            body = text[len(prefix):]
-            k_str, sep, base_str = body.partition(":")
-            if not sep or not k_str.isdigit() or int(k_str) < 1:
+            k_str, sep, base_str = text[len(prefix):].partition(":")
+            k = _decimal(k_str)
+            if not sep or k is None or k < 1:
                 raise SpecParseError(f"bad matrix spec {text!r}")
-            return MatrixRing(int(k_str), parse_ring_spec(base_str), upper_triangular=ut)
+            return MatrixRing(k, parse_ring_spec(base_str, _depth + 1), upper_triangular=ut)
     if text.startswith("Table:"):
         path = text[len("Table:"):]
         if not path:
             raise SpecParseError("Table: needs a file path")
-        return load_table_algebra(path)
+        return load_table_algebra(path, _depth)
     raise SpecParseError(f"unrecognized ring spec {text!r}")
 
 
-def load_table_algebra(path: str) -> TableAlgebra:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+def _decimal(digits: str) -> int | None:
+    """The value of an ASCII decimal numeral, or None, also when it has more
+    digits than ``int`` converts."""
+    if not (digits.isascii() and digits.isdigit()):
+        return None
     try:
+        return int(digits)
+    except ValueError:
+        return None
+
+
+def load_table_algebra(path: str, _depth: int = 0) -> TableAlgebra:
+    """The table algebra of a descriptor file. A file that does not hold an
+    associative unital algebra over a valid base is a parse error."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
         descriptor = TableAlgebraDescriptor(
             basis_size=data["basis_size"],
             structure_constants=tuple(
@@ -1104,7 +1082,7 @@ def load_table_algebra(path: str) -> TableAlgebra:
             ),
             unit_vector=tuple(data["unit_vector"]),
         )
-        base = parse_ring_spec(data["base"])
-    except (KeyError, TypeError) as exc:
+        base = parse_ring_spec(data["base"], _depth + 1)
+        return TableAlgebra(descriptor, base, source_path=path)
+    except (KeyError, TypeError, ValueError) as exc:
         raise SpecParseError(f"bad table algebra file {path!r}: {exc}") from exc
-    return TableAlgebra(descriptor, base, source_path=path)

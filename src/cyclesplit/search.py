@@ -126,7 +126,7 @@ def _require_desk_scale(ring: Ring):
         raise InfiniteRingError(f"{ring.describe()} is not finite")
     if card > NODE_BUDGET:
         raise SearchSpaceTooLargeError(
-            f"{ring.describe()} has {card} elements, above the search budget"
+            f"{ring.describe()} has more than {NODE_BUDGET} elements, the search budget"
         )
     return card
 
@@ -178,7 +178,8 @@ def _splitting_tuples(
                 yield prefix + (a.payload,)
 
 
-def _canonical_rotation(payloads: tuple) -> tuple:
+def canonical_rotation(payloads: tuple) -> tuple:
+    """The lexicographically least cyclic rotation of a tuple."""
     n = len(payloads)
     return min(tuple(payloads[k:] + payloads[:k]) for k in range(n))
 
@@ -228,7 +229,7 @@ def enumerate_splittings(task: SearchTask) -> SearchOutcome:
     class_of: dict[tuple, int] = {}
     cycle_ids = []
     for tup, _ in found:
-        key = _canonical_rotation(tup)
+        key = canonical_rotation(tup)
         if key not in class_of:
             class_of[key] = len(class_of)
         cycle_ids.append(class_of[key])
@@ -283,7 +284,7 @@ class FiniteRingCache:
             raise InfiniteRingError(f"{ring.describe()} is not finite")
         if card > self.MAX_SIZE:
             raise SearchSpaceTooLargeError(
-                f"{ring.describe()} has {card} elements; cache limit is {self.MAX_SIZE}"
+                f"{ring.describe()} has more than {self.MAX_SIZE} elements, the cache limit"
             )
         self.ring = ring
         self.elements = list(ring.elements())

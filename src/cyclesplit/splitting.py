@@ -23,14 +23,12 @@ from .ncpoly import (
 )
 from .rings import (
     Element,
-    MatrixRing,
+    FreeModuleRing,
     Ring,
     RingMismatchError,
-    TableAlgebra,
     UnsupportedOperationError,
     commutator,
     parse_ring_spec,
-    scalar_det,
 )
 
 
@@ -266,21 +264,12 @@ class VandermondeReport:
         }
 
 
-def _flatten_block(ring, payload):
-    """k x k base-ring grid for one element; table algebras use the matrix of
-    left multiplication on the distinguished basis."""
-    if isinstance(ring, MatrixRing):
-        return [list(row) for row in payload]
-    if isinstance(ring, TableAlgebra):
-        return ring.left_regular_matrix(payload)
-    raise UnsupportedOperationError(
-        "vandermonde needs a matrix ring or table algebra over a commutative base"
-    )
-
-
 def vandermonde(w: SplittingWitness) -> VandermondeReport:
+    """The block Vandermonde matrix (a_j^(n-1-i)), each block the base
+    matrix of the power (the matrix itself in a matrix ring, left
+    multiplication in a table algebra), with its determinant over the base."""
     ring = w.ring
-    if not isinstance(ring, (MatrixRing, TableAlgebra)):
+    if not isinstance(ring, FreeModuleRing):
         raise UnsupportedOperationError(
             "vandermonde needs a matrix ring or table algebra over a commutative base"
         )
@@ -289,7 +278,7 @@ def vandermonde(w: SplittingWitness) -> VandermondeReport:
         raise UnsupportedOperationError("the base ring must be commutative")
     n = len(w.pseudoroots)
     blocks = [
-        [_flatten_block(ring, (a ** (n - 1 - i)).payload) for a in w.pseudoroots]
+        [ring.base_matrix((a ** (n - 1 - i)).payload) for a in w.pseudoroots]
         for i in range(n)
     ]
     k = len(blocks[0][0])
@@ -299,7 +288,7 @@ def vandermonde(w: SplittingWitness) -> VandermondeReport:
             rows.append(
                 tuple(blocks[i][j][r][c] for j in range(n) for c in range(k))
             )
-    det = scalar_det(base, rows)
+    det = base.det(rows)
     return VandermondeReport(
         base=base,
         size=n * k,

@@ -1,12 +1,22 @@
+import contextlib
 import io
 import json
+import time
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cyclesplit.cli import ParseError, parse_poly, run
-from cyclesplit.examples import example1_matrix_ring, example1_witness
+from cyclesplit.examples import (
+    EXAMPLE1_DESCRIPTOR,
+    example1_algebra,
+    example1_matrix_ring,
+    example1_witness,
+)
 from cyclesplit.ncpoly import MAX_DEGREE, from_int_coeffs, x_power
 from cyclesplit.rings import parse_ring_spec
+from cyclesplit.search import SearchSpaceTooLargeError, find_roots
 
 
 def invoke(*argv):
@@ -30,6 +40,23 @@ def test_parse_poly_rational_coefficients():
     assert f.coeffs[1] == q.from_base_scalar(__import__("fractions").Fraction(1, 2))
     with pytest.raises(ParseError):
         parse_poly("1/2*X", parse_ring_spec("Mat:2:Z"))
+
+
+@pytest.mark.parametrize("ring", [parse_ring_spec("Mat:2:Mat:2:Q"), example1_algebra(parse_ring_spec("Q"))])
+def test_parse_poly_embeds_rationals_through_nested_bases(ring):
+    f = parse_poly("1/2*X", ring)
+    assert f.coeffs[1] * ring.from_int(2) == ring.one()
+    assert f.coeffs[1] == ring.from_base_scalar(Fraction(1, 2))
+
+
+def test_cli_rationals_over_nested_integer_bases_exit_2():
+    with pytest.raises(ParseError):
+        parse_poly("1/2*X", parse_ring_spec("Mat:2:Mat:2:Z"))
+    code, _ = invoke("roots", "--ring", "Mat:2:Mat:2:Z", "--poly", "1/2*X")
+    assert code == 2
+    # over Q the coefficient parses; the ring is infinite, so roots is a failed check
+    code, _ = invoke("roots", "--ring", "Mat:2:Mat:2:Q", "--poly", "1/2*X")
+    assert code == 1
 
 
 def test_parse_poly_rejects_products():
@@ -117,6 +144,52 @@ def test_cli_parse_errors_exit_2(tmp_path):
         path.write_text(body)
         code, _ = invoke("divide", "--ring", "Zmod:3", "--poly", f"@{path}", "--element", "1")
         assert code == 2
+
+
+    # bad ring specs: table files that do not hold an algebra, numbers too
+    # long for int(), a spec nested without end, an unparseable export base
+    tables = {
+        "constant.json": {"structure_constants": [[["x"]]], "basis_size": 1},
+        "size.json": {"basis_size": "1"},
+        "unit.json": {"unit_vector": [2]},
+        # unit e0; (e1 e2) e2 = e1 but e1 (e2 e2) = e1 e1 = 0
+        "assoc.json": {
+            "basis_size": 3,
+            "structure_constants": [
+                [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                [[0, 1, 0], [0, 0, 0], [0, 1, 0]],
+                [[0, 0, 1], [0, 0, 0], [0, 1, 0]],
+            ],
+            "unit_vector": [1, 0, 0],
+        },
+        "self.json": {"base": f"Table:{tmp_path / 'self.json'}"},
+    }
+    for name, patch in tables.items():
+        body = {"basis_size": 1, "structure_constants": [[[1]]], "unit_vector": [1], "base": "Z"}
+        body.update(patch)
+        (tmp_path / name).write_text(json.dumps(body))
+        code, _ = invoke("roots", "--ring", f"Table:{tmp_path / name}", "--poly", "X")
+        assert code == 2, name
+    for spec in ("Zmod:" + "9" * 5000, "Mat:" + "9" * 5000 + ":Z", "Mat:1:" * 40 + "Z"):
+        code, _ = invoke("roots", "--ring", spec, "--poly", "X")
+        assert code == 2
+    code, text = invoke("export", "--table", "descriptor", "--base", "Nope")
+    assert code == 2 and text == ""
+    # JSON nested deeper than the decoder's stack
+    code, _ = invoke("centralizer", "--ring", "Z", "--elements", "[" * 5000 + "]" * 5000)
+    assert code == 2
+
+
+def test_cli_search_budget_refusal_is_fast(capsys):
+    # the ring has 2^160000 elements, more digits than int() prints
+    ring = parse_ring_spec("Mat:400:Zmod:2")
+    with pytest.raises(SearchSpaceTooLargeError, match="search budget"):
+        find_roots(x_power(ring, 1), ring)
+    start = time.monotonic()
+    code, _ = invoke("roots", "--ring", "Mat:400:Zmod:2", "--poly", "X")
+    assert code == 1
+    assert time.monotonic() - start < 10
+    assert "elements, the search budget" in capsys.readouterr().err
 
 
 def test_cli_deterministic_output():
@@ -237,3 +310,74 @@ def test_cli_export_descriptor_round_trips_as_ring(tmp_path):
     assert code == 0
     summary = json.loads(text.splitlines()[-1])["summary"]
     assert summary["cycle_class_count"] == 15
+
+
+# A fixed pool of small and hostile inputs for the exit-code contract. Rings
+# stay small enough (at most 64 elements) for every command to finish at
+# once; the budget refusal on huge rings is tested above.
+FUZZ_SPECS = (
+    "Z", "Q", "Zmod:6", "Zmod:1", "Zmod:", "Zmod:²", "Zmod:" + "9" * 5000,
+    "Mat:2:Zmod:2", "UT:2:Zmod:4", "UT:2:Z", "Mat:2:Q", "Mat:2:Mat:2:Q",
+    "Mat:2:Mat:2:Z", "Mat:0:Z", "Mat:" + "9" * 5000 + ":Z", "Mat:1:" * 40 + "Z",
+    "UT:2", "Table:", "Table:/no/such/file.json", "Nope", "",
+)
+FUZZ_POLYS = (
+    "X", "X^2 - 1", "2*X^2+2*X", "1/2*X + 1", "X^3 - X^2", "X^257",
+    "X^" + "9" * 5000, "X^2*(X-1)", "", "1/0*X", "- X", "X +", "@/no/such/file.json",
+)
+FUZZ_JSON = (
+    "1", "-1", "[]", "[1]", "{}", "null", '"1/2"', '"1/0"', "[[1,0],[0,1]]",
+    "[[1,2],[0,1]]", '[[1,"1/2"],[0,1]]', "[[[1,0],[0,1]]]", "[[[1,1],[0,1]],[[0,1],[1,0]]]",
+    "[1,0,1]", '{"ring":"Zmod:3","leading":1,"pseudoroots":[1,2]}',
+    '{"ring":"UT:2:Zmod:4","leading":[[1,0],[0,1]],"pseudoroots":[[[1,0],[0,0]],[[0,1],[0,1]]]}',
+    '{"ring":"Nope","leading":1,"pseudoroots":[1]}', "[" * 5000 + "]" * 5000, "[[1,0]", "nan",
+)
+
+
+def _fuzz_argv(data, table_specs):
+    spec = data.draw(st.sampled_from(FUZZ_SPECS + table_specs))
+    poly = data.draw(st.sampled_from(FUZZ_POLYS))
+    payload = data.draw(st.sampled_from(FUZZ_JSON))
+    command = data.draw(
+        st.sampled_from(
+            ("roots", "eval", "divide", "search", "centralizer", "verify", "expand", "rotate", "export", "example1")
+        )
+    )
+    if command == "roots":
+        return ["roots", "--ring", spec, "--poly", poly]
+    if command in ("eval", "divide"):
+        return [command, "--ring", spec, "--poly", poly, "--element", payload]
+    if command == "search":
+        mode = data.draw(
+            st.sampled_from(("all_splittings", "commuting_splittings_only", "roots_only", "counterexample_hunt"))
+        )
+        return ["search", "--ring", spec, "--poly", poly, "--mode", mode]
+    if command == "centralizer":
+        return ["centralizer", "--ring", spec, "--elements", payload]
+    if command in ("verify", "expand"):
+        return [command, "--witness", payload]
+    if command == "rotate":
+        return ["rotate", "--witness", payload, "--k", "1"]
+    if command == "export":
+        return ["export", "--table", "descriptor", "--base", spec]
+    return ["example1", "--ring", spec]
+
+
+@pytest.fixture(scope="module")
+def fuzz_tables(tmp_path_factory):
+    """Ring specs of one good and two bad table files."""
+    root = tmp_path_factory.mktemp("fuzz")
+    good = EXAMPLE1_DESCRIPTOR.to_json("Zmod:2")
+    bodies = {"good": good, "bad": dict(good, unit_vector=[2, 0, 0]), "list": [1]}
+    for name, body in bodies.items():
+        (root / f"{name}.json").write_text(json.dumps(body))
+    return tuple(f"Table:{root / name}.json" for name in bodies)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_cli_fuzz_exit_codes(fuzz_tables, data):
+    argv = _fuzz_argv(data, fuzz_tables)
+    with contextlib.redirect_stderr(io.StringIO()):
+        code = run(argv, out=io.StringIO())
+    assert code in (0, 1, 2), argv

@@ -1,0 +1,185 @@
+"""The scalar-base protocol: ``det``, ``solve`` and ``kernel`` of Z, Q and Z/n
+against independent oracles, and the centralizers built on ``kernel``
+against exhaustive commutator scans."""
+
+import itertools
+import random
+from fractions import Fraction
+from math import gcd
+
+import pytest
+
+from cyclesplit.examples import example1_algebra
+from cyclesplit.rings import (
+    ResidueRing,
+    UnsupportedOperationError,
+    centralizer_of_set,
+    commutator,
+    parse_ring_spec,
+)
+from helpers import det_permutation_oracle, random_element
+
+SCALAR_SPECS = ("Z", "Q", "Zmod:5", "Zmod:6")
+
+
+def _rows(ring, rng, nrows, ncols):
+    return [[random_element(ring, rng).payload for _ in range(ncols)] for _ in range(nrows)]
+
+
+def _apply(ring, rows, vec):
+    return [ring.element(sum(a * b for a, b in zip(row, vec))).payload for row in rows]
+
+
+def _rank_oracle(rows, ncols):
+    """Size of the largest nonsingular minor, by permutation expansion."""
+    for k in range(min(len(rows), ncols), 0, -1):
+        for ri in itertools.combinations(range(len(rows)), k):
+            for ci in itertools.combinations(range(ncols), k):
+                if det_permutation_oracle([[rows[r][c] for c in ci] for r in ri]) != 0:
+                    return k
+    return 0
+
+
+def _brute_solutions(ring, rows, rhs, ncols):
+    n = ring.modulus
+    return {
+        x
+        for x in itertools.product(range(n), repeat=ncols)
+        if _apply(ring, rows, x) == [ring.element(b).payload for b in rhs]
+    }
+
+
+@pytest.mark.parametrize("spec", SCALAR_SPECS)
+def test_det_matches_permutation_expansion(spec):
+    ring = parse_ring_spec(spec)
+    rng = random.Random(11)
+    for n in range(5):
+        for trial in range(12):
+            rows = _rows(ring, rng, n, n)
+            if trial % 3 == 0 and n >= 2:
+                rows[-1] = list(rows[0])  # singular
+            assert ring.det(rows) == ring.element(det_permutation_oracle(rows)).payload
+
+
+@pytest.mark.parametrize("spec", ("Zmod:5", "Zmod:6"))
+def test_kernel_mod_n_matches_brute_force(spec):
+    ring = parse_ring_spec(spec)
+    n = ring.modulus
+    rng = random.Random(12)
+    for ncols in range(1, 5):
+        for nrows in range(4):
+            rows = _rows(ring, rng, nrows, ncols)
+            brute = _brute_solutions(ring, rows, [0] * nrows, ncols)
+            basis, count, solutions = ring.kernel(rows, ncols)
+            listed = list(solutions)
+            assert count == len(brute) == len(listed)
+            assert set(listed) == brute
+            if ring.is_prime:
+                assert n ** len(basis) == count
+                assert all(tuple(v) in brute for v in basis)
+            else:
+                assert basis is None
+
+
+def test_solve_over_a_prime_field_matches_brute_force():
+    ring = parse_ring_spec("Zmod:5")
+    rng = random.Random(13)
+    for ncols in range(1, 5):
+        for nrows in range(1, 4):
+            for _ in range(3):
+                rows = _rows(ring, rng, nrows, ncols)
+                rhs = [rng.randrange(5) for _ in range(nrows)]
+                brute = _brute_solutions(ring, rows, rhs, ncols)
+                x = ring.solve(rows, rhs)
+                if x is None:
+                    assert not brute
+                else:
+                    assert tuple(x) in brute
+
+
+def test_solve_over_a_composite_modulus_is_refused():
+    with pytest.raises(UnsupportedOperationError):
+        ResidueRing(6).solve([[1, 2], [3, 4]], [1, 1])
+    with pytest.raises(UnsupportedOperationError):
+        parse_ring_spec("Mat:2:Z").solve([[1]], [1])
+
+
+@pytest.mark.parametrize("spec", ("Z", "Q"))
+def test_kernel_over_z_and_q_against_rank(spec):
+    ring = parse_ring_spec(spec)
+    rng = random.Random(14)
+    for ncols in range(1, 5):
+        for nrows in range(4):
+            rows = _rows(ring, rng, nrows, ncols)
+            if nrows >= 2:
+                rows[-1] = [2 * e for e in rows[0]]  # force a dependent row
+            basis, count, solutions = ring.kernel(rows, ncols)
+            assert count is None and solutions is None
+            assert len(basis) == ncols - _rank_oracle(rows, ncols)
+            assert _rank_oracle([list(v) for v in basis], ncols) == len(basis)
+            for v in basis:
+                assert _apply(ring, rows, v) == [ring._zero] * nrows
+                if spec == "Z":
+                    assert all(isinstance(e, int) for e in v)
+                    assert gcd(*v) == 1
+                    assert next(e for e in v if e) > 0
+
+
+def test_solve_over_q_and_z():
+    q, z = parse_ring_spec("Q"), parse_ring_spec("Z")
+    rng = random.Random(15)
+    for ncols in range(1, 5):
+        for nrows in range(1, 4):
+            rows = _rows(q, rng, nrows, ncols)
+            x0 = [random_element(q, rng).payload for _ in range(ncols)]
+            rhs = _apply(q, rows, x0)
+            assert _apply(q, rows, q.solve(rows, rhs)) == rhs
+            # inconsistent: a repeated row with another right-hand side
+            assert q.solve(rows + [rows[0]], rhs + [rhs[0] + 1]) is None
+    for k in range(1, 5):
+        # unit upper triangular: one integral solution for every integral rhs
+        rows = [[0] * c + [1] + [rng.randint(-3, 3) for _ in range(k - c - 1)] for c in range(k)]
+        rhs = [rng.randint(-9, 9) for _ in range(k)]
+        x = z.solve(rows, rhs)
+        assert all(isinstance(e, int) for e in x)
+        assert _apply(z, rows, x) == rhs
+        # 2x = 1 has no integral solution
+        assert z.solve([[2 * int(r == c) for c in range(k)] for r in range(k)], [1] * k) is None
+
+
+CENTRALIZER_RINGS = {
+    "Mat:2:Zmod:4": lambda: parse_ring_spec("Mat:2:Zmod:4"),
+    "Mat:2:Zmod:5": lambda: parse_ring_spec("Mat:2:Zmod:5"),
+    "UT:3:Zmod:2": lambda: parse_ring_spec("UT:3:Zmod:2"),
+    "example1 over Zmod:5": lambda: example1_algebra(ResidueRing(5)),
+    "example1 over Zmod:6": lambda: example1_algebra(ResidueRing(6)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CENTRALIZER_RINGS))
+def test_centralizer_matches_commutator_scan(name):
+    ring = CENTRALIZER_RINGS[name]()
+    rng = random.Random(16)
+    elements = list(ring.elements())
+    gen_sets = [[ring.one()]]
+    gen_sets += [[random_element(ring, rng)] for _ in range(3)]
+    gen_sets += [[random_element(ring, rng), random_element(ring, rng)] for _ in range(2)]
+    for gens in gen_sets:
+        desc = centralizer_of_set(ring, gens)
+        scan = [x.payload for x in elements if all(commutator(x, g).is_zero for g in gens)]
+        assert desc.count == len(scan)
+        assert [e.payload for e in desc.elements] == scan  # both in payload order
+        if desc.basis is not None:
+            assert all(desc.contains(b) for b in desc.basis)
+
+
+def test_centralizer_over_a_matrix_base_is_refused():
+    ring = parse_ring_spec("Mat:2:Mat:2:Zmod:2")
+    one, zero = ((1, 0), (0, 1)), ((0, 0), (0, 0))
+    x = ring.element(((one, one), (zero, one)))
+    with pytest.raises(UnsupportedOperationError):
+        centralizer_of_set(ring, [x])
+    # the module basis is built from the base's own one and zero
+    desc = centralizer_of_set(ring, [])
+    assert len(desc.basis) == 4 and desc.elements is None
+    assert desc.basis[0] + desc.basis[3] == ring.one()
