@@ -47,14 +47,6 @@ EXAMPLE1_DESCRIPTOR = TableAlgebraDescriptor(
     unit_vector=(1, 1, 1),
 )
 
-# images of the table-algebra basis inside UT(2): E22, -E12, E11 + E12
-EXAMPLE1_ISO_GRIDS = (
-    ((0, 0), (0, 1)),
-    ((0, -1), (0, 0)),
-    ((1, 1), (0, 0)),
-)
-
-
 def example1_cubic(ring: Ring) -> NCPoly:
     """X^3 - X^2 with scalar coefficients embedded into ``ring``."""
     return from_int_coeffs(ring, [0, 0, -1, 1])
@@ -84,11 +76,6 @@ def example1_algebra_witness(algebra: TableAlgebra) -> SplittingWitness:
     return SplittingWitness(algebra, algebra.one(), (e1, e2, e3))
 
 
-def example1_isomorphism_images(base: Ring) -> tuple[Element, Element, Element]:
-    ring = example1_matrix_ring(base)
-    return tuple(ring.element(grid) for grid in EXAMPLE1_ISO_GRIDS)
-
-
 def verify_example1_isomorphism(base: Ring) -> bool:
     """Check that basis -> (E22, -E12, E11+E12) extends to a unital ring
     isomorphism from the table algebra onto UT(2, base).
@@ -100,13 +87,13 @@ def verify_example1_isomorphism(base: Ring) -> bool:
     """
     algebra = example1_algebra(base)
     ring = example1_matrix_ring(base)
-    images = example1_isomorphism_images(base)
+    images = example1_matrices(ring)  # the basis goes to the pseudoroots
     basis = algebra.basis_elements()
 
     def phi(x: Element) -> Element:
         acc = ring.zero()
         for coord, img in zip(x.payload, images):
-            acc = acc + _scale(ring, coord, img)
+            acc = acc + ring.from_base_scalar(coord) * img
         return acc
 
     for i in range(3):
@@ -118,12 +105,6 @@ def verify_example1_isomorphism(base: Ring) -> bool:
     # the three images span UT(2) freely: E22, -E12, E11+E12 have unimodular
     # coordinates over (E11, E12, E22), so phi is bijective over any base
     return True
-
-
-def _scale(ring: MatrixRing, scalar, x: Element) -> Element:
-    return ring.element(
-        tuple(tuple(ring.base._mul(scalar, e) for e in row) for row in x.payload)
-    )
 
 
 # -- Example 2: X^3 - 4 over 3x3 matrices -------------------------------------

@@ -5,6 +5,10 @@ residue work and :class:`fractions.Fraction` for rationals, arranged as
 lists of row lists. Matrices are desk scale (at most a few dozen rows), so
 the algorithms favour exactness and clarity over asymptotics. There is no
 floating point anywhere.
+
+Over the fields Q and Z/p one Gauss-Jordan elimination (``_rref``) serves
+both nullspaces and both solvers; a field is only its canonical-value map and
+its inversion. Composite moduli go through the Smith form instead.
 """
 
 from __future__ import annotations
@@ -62,8 +66,21 @@ def det_mod(rows: list[list[int]], modulus: int) -> int:
     return det_int(rows) % modulus
 
 
-def _rref_fraction(m: list[list[Fraction]]) -> list[int]:
-    """Reduce ``m`` in place to reduced row echelon form, return pivot columns."""
+# A field on plain scalars is a pair (normal, inverse): ``normal`` maps an int
+# or a field value to its canonical representative, ``inverse`` inverts a
+# nonzero canonical value.
+_RATIONALS = (Fraction, lambda x: 1 / x)
+
+
+def _prime_field(p: int):
+    """Z/p with least nonnegative residues; p must be prime."""
+    return (lambda x: x % p, lambda x: pow(x, -1, p))
+
+
+def _rref(m: list[list], field) -> list[int]:
+    """Reduce ``m``, whose entries are canonical in ``field``, in place to
+    reduced row echelon form over the field; return the pivot columns."""
+    normal, inverse = field
     nrows = len(m)
     ncols = len(m[0]) if m else 0
     pivots = []
@@ -75,105 +92,70 @@ def _rref_fraction(m: list[list[Fraction]]) -> list[int]:
         if pivot_row is None:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [e * inv for e in m[r]]
+        inv = inverse(m[r][c])
+        m[r] = [normal(e * inv) for e in m[r]]
         for i in range(nrows):
             if i != r and m[i][c] != 0:
                 f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+                m[i] = [normal(a - f * b) for a, b in zip(m[i], m[r])]
         pivots.append(c)
         r += 1
     return pivots
 
 
-def _rref_mod_prime(m: list[list[int]], p: int) -> list[int]:
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        pivot_row = next((i for i in range(r, nrows) if m[i][c] % p != 0), None)
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = pow(m[r][c], -1, p)
-        m[r] = [(e * inv) % p for e in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] % p != 0:
-                f = m[i][c]
-                m[i] = [(a - f * b) % p for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    return pivots
-
-
-def nullspace_rational(rows: list[list], ncols: int) -> list[tuple[Fraction, ...]]:
-    """Basis of {x : rows . x = 0} over the rationals, deterministic order.
+def _nullspace(rows: list[list], ncols: int, field) -> list[tuple]:
+    """Basis of {x : rows . x = 0} over ``field``, deterministic order.
 
     One basis vector per free column, with a 1 in the free position.
     """
-    m = [[Fraction(e) for e in r] for r in rows if any(r)]
-    if not m:
-        return [tuple(Fraction(int(i == j)) for j in range(ncols)) for i in range(ncols)]
-    pivots = _rref_fraction(m)
-    free = [c for c in range(ncols) if c not in pivots]
+    normal = field[0]
+    zero, one = normal(0), normal(1)
+    m = [[normal(e) for e in r] for r in rows]
+    m = [r for r in m if any(r)]
+    pivots = _rref(m, field)
     basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [zero] * ncols
+        v[fc] = one
         for pi, pc in enumerate(pivots):
-            v[pc] = -m[pi][fc]
+            v[pc] = normal(-m[pi][fc])
         basis.append(tuple(v))
     return basis
+
+
+def _solve(rows: list[list], rhs: list, field) -> tuple | None:
+    """One solution of rows . x = rhs over ``field`` (free variables 0), or None."""
+    if not rows:
+        return ()
+    normal = field[0]
+    ncols = len(rows[0])
+    m = [[normal(e) for e in r] + [normal(b)] for r, b in zip(rows, rhs)]
+    pivots = _rref(m, field)
+    if ncols in pivots:  # pivot in the augmented column: inconsistent
+        return None
+    x = [normal(0)] * ncols
+    for pi, pc in enumerate(pivots):
+        x[pc] = m[pi][ncols]
+    return tuple(x)
+
+
+def nullspace_rational(rows: list[list], ncols: int) -> list[tuple[Fraction, ...]]:
+    """Basis of the kernel over the rationals."""
+    return _nullspace(rows, ncols, _RATIONALS)
 
 
 def nullspace_mod_prime(rows: list[list[int]], ncols: int, p: int) -> list[tuple[int, ...]]:
     """Basis of the kernel of an integer matrix over the prime field Z/p."""
-    m = [[e % p for e in r] for r in rows]
-    m = [r for r in m if any(r)]
-    if not m:
-        return [tuple(int(i == j) for j in range(ncols)) for i in range(ncols)]
-    pivots = _rref_mod_prime(m, p)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [0] * ncols
-        v[fc] = 1
-        for pi, pc in enumerate(pivots):
-            v[pc] = (-m[pi][fc]) % p
-        basis.append(tuple(v))
-    return basis
+    return _nullspace(rows, ncols, _prime_field(p))
 
 
 def solve_rational(rows: list[list], rhs: list) -> tuple[Fraction, ...] | None:
     """One rational solution of rows . x = rhs (free variables set to 0), or None."""
-    if not rows:
-        return ()
-    ncols = len(rows[0])
-    m = [[Fraction(e) for e in r] + [Fraction(b)] for r, b in zip(rows, rhs)]
-    pivots = _rref_fraction(m)
-    if ncols in pivots:  # pivot in the augmented column: inconsistent
-        return None
-    x = [Fraction(0)] * ncols
-    for pi, pc in enumerate(pivots):
-        x[pc] = m[pi][ncols]
-    return tuple(x)
+    return _solve(rows, rhs, _RATIONALS)
 
 
 def solve_mod_prime(rows: list[list[int]], rhs: list[int], p: int) -> tuple[int, ...] | None:
-    if not rows:
-        return ()
-    ncols = len(rows[0])
-    m = [[e % p for e in r] + [b % p] for r, b in zip(rows, rhs)]
-    pivots = _rref_mod_prime(m, p)
-    if ncols in pivots:
-        return None
-    x = [0] * ncols
-    for pi, pc in enumerate(pivots):
-        x[pc] = m[pi][ncols]
-    return tuple(x)
+    return _solve(rows, rhs, _prime_field(p))
 
 
 def smith_diagonalize(rows: list[list[int]], ncols: int):

@@ -12,7 +12,10 @@ Division by X - a, on either side, is one synthetic-division kernel over
 payload lists (``_divide_linear``): ``right_divide_linear`` and
 ``left_divide_linear`` wrap it for ``NCPoly`` and ``Element`` values, so a
 division runs its Horner loop on payloads and wraps only the quotient and the
-remainder. Evaluation, products and ``expand`` still work on elements.
+remainder. Evaluation is that remainder: right_eval(f, a) = sum f_i a^i is
+the remainder of right division by X - a and left_eval the remainder of left
+division, so a is a root exactly when X - a divides f on that side. Products
+and ``expand`` still work on elements.
 """
 
 from __future__ import annotations
@@ -143,7 +146,8 @@ def poly_from_json(obj, ring: Ring | None = None) -> NCPoly:
 def _divide_linear(ring: Ring, coeffs, a, right: bool):
     """Synthetic division of sum(coeffs[i] X^i) by X - a on payloads.
 
-    ``coeffs`` lists payloads low to high, at least one of them. Horner's
+    ``coeffs`` lists payloads low to high; an empty list, the zero
+    polynomial, divides with empty quotient and remainder 0. Horner's
     partial sums are the quotient: q_{n-1} = f_n, then q_{j-1} = f_j + q_j a
     going down, and the last sum f_0 + q_0 a is the remainder. ``right``
     puts a on the right of each partial sum (f = q (X - a) + r); otherwise
@@ -152,7 +156,7 @@ def _divide_linear(ring: Ring, coeffs, a, right: bool):
     """
     add, mul = ring._add, ring._mul
     times = mul if right else (lambda p, b: mul(b, p))
-    acc = coeffs[-1]
+    acc = coeffs[-1] if coeffs else ring._zero
     partial = []
     for j in range(len(coeffs) - 2, -1, -1):
         partial.append(acc)
@@ -161,13 +165,17 @@ def _divide_linear(ring: Ring, coeffs, a, right: bool):
     return partial, acc
 
 
-def _divide_element(f: NCPoly, a: Element, right: bool) -> tuple[NCPoly, Element]:
+def _divide_payloads(f: NCPoly, a: Element, right: bool, point: str):
+    """``_divide_linear`` on f's coefficient payloads, after checking that a
+    lies in f's ring (``point`` names a in the error)."""
     if a.ring is not f.ring and a.ring != f.ring:
-        raise RingMismatchError("divisor point belongs to a different ring")
+        raise RingMismatchError(f"{point} belongs to a different ring")
+    return _divide_linear(f.ring, [c.payload for c in f.coeffs], a.payload, right)
+
+
+def _divide_element(f: NCPoly, a: Element, right: bool) -> tuple[NCPoly, Element]:
     ring = f.ring
-    if f.is_zero:
-        return NCPoly(ring, ()), ring.zero()
-    q, r = _divide_linear(ring, [c.payload for c in f.coeffs], a.payload, right)
+    q, r = _divide_payloads(f, a, right, "divisor point")
     return NCPoly(ring, tuple([Element(ring, p) for p in q])), Element(ring, r)
 
 
@@ -187,24 +195,14 @@ def left_divide_linear(f: NCPoly, a: Element) -> tuple[NCPoly, Element]:
 
 
 def right_eval(f: NCPoly, a: Element) -> Element:
-    """Sum of f_i * a^i (coefficients on the left). Equals the remainder of
-    right division by X - a."""
-    if a.ring != f.ring:
-        raise RingMismatchError("evaluation point belongs to a different ring")
-    acc = f.ring.zero()
-    for c in reversed(f.coeffs):
-        acc = acc * a + c
-    return acc
+    """Sum of f_i * a^i (coefficients on the left): the remainder of right
+    division by X - a."""
+    return Element(f.ring, _divide_payloads(f, a, True, "evaluation point")[1])
 
 
 def left_eval(f: NCPoly, a: Element) -> Element:
-    """Sum of a^i * f_i. Equals the remainder of left division by X - a."""
-    if a.ring != f.ring:
-        raise RingMismatchError("evaluation point belongs to a different ring")
-    acc = f.ring.zero()
-    for c in reversed(f.coeffs):
-        acc = a * acc + c
-    return acc
+    """Sum of a^i * f_i: the remainder of left division by X - a."""
+    return Element(f.ring, _divide_payloads(f, a, False, "evaluation point")[1])
 
 
 def eval_commuting(f: NCPoly, a: Element) -> Element:

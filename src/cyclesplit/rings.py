@@ -165,7 +165,9 @@ class Ring:
     @cached_property
     def _zero(self):
         # built once per ring; stored in the instance dict, so it is no
-        # dataclass field and takes no part in __eq__ or __hash__
+        # dataclass field and takes no part in __eq__ or __hash__. The scalar
+        # rings shadow it with a class attribute: a write to their instance
+        # dict would slow every later attribute read in their arithmetic.
         return self._zero_payload()
 
     def _one_payload(self):
@@ -279,6 +281,8 @@ class IntegerRing(Ring):
     def _mul(self, a, b):
         return a * b
 
+    _zero = 0
+
     def _zero_payload(self):
         return 0
 
@@ -349,6 +353,8 @@ class RationalRing(Ring):
     def _mul(self, a, b):
         return a * b
 
+    _zero = Fraction(0)
+
     def _zero_payload(self):
         return Fraction(0)
 
@@ -401,6 +407,12 @@ class RationalRing(Ring):
         return Fraction(_require_int(obj))
 
 
+# Miller-Rabin over the primes 2 to 41 is exact below PRIMALITY_BOUND, the least
+# strong pseudoprime to all of them (2 to 37 pass 318665857834031151167461).
+_PRIMALITY_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIMALITY_BOUND = 3317044064679887385961981
+
+
 @dataclass(frozen=True)
 class ResidueRing(Ring):
     """Z/n with least nonnegative representatives."""
@@ -423,6 +435,8 @@ class ResidueRing(Ring):
     def _mul(self, a, b):
         return (a * b) % self.modulus
 
+    _zero = 0
+
     def _zero_payload(self):
         return 0
 
@@ -442,16 +456,31 @@ class ResidueRing(Ring):
 
     @property
     def is_prime(self) -> bool:
+        """Deterministic Miller-Rabin, exact below ``PRIMALITY_BOUND``; from
+        there on a modulus that passes every base raises
+        UnsupportedOperationError."""
         n = self.modulus
-        if n < 4:
-            return True
-        if n % 2 == 0:
-            return False
-        d = 3
-        while d * d <= n:
-            if n % d == 0:
+        for b in _PRIMALITY_BASES:
+            if n % b == 0:
+                return n == b
+        d, s = n - 1, 0
+        while d % 2 == 0:
+            d //= 2
+            s += 1
+        for b in _PRIMALITY_BASES:
+            x = pow(b, d, n)
+            if x == 1 or x == n - 1:
+                continue
+            for _ in range(s - 1):
+                x = x * x % n
+                if x == n - 1:
+                    break
+            else:
                 return False
-            d += 2
+        if n >= PRIMALITY_BOUND:
+            raise UnsupportedOperationError(
+                f"primality is decided only for moduli below {PRIMALITY_BOUND}"
+            )
         return True
 
     def payloads(self):
@@ -567,10 +596,7 @@ class MatrixRing(FreeModuleRing):
 
     def from_coords(self, vec):
         k = self.size
-        # not the cached ``base._zero``: caching it writes the base's instance
-        # dict, which slows every ``self.modulus`` read in Z/n arithmetic
-        # (about a third on CPython 3.11)
-        zero = self.base._zero_payload()
+        zero = self.base._zero
         grid = [[zero] * k for _ in range(k)]
         for (r, c), v in zip(self._positions, vec):
             grid[r][c] = v

@@ -15,7 +15,9 @@ Each candidate division is one ``right_divide_linear`` call, on elements
 built once per candidate before the sweep; the closed form, the membership
 test and the canonical order work on payloads, and a ``SplittingWitness`` is
 built only for tuples that reach depth 0, where ``expand`` re-checks them end
-to end. In mode ``commuting_splittings_only`` the candidates are narrowed
+to end. Root finding sweeps payloads too: both evaluations are remainders of
+the division kernel ``ncpoly._divide_linear``, and only roots become
+elements. In mode ``commuting_splittings_only`` the candidates are narrowed
 once, before the sweep, to the payloads that commute with every coefficient
 of the target; the closed-form candidate is held to the same membership test.
 """
@@ -25,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .ncpoly import MAX_DEGREE, NCPoly, left_eval, right_divide_linear, right_eval
+from .ncpoly import MAX_DEGREE, NCPoly, _divide_linear, right_divide_linear, right_eval
 from .rings import (
     Element,
     InfiniteRingError,
@@ -132,17 +134,21 @@ def _require_desk_scale(ring: Ring):
 
 
 def find_roots(f: NCPoly, ring: Ring | None = None) -> list[Element]:
-    """All two-sided roots: a is a root iff right_eval(f, a) = 0 and
-    left_eval(f, a) = 0. Canonical enumeration order."""
+    """All two-sided roots: a is a root iff X - a divides f on the right and
+    on the left, i.e. right_eval(f, a) = 0 and left_eval(f, a) = 0. Both
+    remainders are computed on payloads; canonical enumeration order."""
     ring = ring if ring is not None else f.ring
     if f.ring != ring:
         raise RingError("polynomial is not over the requested ring")
     _require_desk_scale(ring)
-    roots = []
-    for a in ring.elements():
-        if right_eval(f, a).is_zero and left_eval(f, a).is_zero:
-            roots.append(a)
-    return roots
+    coeffs = [c.payload for c in f.coeffs]
+    zero = ring._zero
+    return [
+        Element(ring, a)
+        for a in ring.payloads()
+        if _divide_linear(ring, coeffs, a, True)[1] == zero
+        and _divide_linear(ring, coeffs, a, False)[1] == zero
+    ]
 
 
 def _splitting_tuples(
@@ -262,98 +268,3 @@ def run_task(task: SearchTask):
     if task.mode == "roots_only":
         return find_roots(task.target, task.ring)
     return counterexample_hunt(task.target, task.ring)
-
-
-# ---------------------------------------------------------------------------
-# index-table arithmetic for tight exhaustive sweeps
-# ---------------------------------------------------------------------------
-
-
-class FiniteRingCache:
-    """Cayley tables for a small finite ring, for index-space inner loops.
-
-    Exhaustive law checks over thousands of (f, a) instances are an order of
-    magnitude faster on integer indices than on Element wrappers.
-    """
-
-    MAX_SIZE = 4096
-
-    def __init__(self, ring: Ring):
-        card = ring.cardinality
-        if card is None:
-            raise InfiniteRingError(f"{ring.describe()} is not finite")
-        if card > self.MAX_SIZE:
-            raise SearchSpaceTooLargeError(
-                f"{ring.describe()} has more than {self.MAX_SIZE} elements, the cache limit"
-            )
-        self.ring = ring
-        self.elements = list(ring.elements())
-        payload_index = {e.payload: i for i, e in enumerate(self.elements)}
-        self.index_of = payload_index
-        n = len(self.elements)
-        payloads = [e.payload for e in self.elements]
-        self.add = [
-            [payload_index[ring._add(payloads[i], payloads[j])] for j in range(n)]
-            for i in range(n)
-        ]
-        self.mul = [
-            [payload_index[ring._mul(payloads[i], payloads[j])] for j in range(n)]
-            for i in range(n)
-        ]
-        self.neg = [payload_index[ring._neg(payloads[i])] for i in range(n)]
-        self.zero = payload_index[ring._zero_payload()]
-        self.one = payload_index[ring._one_payload()]
-
-    def __len__(self):
-        return len(self.elements)
-
-    def commutes(self, i: int, j: int) -> bool:
-        return self.mul[i][j] == self.mul[j][i]
-
-    def is_central(self, i: int) -> bool:
-        row = self.mul[i]
-        return all(row[j] == self.mul[j][i] for j in range(len(self.elements)))
-
-    def centralizer_indices(self, i: int) -> list[int]:
-        return [j for j in range(len(self.elements)) if self.commutes(i, j)]
-
-    def divide_linear_right(self, coeff_idx: tuple[int, ...], a: int):
-        """Index-space synthetic right division of sum(c_i X^i) by X - a.
-
-        Returns (quotient index tuple low-to-high, remainder index).
-        """
-        if not coeff_idx:
-            return (), self.zero
-        n = len(coeff_idx) - 1
-        if n == 0:
-            return (), coeff_idx[0]
-        q = [self.zero] * n
-        q[n - 1] = coeff_idx[n]
-        for j in range(n - 1, 0, -1):
-            q[j - 1] = self.add[coeff_idx[j]][self.mul[q[j]][a]]
-        r = self.add[coeff_idx[0]][self.mul[q[0]][a]]
-        return tuple(q), r
-
-    def right_eval(self, coeff_idx: tuple[int, ...], a: int) -> int:
-        acc = self.zero
-        for c in reversed(coeff_idx):
-            acc = self.add[self.mul[acc][a]][c]
-        return acc
-
-    def left_eval(self, coeff_idx: tuple[int, ...], a: int) -> int:
-        acc = self.zero
-        for c in reversed(coeff_idx):
-            acc = self.add[self.mul[a][acc]][c]
-        return acc
-
-    def linear_factor_product(self, roots: tuple[int, ...]) -> tuple[int, ...]:
-        """Coefficient indices (low-to-high) of (X - a_1)...(X - a_k)."""
-        coeffs = [self.one]
-        for a in roots:
-            na = self.neg[a]
-            new = [self.zero] * (len(coeffs) + 1)
-            for i, c in enumerate(coeffs):
-                new[i + 1] = self.add[new[i + 1]][c]
-                new[i] = self.add[new[i]][self.mul[c][na]]
-            coeffs = new
-        return tuple(coeffs)

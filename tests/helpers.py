@@ -124,6 +124,61 @@ def divide_linear_reference(f, a, side: str):
     return q, r
 
 
+def eval_reference(f, a, side: str):
+    """Reference evaluation straight from the definition with powers:
+    sum of f_i * a^i for ``side == "right"``, of a^i * f_i for "left"."""
+    acc = f.ring.zero()
+    for i, c in enumerate(f.coeffs):
+        acc = acc + (c * a**i if side == "right" else a**i * c)
+    return acc
+
+
+class CayleyTables:
+    """Addition and multiplication tables of a small finite ring on element
+    indices (positions in ``ring.elements()``), for exhaustive sweeps.
+
+    ``_add`` and ``_mul`` take and return indices with the signature of the
+    rings' payload ops, so ``ncpoly._divide_linear`` runs on indices.
+    """
+
+    def __init__(self, ring):
+        self.elements = list(ring.elements())
+        payloads = [e.payload for e in self.elements]
+        index = {p: i for i, p in enumerate(payloads)}
+        self.add = [[index[ring._add(x, y)] for y in payloads] for x in payloads]
+        self.mul = [[index[ring._mul(x, y)] for y in payloads] for x in payloads]
+        self.neg = [index[ring._neg(x)] for x in payloads]
+        self.zero = index[ring._zero_payload()]
+        self.one = index[ring._one_payload()]
+
+    def __len__(self):
+        return len(self.elements)
+
+    def _add(self, i, j):
+        return self.add[i][j]
+
+    def _mul(self, i, j):
+        return self.mul[i][j]
+
+    def commutes(self, i, j):
+        return self.mul[i][j] == self.mul[j][i]
+
+    def centralizer_indices(self, i):
+        return [j for j in range(len(self.elements)) if self.commutes(i, j)]
+
+    def linear_factor_product(self, roots):
+        """Coefficient indices (low to high) of (X - a_1)...(X - a_k)."""
+        coeffs = [self.one]
+        for a in roots:
+            na = self.neg[a]
+            new = [self.zero] * (len(coeffs) + 1)
+            for i, c in enumerate(coeffs):
+                new[i + 1] = self.add[new[i + 1]][c]
+                new[i] = self.add[new[i]][self.mul[c][na]]
+            coeffs = new
+        return tuple(coeffs)
+
+
 def dense_table_mul(algebra, a, b):
     """Reference table-algebra product: the plain triple loop over every
     structure constant, zeros included, each embedded into the base."""
@@ -138,7 +193,7 @@ def dense_table_mul(algebra, a, b):
     return tuple(out)
 
 
-def assert_cayley_axioms(cache, block_size: int = 32):
+def assert_cayley_axioms(cache: CayleyTables, block_size: int = 32):
     """Check associativity of + and * and both distributive laws on every
     triple of a finite ring, via vectorized index-table lookups."""
     import numpy as np

@@ -264,6 +264,20 @@ def test_cli_centralizer():
     assert payload["count"] == 6  # commutative ring: everything commutes
 
 
+def test_cli_centralizer_over_large_prime_moduli():
+    start = time.perf_counter()
+    code, text = invoke(
+        "centralizer", "--ring", "Mat:2:Zmod:1000000000000000003", "--elements", "[[[1,1],[0,1]]]"
+    )
+    assert code == 0 and text.startswith("count: ")
+    assert time.perf_counter() - start < 5.0
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        code, _ = invoke(
+            "centralizer", "--ring", "Mat:2:Zmod:618970019642690137449562111", "--elements", "[[[1,1],[0,1]]]"
+        )
+    assert code == 1 and "3317044064679887385961981" in err.getvalue()
+
+
 def test_cli_endos_json():
     code, text = invoke("endos", "--p", "2", "--format", "json")
     assert code == 0
@@ -314,11 +328,13 @@ def test_cli_export_descriptor_round_trips_as_ring(tmp_path):
 
 # A fixed pool of small and hostile inputs for the exit-code contract. Rings
 # stay small enough (at most 64 elements) for every command to finish at
-# once; the budget refusal on huge rings is tested above.
+# once, or are huge and refused at once: the search budget, and the primality
+# bound for a prime modulus above it (2^89 - 1).
 FUZZ_SPECS = (
     "Z", "Q", "Zmod:6", "Zmod:1", "Zmod:", "Zmod:²", "Zmod:" + "9" * 5000,
     "Mat:2:Zmod:2", "UT:2:Zmod:4", "UT:2:Z", "Mat:2:Q", "Mat:2:Mat:2:Q",
     "Mat:2:Mat:2:Z", "Mat:0:Z", "Mat:" + "9" * 5000 + ":Z", "Mat:1:" * 40 + "Z",
+    "Mat:2:Zmod:1000000000000000003", "Mat:2:Zmod:618970019642690137449562111",
     "UT:2", "Table:", "Table:/no/such/file.json", "Nope", "",
 )
 FUZZ_POLYS = (

@@ -50,7 +50,7 @@ def test_nullspace_rational_kernel_property():
                 assert sum(Fraction(a) * b for a, b in zip(r, v)) == 0
         # rank-nullity: pivots + free = ncols
         m = [[Fraction(e) for e in r] for r in rows if any(r)]
-        pivots = linalg._rref_fraction(m) if m else []
+        pivots = linalg._rref(m, linalg._RATIONALS) if m else []
         assert len(basis) == ncols - len(pivots)
 
 

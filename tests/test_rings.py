@@ -77,12 +77,11 @@ def test_ring_axioms_exhaustive_512_elements():
     # a finite ring at the 512-element scale, all 512^3 triples checked by
     # vectorized Cayley-table indexing
     pytest.importorskip("numpy")
-    from cyclesplit.search import FiniteRingCache
-    from helpers import assert_cayley_axioms
+    from helpers import CayleyTables, assert_cayley_axioms
 
     ring = parse_ring_spec("UT:2:Zmod:8")
     assert ring.cardinality == 512
-    assert_cayley_axioms(FiniteRingCache(ring))
+    assert_cayley_axioms(CayleyTables(ring))
 
 
 def test_commutator_antisymmetry_and_examples():

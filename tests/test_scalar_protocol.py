@@ -11,6 +11,7 @@ import pytest
 
 from cyclesplit.examples import example1_algebra
 from cyclesplit.rings import (
+    PRIMALITY_BOUND,
     ResidueRing,
     UnsupportedOperationError,
     centralizer_of_set,
@@ -102,6 +103,31 @@ def test_solve_over_a_composite_modulus_is_refused():
         ResidueRing(6).solve([[1, 2], [3, 4]], [1, 1])
     with pytest.raises(UnsupportedOperationError):
         parse_ring_spec("Mat:2:Z").solve([[1]], [1])
+
+
+def test_is_prime_matches_trial_division():
+    def trial(n):
+        return all(n % d for d in range(2, int(n**0.5) + 1))
+
+    assert [n for n in range(2, 20000) if ResidueRing(n).is_prime] == [
+        n for n in range(2, 20000) if trial(n)
+    ]
+
+
+def test_is_prime_on_pseudoprimes_and_large_moduli():
+    # Carmichael numbers, the least strong pseudoprime to bases 2 to 7, to
+    # bases 2 to 31 and to bases 2 to 37: each is composite
+    for n in (561, 41041, 3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not ResidueRing(n).is_prime
+    for n in (10**16 + 61, 10**18 + 3):
+        assert ResidueRing(n).is_prime
+    # from the bound on, a witness of compositeness still decides; a modulus
+    # that passes every base is refused, prime (2^89 - 1) or not (the bound,
+    # a strong pseudoprime to every base)
+    assert not ResidueRing((10**16 + 61) * (10**18 + 3)).is_prime
+    for n in (2**89 - 1, PRIMALITY_BOUND):
+        with pytest.raises(UnsupportedOperationError, match=str(PRIMALITY_BOUND)):
+            ResidueRing(n).is_prime
 
 
 @pytest.mark.parametrize("spec", ("Z", "Q"))

@@ -1,4 +1,5 @@
 import random
+import zlib
 
 import pytest
 
@@ -21,7 +22,6 @@ from cyclesplit.ncpoly import (
 )
 from cyclesplit.rings import MatrixRing, ResidueRing, commutator, parse_ring_spec
 from cyclesplit.search import (
-    FiniteRingCache,
     SearchSpaceTooLargeError,
     SearchTask,
     counterexample_hunt,
@@ -30,7 +30,7 @@ from cyclesplit.search import (
     run_task,
 )
 from cyclesplit.splitting import SplittingWitness, expand, verify_cyclic_splitting
-from helpers import brute_force_census, random_element
+from helpers import CayleyTables, brute_force_census, eval_reference, random_element
 
 
 def test_find_roots_example1_algebra_z2():
@@ -277,6 +277,33 @@ def test_run_task_dispatch():
     assert outcome.cycle_count == 2
 
 
+@pytest.mark.parametrize("spec", ["Zmod:6", "UT:2:Zmod:3", "Mat:2:Zmod:2", "example1:Zmod:3"])
+def test_find_roots_matches_reference_scan(spec):
+    # two-sided roots against a scan with the power-sum evaluation; targets
+    # g (X - a) and (X - a) g with non-central g have roots on one side only
+    if spec == "example1:Zmod:3":
+        ring = example1_algebra(ResidueRing(3))
+    else:
+        ring = parse_ring_spec(spec)
+    elems = list(ring.elements())
+    rng = random.Random(zlib.crc32(spec.encode()))
+    targets = [poly(ring, []), from_int_coeffs(ring, [0, -1, 1]), from_int_coeffs(ring, [0, -1, 0, 1])]
+    for _ in range(12):
+        g = poly(ring, [random_element(ring, rng) for _ in range(2)])
+        a = random_element(ring, rng)
+        h = poly(ring, [random_element(ring, rng) for _ in range(3)])
+        targets += [g * x_minus(a), x_minus(a) * g, h]
+    right_only = left_only = 0
+    for f in targets:
+        right = {a.payload for a in elems if eval_reference(f, a, "right").is_zero}
+        left = {a.payload for a in elems if eval_reference(f, a, "left").is_zero}
+        assert find_roots(f) == [a for a in elems if a.payload in right & left]
+        right_only += bool(right - left)
+        left_only += bool(left - right)
+    if not ring.is_commutative:
+        assert right_only and left_only
+
+
 def test_size_guards():
     with pytest.raises(Exception):
         SearchTask(parse_ring_spec("Z"), from_int_coeffs(parse_ring_spec("Z"), [1, 1]), 1, "all_splittings")
@@ -288,7 +315,7 @@ def test_size_guards():
 
 def test_finite_ring_cache_matches_element_arithmetic():
     ring = parse_ring_spec("UT:2:Zmod:3")
-    cache = FiniteRingCache(ring)
+    cache = CayleyTables(ring)
     rng = random.Random(6)
     elems = cache.elements
     for _ in range(300):
@@ -297,25 +324,26 @@ def test_finite_ring_cache_matches_element_arithmetic():
         assert elems[cache.mul[i][j]] == elems[i] * elems[j]
         assert elems[cache.neg[i]] == -elems[i]
         assert cache.commutes(i, j) == commutator(elems[i], elems[j]).is_zero
-    # polynomial helpers agree with the Element-level implementations
-    from cyclesplit.ncpoly import right_divide_linear
+    # the division kernel on indices agrees with the Element-level division
+    from cyclesplit.ncpoly import _divide_linear, left_divide_linear, right_divide_linear
 
     for _ in range(100):
         coeffs = tuple(rng.randrange(len(elems)) for _ in range(4))
         a = rng.randrange(len(elems))
         f = poly(ring, [elems[c] for c in coeffs])
-        q, r = right_divide_linear(f, elems[a])
-        qi, ri = cache.divide_linear_right(coeffs, a)
-        assert elems[ri] == r
-        assert [elems[c] for c in qi] == list(q.coeffs) + [ring.zero()] * (
-            len(qi) - len(q.coeffs)
-        )
-        assert elems[cache.right_eval(coeffs, a)] == right_eval(f, elems[a])
+        for right, divide in ((True, right_divide_linear), (False, left_divide_linear)):
+            q, r = divide(f, elems[a])
+            qi, ri = _divide_linear(cache, coeffs, a, right)
+            assert elems[ri] == r
+            assert [elems[c] for c in qi] == list(q.coeffs) + [ring.zero()] * (
+                len(qi) - len(q.coeffs)
+            )
+        assert elems[_divide_linear(cache, coeffs, a, True)[1]] == right_eval(f, elems[a])
 
 
 def test_cache_linear_factor_product():
     ring = parse_ring_spec("UT:2:Zmod:2")
-    cache = FiniteRingCache(ring)
+    cache = CayleyTables(ring)
     rng = random.Random(7)
     for _ in range(60):
         idxs = tuple(rng.randrange(len(cache)) for _ in range(3))
