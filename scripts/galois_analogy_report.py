@@ -37,7 +37,7 @@ def main() -> None:
         print(f"  root records / distinct roots: "
               f"{report.cycles.root_record_count} / {report.cycles.distinct_root_count}")
         print(f"  cycle classes: {report.cycles.cycle_class_count}")
-        print(f"  order evidence: {endo.composition_order_evidence(p)}")
+        print(f"  order evidence: {report.monoid.evidence()}")
         print(f"  all checks passed: {report.passed}")
 
 

@@ -25,6 +25,7 @@ from . import endo as endo_mod
 from . import examples as ex
 from .ncpoly import (
     MAX_DEGREE,
+    CommutationError,
     NCPoly,
     eval_commuting,
     left_divide_linear,
@@ -316,7 +317,7 @@ def _cmd_search(ns, out):
         f = _poly_from_arg(ns.poly, ring)
     if ns.mode == "roots_only":
         roots = find_roots(f, ring)
-        _emit({"count": len(roots), "roots": [r.to_json() for r in roots]}, ns.format, out)
+        out.write(_as_text({"count": len(roots), "roots": [r.to_json() for r in roots]}))
         return 0
     if ns.mode == "counterexample_hunt":
         w = counterexample_hunt(f, ring)
@@ -357,7 +358,7 @@ def _cmd_centralizer(ns, out):
 def _cmd_endos(ns, out):
     report = endo_mod.full_suite(ns.p)
     payload = report.to_json()
-    payload["composition_order_evidence"] = endo_mod.composition_order_evidence(ns.p)
+    payload["composition_order_evidence"] = report.monoid.evidence()
     _emit(payload, ns.format, out)
     return 0 if report.passed else 1
 
@@ -523,9 +524,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, **kwargs):
+    def add(name, formats=("text", "json"), **kwargs):
         p = sub.add_parser(name, **kwargs)
-        p.add_argument("--format", choices=("text", "json", "csv"), default="text")
+        if formats:
+            p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--out", default=None, help="write output to a file")
         return p
 
@@ -555,7 +557,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ring", required=True)
     p.add_argument("--poly", required=True)
 
-    p = add("search", help="enumerate splittings (JSON lines output)")
+    p = add("search", formats=(), help="enumerate splittings (JSON lines output)")
     p.add_argument("--ring", default=None)
     p.add_argument("--poly", default=None)
     p.add_argument("--task", default=None, help="@file with a search task JSON")
@@ -578,7 +580,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("endos", help="full endomorphism battery over Z/p")
     p.add_argument("--p", type=int, required=True)
 
-    p = add("export", help="export an endomorphism table or the algebra descriptor")
+    p = add(
+        "export",
+        formats=("text", "json", "csv"),
+        help="export an endomorphism table or the algebra descriptor",
+    )
     p.add_argument("--p", type=int, default=2)
     p.add_argument(
         "--table",
@@ -587,11 +593,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--base", default="Z", help="base ring spec for descriptor export")
 
-    p = add("example1", help="the X^3 - X^2 splitting suite")
+    p = add("example1", formats=(), help="the X^3 - X^2 splitting suite")
     p.add_argument("--ring", default="UT:2:Z")
     p.add_argument("--p", type=int, default=None, help="also run the endomorphism battery over Z/p")
 
-    p = add("example2", help="the X^3 - 4 splitting suite")
+    p = add("example2", formats=(), help="the X^3 - 4 splitting suite")
     p.add_argument("--ring", default="Mat:3:Z")
 
     return parser
@@ -632,7 +638,7 @@ def run(argv=None, out=None) -> int:
     except CheckFailure as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
-    except (RingError, ValueError) as exc:
+    except (RingError, ValueError, CommutationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:

@@ -26,8 +26,8 @@ images; determinants come from the base ring's own ``det``.
 Composition order (frozen): ``compose_endos(e1, e2)`` applies e1 first and
 e2 second. Under this order the matrix model is a monoid homomorphism:
 M(compose(e1, e2)) = M(e1) M(e2). The evidence for freezing this order over
-the alternative is computed by :func:`composition_order_evidence` and
-embedded in reports.
+the alternative is ``MonoidTableReport.evidence()``, which
+:func:`composition_order_evidence` returns and the ``endos`` report embeds.
 """
 
 from __future__ import annotations
@@ -307,6 +307,17 @@ class MonoidTableReport:
             "passed": self.passed,
         }
 
+    def evidence(self) -> dict:
+        """Agreement counts of both candidate composition orders against the
+        matrix-model prediction; the frozen order must win outright."""
+        return {
+            "p": self.p,
+            "total_pairs": self.total_pairs,
+            "left_operand_first": self.frozen_order_agreement,
+            "right_operand_first": self.reversed_order_agreement,
+            "frozen": self.composition_order,
+        }
+
 
 def verify_monoid_table(modulus: int) -> MonoidTableReport:
     """Check every composition against the family the matrix model predicts,
@@ -359,16 +370,8 @@ def verify_monoid_table(modulus: int) -> MonoidTableReport:
 
 
 def composition_order_evidence(modulus: int) -> dict:
-    """Agreement counts of both candidate composition orders against the
-    matrix-model prediction; the frozen order must win outright."""
-    report = verify_monoid_table(modulus)
-    return {
-        "p": report.p,
-        "total_pairs": report.total_pairs,
-        "left_operand_first": report.frozen_order_agreement,
-        "right_operand_first": report.reversed_order_agreement,
-        "frozen": report.composition_order,
-    }
+    """The composition-order evidence of ``verify_monoid_table(modulus)``."""
+    return verify_monoid_table(modulus).evidence()
 
 
 # ---------------------------------------------------------------------------

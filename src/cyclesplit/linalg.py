@@ -7,8 +7,8 @@ the algorithms favour exactness and clarity over asymptotics. There is no
 floating point anywhere.
 
 Over the fields Q and Z/p one Gauss-Jordan elimination (``_rref``) serves
-both nullspaces and both solvers; a field is only its canonical-value map and
-its inversion. Composite moduli go through the Smith form instead.
+both nullspaces and the rational solver; a field is only its canonical-value
+map and its inversion. Composite moduli go through the Smith form instead.
 """
 
 from __future__ import annotations
@@ -123,22 +123,6 @@ def _nullspace(rows: list[list], ncols: int, field) -> list[tuple]:
     return basis
 
 
-def _solve(rows: list[list], rhs: list, field) -> tuple | None:
-    """One solution of rows . x = rhs over ``field`` (free variables 0), or None."""
-    if not rows:
-        return ()
-    normal = field[0]
-    ncols = len(rows[0])
-    m = [[normal(e) for e in r] + [normal(b)] for r, b in zip(rows, rhs)]
-    pivots = _rref(m, field)
-    if ncols in pivots:  # pivot in the augmented column: inconsistent
-        return None
-    x = [normal(0)] * ncols
-    for pi, pc in enumerate(pivots):
-        x[pc] = m[pi][ncols]
-    return tuple(x)
-
-
 def nullspace_rational(rows: list[list], ncols: int) -> list[tuple[Fraction, ...]]:
     """Basis of the kernel over the rationals."""
     return _nullspace(rows, ncols, _RATIONALS)
@@ -151,11 +135,17 @@ def nullspace_mod_prime(rows: list[list[int]], ncols: int, p: int) -> list[tuple
 
 def solve_rational(rows: list[list], rhs: list) -> tuple[Fraction, ...] | None:
     """One rational solution of rows . x = rhs (free variables set to 0), or None."""
-    return _solve(rows, rhs, _RATIONALS)
-
-
-def solve_mod_prime(rows: list[list[int]], rhs: list[int], p: int) -> tuple[int, ...] | None:
-    return _solve(rows, rhs, _prime_field(p))
+    if not rows:
+        return ()
+    ncols = len(rows[0])
+    m = [[Fraction(e) for e in r] + [Fraction(b)] for r, b in zip(rows, rhs)]
+    pivots = _rref(m, _RATIONALS)
+    if ncols in pivots:  # pivot in the augmented column: inconsistent
+        return None
+    x = [Fraction(0)] * ncols
+    for pi, pc in enumerate(pivots):
+        x[pc] = m[pi][ncols]
+    return tuple(x)
 
 
 def smith_diagonalize(rows: list[list[int]], ncols: int):

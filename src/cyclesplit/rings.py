@@ -7,11 +7,13 @@ is never assumed commutative. All values are immutable after construction
 and every operation is a pure function, so elements can be shared freely.
 
 The scalar rings Z, Q and Z/n decide exact linear algebra over themselves
-(``det``, ``solve`` and ``kernel``); every other ring refuses it. Matrix
-rings and table algebras are free modules over their base
-(``FreeModuleRing``: coordinates, a module basis and a base matrix per
-element), so determinants, inverses and centralizers hand their linear
-algebra to the base in one call instead of asking which scalar ring it is.
+(``det`` and ``kernel``); every other ring refuses it. Matrix rings and
+table algebras are free modules over their base (``FreeModuleRing``:
+coordinates, a module basis and a base matrix per element), so units,
+inverses and centralizers hand their linear algebra to the base in one call
+instead of asking which scalar ring it is: an element is a unit exactly when
+the determinant of its base matrix is a unit of the base, and the adjugate
+gives its inverse.
 
 Ring spec grammar (exact, case sensitive):
 
@@ -229,10 +231,6 @@ class Ring:
         """Determinant of a square matrix."""
         raise UnsupportedOperationError(f"determinant over {self.describe()} is not supported")
 
-    def solve(self, rows, rhs):
-        """One solution of rows . x = rhs as a payload tuple, or None."""
-        raise UnsupportedOperationError(f"linear solve over {self.describe()} is not supported")
-
     def kernel(self, rows, ncols):
         """The solutions of rows . x = 0 in ``ncols`` unknowns, as
         ``(basis, count, solutions)``: a module basis or None, the number of
@@ -311,13 +309,6 @@ class IntegerRing(Ring):
     def det(self, rows):
         return linalg.det_int(rows)
 
-    def solve(self, rows, rhs):
-        # the rational solution with free unknowns at 0, when it is integral
-        sol = linalg.solve_rational(rows, list(rhs))
-        if sol is None or any(f.denominator != 1 for f in sol):
-            return None
-        return tuple(int(f) for f in sol)
-
     def kernel(self, rows, ncols):
         basis = [
             linalg.primitive_integer_vector(v)
@@ -382,9 +373,6 @@ class RationalRing(Ring):
 
     def det(self, rows):
         return linalg.det_fraction(rows)
-
-    def solve(self, rows, rhs):
-        return linalg.solve_rational(rows, list(rhs))
 
     def kernel(self, rows, ncols):
         return linalg.nullspace_rational(rows, ncols), None, None
@@ -500,11 +488,6 @@ class ResidueRing(Ring):
     def det(self, rows):
         return linalg.det_mod(rows, self.modulus)
 
-    def solve(self, rows, rhs):
-        if not self.is_prime:
-            return super().solve(rows, rhs)
-        return linalg.solve_mod_prime(rows, list(rhs), self.modulus)
-
     def kernel(self, rows, ncols):
         n = self.modulus
         if not self.is_prime:
@@ -538,6 +521,11 @@ class FreeModuleRing(Ring):
 
     base: Ring
 
+    @property
+    def rank(self) -> int:
+        """The number of coordinates."""
+        raise NotImplementedError
+
     def coords(self, payload):
         """Coordinates of ``payload`` on the distinguished basis."""
         raise NotImplementedError
@@ -547,25 +535,75 @@ class FreeModuleRing(Ring):
         raise NotImplementedError
 
     def base_matrix(self, payload):
-        """A square matrix of base payloads representing ``payload``."""
+        """A square matrix of base payloads representing ``payload``;
+        products go to products."""
+        raise NotImplementedError
+
+    def from_base_matrix(self, rows):
+        """The payload whose ``base_matrix`` is ``rows``."""
         raise NotImplementedError
 
     def module_basis(self):
         """Payloads of the distinguished basis, built from the base's own
         one and zero, so a base that is itself a matrix ring works too."""
         one, zero = self.base._one_payload(), self.base._zero_payload()
-        rank = len(self.coords(self._zero_payload()))
+        rank = self.rank
         return tuple(
             self.from_coords([one if j == i else zero for j in range(rank)])
             for i in range(rank)
         )
 
-    def from_base_scalar(self, scalar):
-        s = self.base.from_base_scalar(scalar).payload
+    def _scaled_one(self, s):
+        # the unit times the base payload s
         bmul = self.base._mul
-        return self.element(
-            self.from_coords([bmul(s, c) for c in self.coords(self._one_payload())])
-        )
+        return self.from_coords([bmul(s, c) for c in self.coords(self._one_payload())])
+
+    def _from_int(self, n):
+        return self._scaled_one(self.base._from_int(n))
+
+    def from_base_scalar(self, scalar):
+        return self.element(self._scaled_one(self.base.from_base_scalar(scalar).payload))
+
+    def _zero_payload(self):
+        return self.from_coords([self.base._zero_payload()] * self.rank)
+
+    @property
+    def cardinality(self):
+        n = self.base.cardinality
+        return None if n is None else n ** self.rank
+
+    def payloads(self):
+        base_payloads = list(self.base.payloads())
+        for combo in itertools.product(base_payloads, repeat=self.rank):
+            yield self.from_coords(combo)
+
+    # Over a commutative base, x is a unit exactly when det(base_matrix(x))
+    # is a unit of the base, and the adjugate scaled by det^-1 is the base
+    # matrix of x^-1. A base without a determinant refuses in ``det``.
+    def _is_unit(self, payload):
+        base = self.base
+        return base._is_unit(base.det(self.base_matrix(payload)))
+
+    def _inverse(self, payload):
+        base = self.base
+        m = self.base_matrix(payload)
+        det = base.det(m)
+        if not base._is_unit(det):
+            raise NotInvertibleError(f"determinant {det} is not a unit in {base.describe()}")
+        det_inv = base._inverse(det)
+        k = len(m)
+        adj = []
+        for r in range(k):
+            row = []
+            for c in range(k):
+                cof = base.det(
+                    [[m[i][j] for j in range(k) if j != r] for i in range(k) if i != c]
+                )
+                if (r + c) % 2:
+                    cof = base._neg(cof)
+                row.append(base._mul(cof, det_inv))
+            adj.append(row)
+        return self.from_base_matrix(adj)
 
 
 @dataclass(frozen=True)
@@ -591,6 +629,10 @@ class MatrixRing(FreeModuleRing):
             return tuple((r, c) for r in range(k) for c in range(r, k))
         return tuple((r, c) for r in range(k) for c in range(k))
 
+    @property
+    def rank(self):
+        return len(self._positions)
+
     def coords(self, payload):
         return [payload[r][c] for r, c in self._positions]
 
@@ -604,6 +646,9 @@ class MatrixRing(FreeModuleRing):
 
     def base_matrix(self, payload):
         return [list(row) for row in payload]
+
+    def from_base_matrix(self, rows):
+        return tuple(tuple(row) for row in rows)
 
     def _canon(self, payload):
         k = self.size
@@ -643,62 +688,15 @@ class MatrixRing(FreeModuleRing):
             out.append(tuple(row))
         return tuple(out)
 
-    def _zero_payload(self):
-        z = self.base._zero_payload()
-        return tuple(tuple(z for _ in range(self.size)) for _ in range(self.size))
-
     def _one_payload(self):
-        return self._from_int(1)
-
-    def _from_int(self, n):
-        z = self.base._zero_payload()
-        d = self.base._from_int(n)
+        z, one = self.base._zero_payload(), self.base._one_payload()
         return tuple(
-            tuple(d if r == c else z for c in range(self.size)) for r in range(self.size)
+            tuple(one if r == c else z for c in range(self.size)) for r in range(self.size)
         )
-
-    @property
-    def cardinality(self):
-        n = self.base.cardinality
-        if n is None:
-            return None
-        return n ** len(self._positions)
 
     @property
     def is_commutative(self):
         return self.size == 1 and self.base.is_commutative
-
-    def payloads(self):
-        base_payloads = list(self.base.payloads())
-        for combo in itertools.product(base_payloads, repeat=len(self._positions)):
-            yield self.from_coords(combo)
-
-    def _is_unit(self, payload):
-        return self.base._is_unit(self.base.det(payload))
-
-    def _inverse(self, payload):
-        det = self.base.det(payload)
-        if not self.base._is_unit(det):
-            raise NotInvertibleError("matrix determinant is not a unit in the base")
-        det_inv = self.base._inverse(det)
-        k = self.size
-        if k == 1:
-            return ((self.base._mul(det_inv, self.base._one_payload()),),)
-        inv = []
-        for r in range(k):
-            row = []
-            for c in range(k):
-                minor = [
-                    [payload[i][j] for j in range(k) if j != r]
-                    for i in range(k)
-                    if i != c
-                ]
-                cof = self.base.det(minor)
-                if (r + c) % 2:
-                    cof = self.base._neg(cof)
-                row.append(self.base._mul(cof, det_inv))
-            inv.append(tuple(row))
-        return self._canon(tuple(inv))
 
     def spec_string(self):
         prefix = "UT" if self.upper_triangular else "Mat"
@@ -832,24 +830,8 @@ class TableAlgebra(FreeModuleRing):
             out[k] = badd(out[k], bmul(bmul(ai, bj), c))
         return tuple(out)
 
-    def _zero_payload(self):
-        z = self.base._zero_payload()
-        return tuple(z for _ in range(self.descriptor.basis_size))
-
     def _one_payload(self):
         return tuple(self.base._from_int(c) for c in self.descriptor.unit_vector)
-
-    def _from_int(self, n):
-        one = self._one_payload()
-        nn = self.base._from_int(n)
-        return tuple(self.base._mul(nn, c) for c in one)
-
-    @property
-    def cardinality(self):
-        n = self.base.cardinality
-        if n is None:
-            return None
-        return n ** self.descriptor.basis_size
 
     @cached_property
     def is_commutative(self):
@@ -861,10 +843,9 @@ class TableAlgebra(FreeModuleRing):
             for j in range(i + 1, m)
         )
 
-    def payloads(self):
-        base_payloads = list(self.base.payloads())
-        for combo in itertools.product(base_payloads, repeat=self.descriptor.basis_size):
-            yield tuple(combo)
+    @property
+    def rank(self):
+        return self.descriptor.basis_size
 
     def coords(self, payload):
         return list(payload)
@@ -879,31 +860,47 @@ class TableAlgebra(FreeModuleRing):
         m = len(cols)
         return [[cols[j][i] for j in range(m)] for i in range(m)]
 
+    def from_base_matrix(self, rows):
+        # left multiplication by x sends the unit to x
+        badd, bmul = self.base._add, self.base._mul
+        one = self._one_payload()
+        out = []
+        for row in rows:
+            acc = self.base._zero
+            for a, u in zip(row, one):
+                acc = badd(acc, bmul(a, u))
+            out.append(acc)
+        return tuple(out)
+
+    # The determinant rule holds because the table is associative and unital
+    # (checked at construction): L_x L_y = L_xy, so L_x L_y = 1 gives xy = 1
+    # and then yx = 1. A base without a determinant leaves a scan of the ring.
     def _is_unit(self, payload):
         try:
-            self._inverse(payload)
-            return True
-        except NotInvertibleError:
-            return False
+            return super()._is_unit(payload)
+        except UnsupportedOperationError:
+            return self._searched_inverse(payload) is not None
 
     def _inverse(self, payload):
-        # the candidates: the solution of payload * y = 1 over the base, or
-        # the whole ring when the base cannot solve and the ring is small
-        one = self._one_payload()
         try:
-            y = self.base.solve(self.base_matrix(payload), one)
-            candidates = () if y is None else (self._canon(y),)
+            return super()._inverse(payload)
         except UnsupportedOperationError:
-            card = self.cardinality
-            if card is None or card > INVERSE_SEARCH_LIMIT:
-                raise UnsupportedOperationError(
-                    f"invertibility over {self.base.describe()} is not decidable at this size"
-                ) from None
-            candidates = self.payloads()
-        for y in candidates:
+            y = self._searched_inverse(payload)
+        if y is None:
+            raise NotInvertibleError("element has no two-sided inverse")
+        return y
+
+    def _searched_inverse(self, payload):
+        card = self.cardinality
+        if card is None or card > INVERSE_SEARCH_LIMIT:
+            raise UnsupportedOperationError(
+                f"invertibility over {self.base.describe()} is not decidable at this size"
+            )
+        one = self._one_payload()
+        for y in self.payloads():
             if self._mul(payload, y) == one and self._mul(y, payload) == one:
                 return y
-        raise NotInvertibleError("element has no two-sided inverse")
+        return None
 
     def spec_string(self):
         if self.source_path is not None:

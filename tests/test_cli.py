@@ -178,6 +178,11 @@ def test_cli_parse_errors_exit_2(tmp_path):
     # JSON nested deeper than the decoder's stack
     code, _ = invoke("centralizer", "--ring", "Z", "--elements", "[" * 5000 + "]" * 5000)
     assert code == 2
+    # csv is offered by export only; search and the example suites take no --format
+    code, _ = invoke("verify", "--witness", "{}", "--format", "csv")
+    assert code == 2
+    code, _ = invoke("search", "--ring", "Zmod:4", "--poly", "X^2", "--format", "json")
+    assert code == 2
 
 
 def test_cli_search_budget_refusal_is_fast(capsys):
@@ -222,6 +227,18 @@ def test_cli_roots_and_eval_and_divide():
     payload = json.loads(text)
     assert payload["remainder"] == [[1, 0], [0, 1]]
     assert payload["quotient"]["coeffs"] == [[[1, 0], [0, 1]], [[1, 0], [0, 1]]]
+
+
+def test_cli_eval_commuting_with_noncommuting_coefficient_fails_cleanly(tmp_path, capsys):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"ring": "Mat:2:Zmod:2", "coeffs": [[[0, 1], [0, 0]], [[1, 0], [0, 0]]]}))
+    code, text = invoke(
+        "eval", "--poly", f"@{path}", "--element", "[[1,1],[0,1]]", "--mode", "commuting"
+    )
+    assert code == 1 and text == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "does not commute" in err
+    assert "Traceback" not in err
 
 
 def test_cli_expand_rotate_round_trip(tmp_path):

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -248,6 +249,87 @@ def test_table_algebra_inverse_paths():
         assert not is_unit(a1)  # idempotent, not the unit
         with pytest.raises(NotInvertibleError):
             inverse(a1)
+
+
+UNIT_SCAN_RINGS = {
+    **{
+        f"example1 over Zmod:{n}": (lambda n=n: example1_algebra(ResidueRing(n)))
+        for n in (2, 4, 5, 6, 8)
+    },
+    **{spec: (lambda spec=spec: parse_ring_spec(spec))
+       for spec in ("Mat:2:Zmod:4", "UT:2:Zmod:6", "UT:3:Zmod:2", "Mat:1:Zmod:6")},
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNIT_SCAN_RINGS))
+def test_units_and_inverses_match_two_sided_scan(name):
+    ring = UNIT_SCAN_RINGS[name]()
+    elements = list(ring.elements())
+    one = ring.one()
+    for x in elements:
+        inverses = [y for y in elements if x * y == one and y * x == one]
+        assert is_unit(x) == bool(inverses), x
+        if inverses:
+            assert [inverse(x)] == inverses
+        else:
+            with pytest.raises(NotInvertibleError):
+                inverse(x)
+
+
+def test_inverses_over_q_and_z_are_two_sided():
+    rng = random.Random(21)
+    q3 = parse_ring_spec("Mat:3:Q")
+    units = [x for x in (random_element(q3, rng) for _ in range(30)) if is_unit(x)]
+    assert len(units) >= 20
+    z2 = parse_ring_spec("Mat:2:Z")
+    # products of elementary matrices and signs: the units of Mat:2:Z
+    gens = [
+        z2.element(g)
+        for g in (((1, 1), (0, 1)), ((1, 0), (1, 1)), ((1, -1), (0, 1)), ((0, 1), (1, 0)), ((-1, 0), (0, 1)))
+    ]
+    for _ in range(20):
+        u = z2.one()
+        for _ in range(rng.randint(1, 8)):
+            u = u * rng.choice(gens)
+        units.append(u)
+    for u in units:
+        assert is_unit(u)
+        assert inverse(u) * u == u.ring.one() == u * inverse(u)
+
+
+def test_table_algebra_units_over_large_composite_moduli():
+    for n in (100, 102):  # 10^6 and 1061208 elements
+        algebra = example1_algebra(ResidueRing(n))
+        start = time.perf_counter()
+        assert not is_unit(algebra.from_int(2))
+        assert time.perf_counter() - start < 0.1
+        u = algebra.from_int(7) + algebra.basis_elements()[1]
+        assert is_unit(u)
+        assert inverse(u) * u == algebra.one() == u * inverse(u)
+
+
+def test_table_algebra_over_a_base_without_determinant_searches():
+    base = parse_ring_spec("Mat:2:Zmod:2")
+    algebra = TableAlgebra(EXAMPLE1_DESCRIPTOR, base)
+    with pytest.raises(UnsupportedOperationError):
+        base.det([[base.one().payload]])
+    rng = random.Random(22)
+    swap = base.element(((0, 1), (1, 0)))
+    samples = [algebra.one(), algebra.basis_elements()[0]]
+    samples += [
+        algebra.element((swap.payload, random_element(base, rng).payload, base.one().payload)),
+        algebra.element((base.zero().payload, swap.payload, swap.payload)),
+    ]
+    for x in samples:
+        # under the isomorphism with UT(2) over the base, x is a unit exactly
+        # when both diagonal coordinates, those of a1 and a3, are units
+        c1, _, c3 = (base.element(c) for c in x.payload)
+        assert is_unit(x) == (is_unit(c1) and is_unit(c3))
+        if is_unit(x):
+            assert inverse(x) * x == algebra.one() == x * inverse(x)
+        else:
+            with pytest.raises(NotInvertibleError):
+                inverse(x)
 
 
 def test_ring_mismatch_errors():

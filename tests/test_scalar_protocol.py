@@ -1,10 +1,9 @@
-"""The scalar-base protocol: ``det``, ``solve`` and ``kernel`` of Z, Q and Z/n
-against independent oracles, and the centralizers built on ``kernel``
-against exhaustive commutator scans."""
+"""The scalar-base protocol: ``det`` and ``kernel`` of Z, Q and Z/n against
+independent oracles, and the centralizers built on ``kernel`` against
+exhaustive commutator scans."""
 
 import itertools
 import random
-from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -82,29 +81,6 @@ def test_kernel_mod_n_matches_brute_force(spec):
                 assert basis is None
 
 
-def test_solve_over_a_prime_field_matches_brute_force():
-    ring = parse_ring_spec("Zmod:5")
-    rng = random.Random(13)
-    for ncols in range(1, 5):
-        for nrows in range(1, 4):
-            for _ in range(3):
-                rows = _rows(ring, rng, nrows, ncols)
-                rhs = [rng.randrange(5) for _ in range(nrows)]
-                brute = _brute_solutions(ring, rows, rhs, ncols)
-                x = ring.solve(rows, rhs)
-                if x is None:
-                    assert not brute
-                else:
-                    assert tuple(x) in brute
-
-
-def test_solve_over_a_composite_modulus_is_refused():
-    with pytest.raises(UnsupportedOperationError):
-        ResidueRing(6).solve([[1, 2], [3, 4]], [1, 1])
-    with pytest.raises(UnsupportedOperationError):
-        parse_ring_spec("Mat:2:Z").solve([[1]], [1])
-
-
 def test_is_prime_matches_trial_division():
     def trial(n):
         return all(n % d for d in range(2, int(n**0.5) + 1))
@@ -149,28 +125,6 @@ def test_kernel_over_z_and_q_against_rank(spec):
                     assert all(isinstance(e, int) for e in v)
                     assert gcd(*v) == 1
                     assert next(e for e in v if e) > 0
-
-
-def test_solve_over_q_and_z():
-    q, z = parse_ring_spec("Q"), parse_ring_spec("Z")
-    rng = random.Random(15)
-    for ncols in range(1, 5):
-        for nrows in range(1, 4):
-            rows = _rows(q, rng, nrows, ncols)
-            x0 = [random_element(q, rng).payload for _ in range(ncols)]
-            rhs = _apply(q, rows, x0)
-            assert _apply(q, rows, q.solve(rows, rhs)) == rhs
-            # inconsistent: a repeated row with another right-hand side
-            assert q.solve(rows + [rows[0]], rhs + [rhs[0] + 1]) is None
-    for k in range(1, 5):
-        # unit upper triangular: one integral solution for every integral rhs
-        rows = [[0] * c + [1] + [rng.randint(-3, 3) for _ in range(k - c - 1)] for c in range(k)]
-        rhs = [rng.randint(-9, 9) for _ in range(k)]
-        x = z.solve(rows, rhs)
-        assert all(isinstance(e, int) for e in x)
-        assert _apply(z, rows, x) == rhs
-        # 2x = 1 has no integral solution
-        assert z.solve([[2 * int(r == c) for c in range(k)] for r in range(k)], [1] * k) is None
 
 
 CENTRALIZER_RINGS = {
