@@ -2,7 +2,8 @@
 
 Commands: expand, rotate, divide, eval, verify, search, roots, centralizer,
 endos, example1, example2, export. Exit status 0 when all checks pass, 1 on
-a failed check, 2 on a parse error (with a position-annotated message).
+a failed check or a failed write to the output, 2 on a parse error (with a
+position-annotated message) or a file argument that cannot be opened.
 
 Polynomial surface grammar: a sum of signed monomials ``c``, ``c*X^k``,
 ``X^k``, ``X`` with integer or rational (``p/q``) scalar coefficients;
@@ -15,9 +16,11 @@ Identical invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -43,7 +46,14 @@ from .rings import (
     commutator,
     parse_ring_spec,
 )
-from .search import SearchTask, counterexample_hunt, enumerate_splittings, find_roots, task_from_json
+from .search import (
+    MODES,
+    SearchTask,
+    counterexample_hunt,
+    enumerate_splittings,
+    find_roots,
+    task_from_json,
+)
 from .splitting import (
     expand,
     rotate,
@@ -160,8 +170,12 @@ def _load_json(value: str):
     """The JSON value of an argument, or of the file it names after ``@``."""
     body = value
     if value.startswith("@"):
-        with open(value[1:], "r", encoding="utf-8") as fh:
-            body = fh.read()
+        try:
+            with open(value[1:], "r", encoding="utf-8") as fh:
+                body = fh.read()
+        except OSError as exc:
+            reason = exc.strerror or exc
+            raise ParseError(f"cannot read {value[1:]!r}: {reason}", 1) from exc
     try:
         return json.loads(body)
     except RecursionError as exc:  # nesting deeper than the decoder's stack
@@ -562,16 +576,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--poly", default=None)
     p.add_argument("--task", default=None, help="@file with a search task JSON")
     p.add_argument("--n", type=int, default=None, help="factor count (default: degree)")
-    p.add_argument(
-        "--mode",
-        choices=(
-            "all_splittings",
-            "commuting_splittings_only",
-            "roots_only",
-            "counterexample_hunt",
-        ),
-        default="all_splittings",
-    )
+    p.add_argument("--mode", choices=MODES, default="all_splittings")
 
     p = add("centralizer", help="centralizer of a set of elements")
     p.add_argument("--ring", required=True)
@@ -626,13 +631,18 @@ def run(argv=None, out=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     stream = out or sys.stdout
-    close_after = False
     if ns.out:
-        stream = open(ns.out, "w", encoding="utf-8")
-        close_after = True
+        try:
+            stream = open(ns.out, "w", encoding="utf-8")
+        except OSError as exc:
+            reason = exc.strerror or exc
+            print(f"parse error: cannot open --out {ns.out!r}: {reason}", file=sys.stderr)
+            return 2
     try:
-        return _COMMANDS[ns.command](ns, stream)
-    except (ParseError, SpecParseError, json.JSONDecodeError, OSError) as exc:
+        code = _COMMANDS[ns.command](ns, stream)
+        stream.flush()
+        return code
+    except (ParseError, SpecParseError, json.JSONDecodeError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
     except CheckFailure as exc:
@@ -641,13 +651,24 @@ def run(argv=None, out=None) -> int:
     except (RingError, ValueError, CommutationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:  # a file argument that fails is a ParseError above
+        print(f"error: cannot write the output: {exc.strerror or exc}", file=sys.stderr)
+        return 1
     finally:
-        if close_after:
-            stream.close()
+        if ns.out:
+            # a write that failed has been reported; closing retries it
+            with contextlib.suppress(OSError):
+                stream.close()
 
 
 def main() -> None:
-    sys.exit(run())
+    code = run()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # run has reported it; silence the interpreter's flush at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

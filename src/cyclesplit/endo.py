@@ -20,8 +20,10 @@ and the translation properties.
 Elements are handled as their payloads, the coordinate tuples over
 (a_1, a_2, a_3). Products, sums and negatives are the payload operations
 of the ``TableAlgebra`` over ``ResidueRing(p)``, the engine the splitting
-search uses too; an endomorphism acts as the linear map of its basis
-images; determinants come from the base ring's own ``det``.
+search uses too. An endomorphism is the payload triple of its basis
+images, acting as their linear map; it is an automorphism exactly when the
+base determinant of the triple is a unit (``FreeModuleRing``'s unit rule).
+The monoid check composes each ordered pair once.
 
 Composition order (frozen): ``compose_endos(e1, e2)`` applies e1 first and
 e2 second. Under this order the matrix model is a monoid homomorphism:
@@ -100,23 +102,6 @@ class EndoFamily:
         return "unclassified"
 
 
-IDENTITY_FAMILY = EndoFamily("eps_sigma_s", (1, 0))
-
-
-def _family_images(family: EndoFamily, p: int) -> tuple[Vec, Vec, Vec]:
-    if family.kind == "eps":
-        return (_UNIT, _ZERO, _ZERO)
-    if family.kind == "eps_prime":
-        return (_ZERO, _ZERO, _UNIT)
-    if family.kind == "eps_sigma_s":
-        s, v = family.params
-        return ((1, v % p, 0), (0, s % p, 0), (0, (1 - s - v) % p, 1))
-    if family.kind == "eps_s":
-        (v,) = family.params
-        return ((0, (1 - v) % p, 1), _ZERO, (1, v % p, 0))
-    raise ValueError(f"no images for {family!r}")
-
-
 def classify_endo_images(images: tuple[Vec, Vec, Vec], p: int) -> EndoFamily:
     u, v, w = images
     if u == _UNIT and v == _ZERO and w == _ZERO:
@@ -136,23 +121,19 @@ def classify_endo_images(images: tuple[Vec, Vec, Vec], p: int) -> EndoFamily:
 
 @dataclass(frozen=True)
 class EndoMap:
-    """A unital algebra endomorphism of K c A, stored by basis images."""
+    """A unital algebra endomorphism of K c A, stored by basis image payloads."""
 
     algebra: TableAlgebra
-    images: tuple[Element, Element, Element]
+    images: tuple[Vec, Vec, Vec]
     family: EndoFamily
 
     @property
     def p(self) -> int:
         return self.algebra.base.modulus
 
-    @property
-    def image_vecs(self) -> tuple[Vec, Vec, Vec]:
-        return tuple(im.payload for im in self.images)
-
     def apply_vec(self, x: Vec) -> Vec:
         p = self.p
-        u, v, w = self.image_vecs
+        u, v, w = self.images
         return tuple(
             (x[0] * u[k] + x[1] * v[k] + x[2] * w[k]) % p for k in range(3)
         )
@@ -167,11 +148,7 @@ class EndoMap:
 
 
 def _mk_endo(algebra: TableAlgebra, vecs: tuple[Vec, Vec, Vec]) -> EndoMap:
-    return EndoMap(
-        algebra,
-        tuple(Element(algebra, v) for v in vecs),
-        classify_endo_images(vecs, algebra.base.modulus),
-    )
+    return EndoMap(algebra, vecs, classify_endo_images(vecs, algebra.base.modulus))
 
 
 def enumerate_endos(modulus: int) -> list[EndoMap]:
@@ -210,7 +187,7 @@ def compose_endos(e1: EndoMap, e2: EndoMap) -> EndoMap:
         raise ValueError("endomorphisms of different algebras")
     if e1.family.kind == "unclassified" or e2.family.kind == "unclassified":
         raise ClassificationError("cannot compose unclassified endomorphisms")
-    vecs = tuple(e2.apply_vec(im) for im in e1.image_vecs)
+    vecs = tuple(e2.apply_vec(im) for im in e1.images)
     return _mk_endo(e1.algebra, vecs)
 
 
@@ -245,26 +222,14 @@ def predicted_composition(f1: EndoFamily, f2: EndoFamily, p: int) -> EndoFamily:
 
 def identity_endo(modulus: int) -> EndoMap:
     algebra = _algebra_for(modulus)
-    return _mk_endo(algebra, _family_images(IDENTITY_FAMILY, modulus))
+    return _mk_endo(algebra, algebra.module_basis())
 
 
 def automorphisms(endos: list[EndoMap]) -> list[EndoMap]:
-    """Members with a two-sided compositional inverse, by brute force."""
-    ident = None
-    for e in endos:
-        if e.family == IDENTITY_FAMILY:
-            ident = e
-    if ident is None:
-        raise ClassificationError("identity endomorphism not found")
-    autos = []
-    for e in endos:
-        if any(
-            compose_endos(e, f).images == ident.images
-            and compose_endos(f, e).images == ident.images
-            for f in endos
-        ):
-            autos.append(e)
-    return autos
+    """Members with a two-sided compositional inverse: an endomorphism of
+    the finite algebra is invertible exactly when its linear map is, that
+    is when the base determinant of its image triple is a unit."""
+    return [e for e in endos if e.algebra.base._is_unit(e.algebra.base.det(e.images))]
 
 
 @dataclass(frozen=True)
@@ -321,34 +286,38 @@ class MonoidTableReport:
 
 def verify_monoid_table(modulus: int) -> MonoidTableReport:
     """Check every composition against the family the matrix model predicts,
-    under the frozen order, and collect the evidence for that order."""
+    under the frozen order, and collect the evidence for that order.
+
+    Each ordered pair is composed once: summed over all pairs, compose(c, r)
+    against the prediction for (r, c) counts as compose(r, c) against the
+    prediction for (c, r), so the reversed order needs no second composite.
+    """
     p = _require_prime(modulus)
     endos = enumerate_endos(p)
-    unclassified = tuple(
-        str(e.image_vecs) for e in endos if e.family.kind == "unclassified"
-    )
+    unclassified = tuple(str(e.images) for e in endos if e.family.kind == "unclassified")
+    ident = identity_endo(p).images
     mismatches = []
     frozen_hits = 0
     reversed_hits = 0
+    neutral_ok = any(e.images == ident for e in endos)
     for r in endos:
         for c in endos:
             predicted = predicted_composition(r.family, c.family, p)
-            actual = compose_endos(r, c).family
+            composite = compose_endos(r, c)
+            actual = composite.family
             if actual == predicted:
                 frozen_hits += 1
             else:
                 mismatches.append(
                     (r.label(), c.label(), predicted.label(), actual.label())
                 )
-            if compose_endos(c, r).family == predicted:
+            if actual == predicted_composition(c.family, r.family, p):
                 reversed_hits += 1
+            if (r.images == ident and composite.images != c.images) or (
+                c.images == ident and composite.images != r.images
+            ):
+                neutral_ok = False
 
-    ident = identity_endo(p)
-    neutral_ok = all(
-        compose_endos(e, ident).images == e.images
-        and compose_endos(ident, e).images == e.images
-        for e in endos
-    )
     autos = automorphisms(endos)
     expected_autos = {
         EndoFamily("eps_sigma_s", (s, v)) for s in range(1, p) for v in range(p)
@@ -435,9 +404,6 @@ _PROPER_DIVISORS = {
     "X(X-1)": frozenset({"1", "X", "X-1"}),
     "X^2(X-1)": frozenset({"1", "X", "X-1", "X^2", "X(X-1)"}),
 }
-
-MINPOLY_DEGREE = {"1": 0, "X": 1, "X-1": 1, "X^2": 2, "X(X-1)": 2, "X^2(X-1)": 3}
-
 
 def minpoly_divides(a: str, b: str) -> bool:
     return a == b or a in _PROPER_DIVISORS[b]
@@ -628,14 +594,12 @@ def _classify_census(p: int, outcome: SearchOutcome) -> list[CycleRecord]:
     for key in found_keys:
         if key not in predicted:
             raise ClassificationError(f"splitting class {key} matched no family")
+    records = []
     for key, fam in predicted.items():
         if key not in found_keys:
             raise ClassificationError(
                 f"family instance {fam.label()} was not found by the search"
             )
-    records = []
-    for fam in _all_cycle_families(p):
-        key = canonical_rotation(fam.support_vecs(p))
         records.append(
             CycleRecord(algebra, tuple(Element(algebra, v) for v in key), fam)
         )
@@ -683,8 +647,9 @@ def verify_cycle_suite(modulus: int) -> CycleSuiteReport:
     outcome = _cubic_census(p)
     cycles = _classify_census(p, outcome)
 
+    distinct = distinct_root_elements(roots)
     support = {v.payload for rec in cycles for v in rec.roots}
-    union_ok = support == set(distinct_root_elements(roots))
+    union_ok = support == set(distinct)
 
     basis_ok = all(
         cycle_is_basis(rec)
@@ -694,7 +659,7 @@ def verify_cycle_suite(modulus: int) -> CycleSuiteReport:
     return CycleSuiteReport(
         p=p,
         root_record_count=len(roots),
-        distinct_root_count=len(distinct_root_elements(roots)),
+        distinct_root_count=len(distinct),
         cycle_class_count=len(cycles),
         splitting_count=len(outcome.witnesses),
         roots_are_union_of_supports=union_ok,
@@ -851,14 +816,8 @@ def verify_action_tables(modulus: int) -> ActionTablesReport:
 # minimal polynomials and the poset
 # ---------------------------------------------------------------------------
 
-EXPECTED_MINPOLY = {
-    # family kind -> label; r_tau splits on whether the parameter is zero
-    "r_tau_zero": "X",
-    "r_tau_nonzero": "X^2",
-    "r_tau_t": "X(X-1)",
-    "r_t": "X(X-1)",
-    "r": "X-1",
-}
+# family kind -> label; r_tau depends on whether its parameter is zero
+EXPECTED_MINPOLY = {"r_tau_t": "X(X-1)", "r_t": "X(X-1)", "r": "X-1"}
 
 
 def _expected_minpoly(fam: RootFamily, p: int) -> str:
@@ -960,7 +919,8 @@ def minpoly_and_poset(modulus: int) -> PosetReport:
             image_mps.append(mp_img)
             if not minpoly_divides(mp_img, rec.minpoly):
                 monotone_ok = False
-            if MINPOLY_DEGREE[mp_img] > MINPOLY_DEGREE[rec.minpoly]:
+            # a label's degree is its coefficient count less one
+            if len(MINPOLY_LATTICE[mp_img]) > len(MINPOLY_LATTICE[rec.minpoly]):
                 level_order_ok = False
         for i, j in strict_pairs:
             if not minpoly_divides(image_mps[i], image_mps[j]):
@@ -1169,7 +1129,7 @@ def endo_images_rows(modulus: int) -> tuple[list[str], list[list[str]]]:
     endos = enumerate_endos(modulus)
     headers = ["endo", "a1 ->", "a2 ->", "a3 ->"]
     rows = [
-        [e.label(), *(render_vec(v) for v in e.image_vecs)] for e in endos
+        [e.label(), *(render_vec(v) for v in e.images)] for e in endos
     ]
     return headers, rows
 

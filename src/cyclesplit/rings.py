@@ -1093,8 +1093,9 @@ def _decimal(digits: str) -> int | None:
 
 
 def load_table_algebra(path: str, _depth: int = 0) -> TableAlgebra:
-    """The table algebra of a descriptor file. A file that does not hold an
-    associative unital algebra over a valid base is a parse error."""
+    """The table algebra of a descriptor file. A file that cannot be read, or
+    does not hold an associative unital algebra over a valid base, is a
+    parse error."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -1107,5 +1108,8 @@ def load_table_algebra(path: str, _depth: int = 0) -> TableAlgebra:
         )
         base = parse_ring_spec(data["base"], _depth + 1)
         return TableAlgebra(descriptor, base, source_path=path)
+    except OSError as exc:
+        reason = exc.strerror or exc
+        raise SpecParseError(f"cannot read table algebra file {path!r}: {reason}") from exc
     except (KeyError, TypeError, ValueError) as exc:
         raise SpecParseError(f"bad table algebra file {path!r}: {exc}") from exc

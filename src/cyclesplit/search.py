@@ -259,12 +259,3 @@ def counterexample_hunt(f: NCPoly, ring: Ring | None = None) -> SplittingWitness
         if any(not right_eval(f, a).is_zero for a in w.pseudoroots):
             return w
     return None
-
-
-def run_task(task: SearchTask):
-    """Dispatch a SearchTask to the operation its mode names."""
-    if task.mode in ("all_splittings", "commuting_splittings_only"):
-        return enumerate_splittings(task)
-    if task.mode == "roots_only":
-        return find_roots(task.target, task.ring)
-    return counterexample_hunt(task.target, task.ring)

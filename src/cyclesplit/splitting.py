@@ -113,9 +113,9 @@ def commutation_hypothesis(f: NCPoly, pseudoroots) -> tuple[bool, tuple[tuple[in
 class CyclicSplittingReport:
     """Everything the rotation/root check finds about one witness.
 
-    ``roots_ok`` lists (position, value of f at that pseudoroot); the values
-    come from the commuting substitution when the hypothesis holds and from
-    right evaluation otherwise (``root_mode`` says which).
+    ``roots_ok`` lists (position, right value of f at that pseudoroot).
+    ``root_mode`` is "commuting" when the hypothesis holds, where that value
+    is the commuting substitution, and "right" otherwise.
     """
 
     witness: SplittingWitness
@@ -174,16 +174,8 @@ def verify_cyclic_splitting(w: SplittingWitness) -> CyclicSplittingReport:
             first_diff = k
             break
 
-    if ok:
-        root_mode = "commuting"
-        values = tuple(
-            (k, eval_commuting(f, a)) for k, a in enumerate(w.pseudoroots, start=1)
-        )
-    else:
-        root_mode = "right"
-        values = tuple(
-            (k, right_eval(f, a)) for k, a in enumerate(w.pseudoroots, start=1)
-        )
+    root_mode = "commuting" if ok else "right"
+    values = tuple((k, right_eval(f, a)) for k, a in enumerate(w.pseudoroots, start=1))
 
     obstructions = tuple(
         commutator(w.pseudoroots[i], w.pseudoroots[(i + 1) % n]) for i in range(n)

@@ -105,6 +105,46 @@ def brute_force_census(ring: Ring, f, n: int, mode: str):
     return tuple(found), tuple(cycle_ids), len(class_of)
 
 
+def monoid_report_reference(p: int):
+    """The monoid report's counts the plain way: both composition orders of
+    every ordered pair, the neutral law by composing with ``identity_endo``,
+    and the automorphisms by a two-sided compositional-inverse search.
+
+    Returns (frozen-order count, reversed-order count, neutral law holds,
+    automorphisms in enumeration order).
+    """
+    from cyclesplit.endo import (
+        compose_endos,
+        enumerate_endos,
+        identity_endo,
+        predicted_composition,
+    )
+
+    endos = enumerate_endos(p)
+    frozen = reversed_ = 0
+    for r in endos:
+        for c in endos:
+            predicted = predicted_composition(r.family, c.family, p)
+            frozen += compose_endos(r, c).family == predicted
+            reversed_ += compose_endos(c, r).family == predicted
+    ident = identity_endo(p)
+    neutral_ok = all(
+        compose_endos(e, ident).images == e.images
+        and compose_endos(ident, e).images == e.images
+        for e in endos
+    )
+    autos = [
+        e
+        for e in endos
+        if any(
+            compose_endos(e, f).images == ident.images
+            and compose_endos(f, e).images == ident.images
+            for f in endos
+        )
+    ]
+    return frozen, reversed_, neutral_ok, autos
+
+
 def divide_linear_reference(f, a, side: str):
     """Reference synthetic division of f by X - a on Element values, the
     recurrence written out for one side at a time: returns (quotient

@@ -1,12 +1,16 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cyclesplit
 from cyclesplit.cli import ParseError, parse_poly, run
 from cyclesplit.examples import (
     EXAMPLE1_DESCRIPTOR,
@@ -183,6 +187,47 @@ def test_cli_parse_errors_exit_2(tmp_path):
     assert code == 2
     code, _ = invoke("search", "--ring", "Zmod:4", "--poly", "X^2", "--format", "json")
     assert code == 2
+
+
+class _ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_cli_file_errors_exit_2_and_write_errors_exit_1(tmp_path, capsys):
+    # arguments that name a missing file are parse errors
+    missing = tmp_path / "missing"
+    code, _ = invoke("export", "--table", "descriptor", "--out", str(missing / "x.json"))
+    assert code == 2
+    code, _ = invoke("roots", "--ring", f"Table:{missing / 'alg.json'}", "--poly", "X")
+    assert code == 2
+    code, _ = invoke("verify", "--witness", f"@{missing / 'w.json'}")
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 3 and all(line.startswith("parse error:") for line in err)
+    # an output that refuses the write is a failure, reported on one line
+    assert run(["export", "--table", "descriptor"], out=_ClosedPipe()) == 1
+    assert capsys.readouterr().err == "error: cannot write the output: Broken pipe\n"
+
+
+def test_cli_closed_stdout_exits_1_without_traceback():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader has gone before the first write
+    src = os.path.dirname(os.path.dirname(cyclesplit.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "cyclesplit", "export", "--table", "descriptor"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr.decode() == "error: cannot write the output: Broken pipe\n"
 
 
 def test_cli_search_budget_refusal_is_fast(capsys):

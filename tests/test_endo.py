@@ -7,6 +7,7 @@ from cyclesplit.endo import (
     EndoFamily,
     RootFamily,
     action_on_root,
+    automorphisms,
     classify_cycles,
     classify_element_as_root,
     classify_roots,
@@ -28,6 +29,7 @@ from cyclesplit.endo import (
 from cyclesplit.examples import example1_algebra
 from cyclesplit.ncpoly import from_int_coeffs, right_eval
 from cyclesplit.rings import ResidueRing
+from helpers import monoid_report_reference
 
 PRIMES = (2, 3, 5)
 
@@ -85,6 +87,35 @@ def test_monoid_table_matches_model(p):
     assert report.frozen_order_agreement == report.total_pairs
     # the opposite order must NOT reproduce the table
     assert report.reversed_order_agreement < report.total_pairs
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_monoid_report_matches_two_order_reference(p):
+    # one composite per ordered pair, and the determinant rule for units,
+    # against composing both orders, the identity and an inverse search
+    frozen, reversed_, neutral_ok, autos = monoid_report_reference(p)
+    report = verify_monoid_table(p)
+    assert report.frozen_order_agreement == frozen
+    assert report.reversed_order_agreement == reversed_
+    assert report.neutral_ok == neutral_ok
+    assert automorphisms(enumerate_endos(p)) == autos
+    assert report.automorphism_count == len(autos)
+    expected = {EndoFamily("eps_sigma_s", (s, v)) for s in range(1, p) for v in range(p)}
+    assert report.invertibles_ok == ({e.family for e in autos} == expected)
+
+
+def test_monoid_table_composes_each_pair_once(monkeypatch):
+    pairs = []
+
+    def counting_compose(e1, e2):
+        pairs.append((e1.images, e2.images))
+        return compose_endos(e1, e2)
+
+    monkeypatch.setattr(endo, "compose_endos", counting_compose)
+    p = 3
+    verify_monoid_table(p)
+    endo_count = p * p + p + 2
+    assert len(pairs) == len(set(pairs)) == endo_count**2
 
 
 def test_composition_spec_cells():

@@ -27,7 +27,6 @@ from cyclesplit.search import (
     counterexample_hunt,
     enumerate_splittings,
     find_roots,
-    run_task,
 )
 from cyclesplit.splitting import SplittingWitness, expand, verify_cyclic_splitting
 from helpers import CayleyTables, brute_force_census, eval_reference, random_element
@@ -268,12 +267,12 @@ def test_run_task_dispatch():
     ring = parse_ring_spec("Zmod:4")
     f = from_int_coeffs(ring, [0, 0, 1])
     # 2*2 = 4 = 0, so 2 is a root of X^2 alongside 0
-    assert run_task(SearchTask(ring, f, 2, "roots_only")) == [
+    assert find_roots(f, ring) == [
         ring.zero(),
         ring.from_int(2),
     ]
-    assert run_task(SearchTask(ring, f, 2, "counterexample_hunt")) is None
-    outcome = run_task(SearchTask(ring, f, 2, "all_splittings"))
+    assert counterexample_hunt(f, ring) is None
+    outcome = enumerate_splittings(SearchTask(ring, f, 2, "all_splittings"))
     assert outcome.cycle_count == 2
 
 
