@@ -3,7 +3,8 @@
 Commands: expand, rotate, divide, eval, verify, search, roots, centralizer,
 endos, example1, example2, export. Exit status 0 when all checks pass, 1 on
 a failed check or a failed write to the output, 2 on a parse error (with a
-position-annotated message) or a file argument that cannot be opened.
+position-annotated message), a file argument that cannot be opened, or an
+out-of-range ``--n`` or ``--p`` (checked before any work).
 
 Polynomial surface grammar: a sum of signed monomials ``c``, ``c*X^k``,
 ``X^k``, ``X`` with integer or rational (``p/q``) scalar coefficients;
@@ -42,6 +43,7 @@ from .rings import (
     Ring,
     RingError,
     SpecParseError,
+    UnsupportedOperationError,
     centralizer_of_set,
     commutator,
     parse_ring_spec,
@@ -315,7 +317,21 @@ def _cmd_roots(ns, out):
     return 0
 
 
+def _check_factor_count_arg(n):
+    if not 1 <= n <= MAX_DEGREE:
+        raise ParseError(f"--n must be between 1 and {MAX_DEGREE}, got {n}", 1)
+
+
+def _check_prime_arg(p):
+    try:
+        endo_mod._require_prime(p)
+    except (ValueError, UnsupportedOperationError) as exc:
+        raise ParseError(f"--p must be a prime: {exc}", 1) from exc
+
+
 def _cmd_search(ns, out):
+    if ns.n is not None:
+        _check_factor_count_arg(ns.n)
     if ns.task:
         obj = _load_json(ns.task)
         try:
@@ -370,6 +386,7 @@ def _cmd_centralizer(ns, out):
 
 
 def _cmd_endos(ns, out):
+    _check_prime_arg(ns.p)
     report = endo_mod.full_suite(ns.p)
     payload = report.to_json()
     payload["composition_order_evidence"] = report.monoid.evidence()
@@ -378,8 +395,11 @@ def _cmd_endos(ns, out):
 
 
 def _cmd_export(ns, out):
+    _check_prime_arg(ns.p)
     builder = endo_mod.TABLE_BUILDERS.get(ns.table)
     if ns.table == "descriptor":
+        if ns.format == "csv":
+            raise ParseError("the descriptor exports as JSON; csv is for the endomorphism tables", 1)
         parse_ring_spec(ns.base)  # refuse a base no reader could parse back
         payload = ex.EXAMPLE1_DESCRIPTOR.to_json(ns.base)
         out.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
@@ -404,6 +424,8 @@ def _cmd_export(ns, out):
 
 
 def _cmd_example1(ns, out):
+    if ns.p is not None:
+        _check_prime_arg(ns.p)
     ring = parse_ring_spec(ns.ring)
     w = ex.example1_witness(ring)
     f = expand(w)

@@ -20,6 +20,27 @@ the division kernel ``ncpoly._divide_linear``, and only roots become
 elements. In mode ``commuting_splittings_only`` the candidates are narrowed
 once, before the sweep, to the payloads that commute with every coefficient
 of the target; the closed-form candidate is held to the same membership test.
+
+The paper's theorem prunes the search where it applies: in mode
+``commuting_splittings_only`` always, and in ``all_splittings`` when every
+coefficient of the target is central, that is, when the centralizer filter
+would keep every payload (the check stops at the first it drops). A
+splitting whose factors all commute with the coefficients has every factor a
+root of f, and each of its rotations is a splitting again. So:
+
+- roots first: the top-level sweep is the plain one, and its survivors are
+  exactly the roots R of f among the candidates, because right and left
+  evaluation agree at a point that commutes with the coefficients. Every
+  deeper level sweeps R, and the closed-form last factor must lie in R;
+- one rotation per class: a survivor a_n recurses only over the roots
+  b >= a_n in payload order, since every class has a rotation whose
+  rightmost factor is its least element. Each tuple found contributes all
+  of its rotations, as a set, so a periodic tuple appears once.
+
+Every emitted tuple, rotations included, still passes the depth-0
+``expand`` check, and the witnesses are sorted as before, so the output does
+not depend on the pruning. In ``all_splittings`` with a non-central
+coefficient the factors need not be roots, and the full sweep stays.
 """
 
 from __future__ import annotations
@@ -151,22 +172,17 @@ def find_roots(f: NCPoly, ring: Ring | None = None) -> list[Element]:
     ]
 
 
-def _splitting_tuples(
-    f: NCPoly, depth: int, candidates: dict, counter: _NodeCounter, lead_inv
-):
-    """All payload tuples (a_1, ..., a_depth) drawn from ``candidates`` with
-    f = leading * (X-a_1)...(X-a_depth), up to the constant ``leading`` which
-    the caller peels off at depth 0. ``candidates`` maps each payload to its
-    element, so it is the sweep order and the membership test at once.
+def _survivors(f: NCPoly, depth: int, candidates: dict, counter: _NodeCounter, lead_inv):
+    """The pairs (a, q) with a drawn from ``candidates`` and f = q (X - a),
+    for a search with ``depth`` factors left. ``candidates`` maps each
+    payload to its element, so it is the sweep order and the membership test
+    at once.
 
-    ``lead_inv`` is the payload of the inverse of ``leading`` when it is a
-    unit, else None. A linear last dividend leading * X + c_0 then has the
-    one candidate -lead_inv * c_0 in place of the sweep, kept only if it is
-    one of ``candidates``.
+    ``lead_inv`` is the payload of the inverse of the target's leading
+    coefficient when it is a unit, else None. A linear last dividend
+    leading * X + c_0 then has the one candidate -lead_inv * c_0 in place of
+    the sweep, kept only if it is one of ``candidates``.
     """
-    if depth == 0:
-        yield ()
-        return
     ring = f.ring
     if depth == 1 and lead_inv is not None and f.degree == 1:
         a = ring._neg(ring._mul(lead_inv, f.coeffs[0].payload))
@@ -180,8 +196,40 @@ def _splitting_tuples(
         # the search's divisions where it is looked up here
         q, r = right_divide_linear(f, a)
         if r.payload == zero:
-            for prefix in _splitting_tuples(q, depth - 1, candidates, counter, lead_inv):
-                yield prefix + (a.payload,)
+            yield a, q
+
+
+def _splitting_tuples(
+    f: NCPoly, depth: int, candidates: dict, counter: _NodeCounter, lead_inv
+):
+    """All payload tuples (a_1, ..., a_depth) drawn from ``candidates`` with
+    f = leading * (X-a_1)...(X-a_depth), up to the constant ``leading`` which
+    the caller peels off at depth 0."""
+    if depth == 0:
+        yield ()
+        return
+    for a, q in _survivors(f, depth, candidates, counter, lead_inv):
+        for prefix in _splitting_tuples(q, depth - 1, candidates, counter, lead_inv):
+            yield prefix + (a.payload,)
+
+
+def _rotation_closed_tuples(
+    f: NCPoly, n: int, candidates: dict, counter: _NodeCounter, lead_inv
+) -> set:
+    """``_splitting_tuples`` for candidates that all commute with every
+    coefficient of f, pruned by the theorem (see the module docstring): the
+    survivors of the plain top-level sweep are the roots R, a survivor a_n
+    recurses only over the roots b >= a_n, and each tuple found brings its
+    whole rotation class, as a set."""
+    top = list(_survivors(f, n, candidates, counter, lead_inv))
+    roots = {a.payload: a for a, _ in top}
+    found = set()
+    for a, q in top:
+        later = {b: e for b, e in roots.items() if b >= a.payload}
+        for prefix in _splitting_tuples(q, n - 1, later, counter, lead_inv):
+            tup = prefix + (a.payload,)
+            found.update(tup[k:] + tup[:k] for k in range(n))
+    return found
 
 
 def canonical_rotation(payloads: tuple) -> tuple:
@@ -196,9 +244,11 @@ def enumerate_splittings(task: SearchTask) -> SearchOutcome:
     The leading coefficient is pinned to the target's own leading
     coefficient. In mode ``commuting_splittings_only`` every pseudoroot must
     also commute with every coefficient of the target (the commutation
-    hypothesis), so only the centralizer of the coefficients is swept. Witnesses
-    related by rotation share a cycle id (lexicographically minimal rotation
-    is the class representative).
+    hypothesis), so only the centralizer of the coefficients is swept, and
+    below the top level only its roots, one rotation per class (see the
+    module docstring); ``all_splittings`` prunes the same way when every
+    coefficient is central. Witnesses related by rotation share a cycle id
+    (lexicographically minimal rotation is the class representative).
     """
     if task.mode not in ("all_splittings", "commuting_splittings_only"):
         raise ValueError(f"enumerate_splittings does not handle mode {task.mode!r}")
@@ -214,16 +264,24 @@ def enumerate_splittings(task: SearchTask) -> SearchOutcome:
         # invertibility is undecidable at this size: sweep the last factor too
         lead_inv = None
     counter = _NodeCounter()
-    coeffs = [c.payload for c in f.coeffs]
-    payloads = ring.payloads()
+    # 0 and 1 commute with everything, and a repeated coefficient needs one test
+    coeffs = {c.payload for c in f.coeffs} - {ring._zero, ring._one_payload()}
+    mul = ring._mul
+
+    def commutes(a):  # with every coefficient: a commutes with c iff ac = ca
+        return all(mul(a, c) == mul(c, a) for c in coeffs)
+
     if task.mode == "commuting_splittings_only":
-        # the centralizer of the coefficients: a commutes with c iff ac = ca
-        mul = ring._mul
-        payloads = [a for a in payloads if all(mul(a, c) == mul(c, a) for c in coeffs)]
-    candidates = {a: Element(ring, a) for a in payloads}
+        candidates = {a: Element(ring, a) for a in ring.payloads() if commutes(a)}
+        pruned = True
+    else:
+        candidates = {a: Element(ring, a) for a in ring.payloads()}
+        # central coefficients: every splitting meets the hypothesis
+        pruned = all(map(commutes, candidates))
+    search = _rotation_closed_tuples if pruned else _splitting_tuples
 
     found = []
-    for tup in _splitting_tuples(f, task.n, candidates, counter, lead_inv):
+    for tup in search(f, task.n, candidates, counter, lead_inv):
         w = SplittingWitness(ring, leading, tuple(candidates[a] for a in tup))
         if expand(w) != f:
             # depth-0 check: the final quotient must have been the constant

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -143,6 +144,19 @@ def test_cli_parse_errors_exit_2(tmp_path):
     # and so are malformed search tasks and polynomial files
     code, _ = invoke("search", "--task", "{}")
     assert code == 2
+    # out-of-range numbers are refused before any work, with one line
+    for argv in (
+        ("search", "--ring", "Zmod:3", "--poly", "X", "--n", "0"),
+        ("search", "--ring", "Zmod:3", "--poly", "X", "--n", "-1"),
+        ("search", "--ring", "Zmod:3", "--poly", "X", "--n", str(MAX_DEGREE + 1)),
+        ("endos", "--p", "1"),
+        ("export", "--p", "4", "--table", "monoid"),
+    ):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code, text = invoke(*argv)
+        assert code == 2 and text == "", argv
+        assert err.getvalue().startswith("parse error:") and err.getvalue().count("\n") == 1, argv
     for body in ("{}", "[1]"):
         path = tmp_path / "f.json"
         path.write_text(body)
@@ -250,6 +264,27 @@ def test_cli_deterministic_output():
     assert code == 0
     lines = [json.loads(line) for line in text.splitlines()]
     assert "summary" in lines[-1]
+
+
+# sha256 of `python -m cyclesplit search ...` stdout, recorded before the
+# search pruned by roots and rotation classes; the pruning must not move a byte
+SEARCH_GOLDEN = [
+    (("--ring", "Mat:2:Zmod:3", "--poly", "X^3 - X", "--mode", "all_splittings"),
+     "43f94fd45da467c209635842551ae50e74ed4cd25feebe72824423392863cd7a"),
+    (("--ring", "Mat:2:Zmod:3", "--poly", "X^3 - X", "--mode", "commuting_splittings_only"),
+     "a935a8f9026ffc2a2196ef8e8d6c21407f9705375c29f4816b4b86760f4e6ee2"),
+    (("--ring", "UT:2:Zmod:4", "--poly", "2X^2 + 2X", "--mode", "all_splittings"),
+     "3bb2af700222b083f2f76da60fae94640bf42b4c770975c8aa974a3348f6876b"),
+    (("--ring", "Mat:2:Zmod:2", "--poly", "X^4 - X", "--mode", "all_splittings"),
+     "dadedebe8402cc33848ee47c5a7ecebc4a5e330ba25258c44d045eac51b83db9"),
+]
+
+
+@pytest.mark.parametrize("args,digest", SEARCH_GOLDEN)
+def test_cli_search_stdout_golden(args, digest):
+    code, text = invoke("search", *args)
+    assert code == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_cli_roots_and_eval_and_divide():
@@ -370,6 +405,14 @@ def test_cli_export_formats(tmp_path):
     assert code == 0
     payload = json.loads(text)
     assert payload["basis_size"] == 3 and payload["base"] == "Zmod:5"
+    # the descriptor is JSON whatever the format; csv it refuses
+    for fmt in ("text", "json"):
+        assert invoke("export", "--table", "descriptor", "--base", "Zmod:5", "--format", fmt) == (0, text)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, text = invoke("export", "--table", "descriptor", "--format", "csv")
+    assert code == 2 and text == ""
+    assert err.getvalue().startswith("parse error:") and err.getvalue().count("\n") == 1
 
 
 def test_cli_export_descriptor_round_trips_as_ring(tmp_path):

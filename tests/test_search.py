@@ -16,11 +16,13 @@ from cyclesplit.ncpoly import (
     constant,
     from_int_coeffs,
     poly,
+    right_divide_linear,
     right_eval,
     x_minus,
     x_power,
 )
 from cyclesplit.rings import MatrixRing, ResidueRing, commutator, parse_ring_spec
+import cyclesplit.search as search_mod
 from cyclesplit.search import (
     SearchSpaceTooLargeError,
     SearchTask,
@@ -109,6 +111,10 @@ def _differential_cases():
     u = ut3.element(((1, 1), (0, 2)))  # a unit that commutes with neither
     # is_unit raises UnsupportedOperationError here: no determinant over a table algebra
     undecided = MatrixRing(1, example1_algebra(ResidueRing(2)))
+    ut2 = parse_ring_spec("UT:2:Zmod:2")
+    # diagonal coefficients: their centralizer is the 9 diagonal matrices,
+    # three times the centre
+    d, e = ut3.element(((1, 0), (0, 0))), ut3.element(((0, 0), (0, 2)))
     return [
         ("shifted monic, UT:2:Zmod:3", ut3, shift * shift - shift, 2),
         ("noncentral coefficients, UT:2:Zmod:3", ut3, x_minus(a) * x_minus(b), 2),
@@ -125,6 +131,10 @@ def _differential_cases():
          from_int_coeffs(undecided, [0, -1, 1]), 2),
         ("closed-form candidate outside the centralizer, UT:2:Zmod:3", ut3,
          _noncentral_closed_form_target(ut3), 2),
+        # 8 witnesses in 4 classes, among them the periodic (0,0,0,0) and (0,n,0,n)
+        ("X^4, periodic classes, UT:2:Zmod:2", ut2, x_power(ut2, 4), 4),
+        ("diagonal coefficients, centralizer above the centre, UT:2:Zmod:3", ut3,
+         x_minus(d) * x_minus(e), 2),
     ]
 
 
@@ -171,6 +181,37 @@ def test_commuting_mode_sweeps_only_the_centralizer():
     # division per survivor
     survivors = sum(1 for x in ring.elements() if right_eval(f, x).is_zero)
     assert every.nodes == ring.cardinality + survivors
+
+
+def test_central_target_sweeps_roots_only(monkeypatch):
+    """A target with central coefficients: the top level divides by every
+    element once, and below it only roots are swept, one rotation per class.
+    The plain sweep's count is derived independently: |A| divisions at the
+    top, |A| more under each right root a, and one closed-form division
+    under each right root of the quotient by X - a."""
+    ring = parse_ring_spec("Mat:2:Zmod:3")
+    f = from_int_coeffs(ring, [0, -1, 0, 1])
+    elems = list(ring.elements())
+    top = [a for a in elems if right_eval(f, a).is_zero]
+    second = sum(
+        1 for a in top for b in elems if right_eval(right_divide_linear(f, a)[0], b).is_zero
+    )
+    plain = len(elems) * (1 + len(top)) + second
+
+    by_degree = {}
+
+    def counting(g, a):
+        by_degree[g.degree] = by_degree.get(g.degree, 0) + 1
+        return right_divide_linear(g, a)
+
+    monkeypatch.setattr(search_mod, "right_divide_linear", counting)
+    for mode in ("all_splittings", "commuting_splittings_only"):
+        by_degree.clear()
+        outcome = enumerate_splittings(SearchTask(ring, f, 3, mode))
+        assert by_degree[3] == len(elems)
+        assert outcome.nodes == sum(by_degree.values())
+        assert 2 * outcome.nodes <= plain
+        assert len(outcome.witnesses) == 330 and outcome.cycle_count == 110
 
 
 def test_factor_count_cap():
