@@ -45,7 +45,6 @@ from .rings import (
     SpecParseError,
     UnsupportedOperationError,
     centralizer_of_set,
-    commutator,
     parse_ring_spec,
 )
 from .search import (
@@ -319,7 +318,7 @@ def _cmd_roots(ns, out):
 
 def _check_factor_count_arg(n):
     if not 1 <= n <= MAX_DEGREE:
-        raise ParseError(f"--n must be between 1 and {MAX_DEGREE}, got {n}", 1)
+        raise ParseError(f"the factor count must be between 1 and {MAX_DEGREE}, got {n}", 1)
 
 
 def _check_prime_arg(p):
@@ -359,6 +358,7 @@ def _cmd_search(ns, out):
             )
         return 0
     n = ns.n if ns.n is not None else (f.degree or 0)
+    _check_factor_count_arg(n)
     task = SearchTask(ring, f, n, ns.mode)
     outcome = enumerate_splittings(task)
     for line in outcome.to_json_lines():

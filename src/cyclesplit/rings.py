@@ -9,11 +9,12 @@ and every operation is a pure function, so elements can be shared freely.
 The scalar rings Z, Q and Z/n decide exact linear algebra over themselves
 (``det`` and ``kernel``); every other ring refuses it. Matrix rings and
 table algebras are free modules over their base (``FreeModuleRing``:
-coordinates, a module basis and a base matrix per element), so units,
-inverses and centralizers hand their linear algebra to the base in one call
-instead of asking which scalar ring it is: an element is a unit exactly when
-the determinant of its base matrix is a unit of the base, and the adjugate
-gives its inverse.
+coordinates, a module basis and a base matrix per element), so every tower
+such as ``Mat:2:Mat:2:Zmod:2`` is one over its innermost scalar ring, where
+``scalar_coords`` and ``scalar_matrix`` flatten it. Units, inverses and
+centralizers hand their linear algebra to that ring in one call: an element
+is a unit exactly when the determinant of its scalar matrix is a unit, and
+the adjugate gives its inverse.
 
 Ring spec grammar (exact, case sensitive):
 
@@ -62,9 +63,8 @@ class SpecParseError(RingError):
     """A ring spec string does not match the grammar."""
 
 
-# Explicit centralizer / inverse enumeration is refused above these sizes.
+# Explicit centralizer enumeration is refused above this size.
 ENUM_LIMIT = 1 << 14
-INVERSE_SEARCH_LIMIT = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -223,6 +223,26 @@ class Ring:
 
     def _inverse(self, payload):
         raise NotImplementedError
+
+    # -- coordinates over the innermost scalar ring ---------------------------
+    # ``scalar_coords`` and ``scalar_matrix`` (an injective ring homomorphism)
+    # represent a payload over ``scalar_ring``. A scalar ring (Z, Q or Z/n) is
+    # its own, of rank one; ``FreeModuleRing`` recurses through its base.
+    @property
+    def scalar_ring(self) -> "Ring":
+        return self
+
+    def scalar_coords(self, payload):
+        return [payload]
+
+    def from_scalar_coords(self, vec):
+        return vec[0]
+
+    def scalar_matrix(self, payload):
+        return [[payload]]
+
+    def from_scalar_matrix(self, rows):
+        return rows[0][0]
 
     # -- exact linear algebra over a commutative scalar ring ----------------------
     # Matrices are lists of row lists of payloads. Only Z, Q and Z/n decide
@@ -577,33 +597,58 @@ class FreeModuleRing(Ring):
         for combo in itertools.product(base_payloads, repeat=self.rank):
             yield self.from_coords(combo)
 
-    # Over a commutative base, x is a unit exactly when det(base_matrix(x))
-    # is a unit of the base, and the adjugate scaled by det^-1 is the base
-    # matrix of x^-1. A base without a determinant refuses in ``det``.
-    def _is_unit(self, payload):
+    @property
+    def scalar_ring(self):
+        return self.base.scalar_ring
+
+    def scalar_coords(self, payload):
+        return [s for c in self.coords(payload) for s in self.base.scalar_coords(c)]
+
+    def from_scalar_coords(self, vec):
+        d = len(vec) // self.rank  # scalar coordinates per base coordinate
+        fsc = self.base.from_scalar_coords
+        return self.from_coords([fsc(vec[i:i + d]) for i in range(0, len(vec), d)])
+
+    def scalar_matrix(self, payload):
+        # the base matrix with each entry replaced by its own scalar matrix
+        sm = self.base.scalar_matrix
+        rows = []
+        for row in self.base_matrix(payload):
+            blocks = [sm(e) for e in row]
+            rows.extend([s for b in blocks for s in b[r]] for r in range(len(blocks[0])))
+        return rows
+
+    def from_scalar_matrix(self, rows):
         base = self.base
-        return base._is_unit(base.det(self.base_matrix(payload)))
+        d = len(base.scalar_matrix(base._zero))  # the side of one block
+        cuts = range(0, len(rows), d)
+        return self.from_base_matrix([
+            [base.from_scalar_matrix([row[c:c + d] for row in rows[r:r + d]]) for c in cuts]
+            for r in cuts
+        ])
+
+    # ``scalar_matrix`` is an injective ring homomorphism, and by Cayley-
+    # Hamilton its image holds the adjugate of each member. So in every tower
+    # x is a unit exactly when det(scalar_matrix(x)) is a unit of the scalar
+    # ring, and the adjugate scaled by det^-1 is the scalar matrix of x^-1.
+    def _is_unit(self, payload):
+        s = self.scalar_ring
+        return s._is_unit(s.det(self.scalar_matrix(payload)))
 
     def _inverse(self, payload):
-        base = self.base
-        m = self.base_matrix(payload)
-        det = base.det(m)
-        if not base._is_unit(det):
-            raise NotInvertibleError(f"determinant {det} is not a unit in {base.describe()}")
-        det_inv = base._inverse(det)
+        s = self.scalar_ring
+        m = self.scalar_matrix(payload)
+        det = s.det(m)
+        if not s._is_unit(det):
+            raise NotInvertibleError(f"determinant {det} is not a unit in {s.describe()}")
+        det_inv = s._inverse(det)
+
+        def adjugate_entry(r, c):  # the signed minor without row c and column r
+            minor = s.det([row[:r] + row[r + 1:] for i, row in enumerate(m) if i != c])
+            return s._mul(s._neg(minor) if (r + c) % 2 else minor, det_inv)
+
         k = len(m)
-        adj = []
-        for r in range(k):
-            row = []
-            for c in range(k):
-                cof = base.det(
-                    [[m[i][j] for j in range(k) if j != r] for i in range(k) if i != c]
-                )
-                if (r + c) % 2:
-                    cof = base._neg(cof)
-                row.append(base._mul(cof, det_inv))
-            adj.append(row)
-        return self.from_base_matrix(adj)
+        return self.from_scalar_matrix([[adjugate_entry(r, c) for c in range(k)] for r in range(k)])
 
 
 @dataclass(frozen=True)
@@ -854,8 +899,8 @@ class TableAlgebra(FreeModuleRing):
         return tuple(vec)
 
     def base_matrix(self, payload):
-        """The matrix of left multiplication by ``payload``, columns indexed
-        by the basis."""
+        """Left multiplication by ``payload``, columns indexed by the basis; a
+        homomorphism because the table is associative (checked at construction)."""
         cols = [self._mul(payload, b) for b in self.module_basis()]
         m = len(cols)
         return [[cols[j][i] for j in range(m)] for i in range(m)]
@@ -871,36 +916,6 @@ class TableAlgebra(FreeModuleRing):
                 acc = badd(acc, bmul(a, u))
             out.append(acc)
         return tuple(out)
-
-    # The determinant rule holds because the table is associative and unital
-    # (checked at construction): L_x L_y = L_xy, so L_x L_y = 1 gives xy = 1
-    # and then yx = 1. A base without a determinant leaves a scan of the ring.
-    def _is_unit(self, payload):
-        try:
-            return super()._is_unit(payload)
-        except UnsupportedOperationError:
-            return self._searched_inverse(payload) is not None
-
-    def _inverse(self, payload):
-        try:
-            return super()._inverse(payload)
-        except UnsupportedOperationError:
-            y = self._searched_inverse(payload)
-        if y is None:
-            raise NotInvertibleError("element has no two-sided inverse")
-        return y
-
-    def _searched_inverse(self, payload):
-        card = self.cardinality
-        if card is None or card > INVERSE_SEARCH_LIMIT:
-            raise UnsupportedOperationError(
-                f"invertibility over {self.base.describe()} is not decidable at this size"
-            )
-        one = self._one_payload()
-        for y in self.payloads():
-            if self._mul(payload, y) == one and self._mul(y, payload) == one:
-                return y
-        return None
 
     def spec_string(self):
         if self.source_path is not None:
@@ -962,9 +977,9 @@ class CentralizerDescription:
     """The subring of elements commuting with the given generators.
 
     ``elements`` is the explicit list when the centralizer is finite and
-    small enough to enumerate; ``basis`` is a module basis over the base
-    (matrix and table algebras over Q, Z or Z/p, and every commutative
-    ring). Both may be present. ``count`` is None for infinite centralizers.
+    small enough to enumerate; ``basis`` is a module basis, over the base for
+    a commutative ring or no generators, else over the innermost scalar ring
+    (Q, Z or Z/p). Both may be present. ``count`` is None when infinite.
     """
 
     ring: Ring
@@ -978,28 +993,33 @@ class CentralizerDescription:
 
 
 def _commutation_system(ring: FreeModuleRing, gens):
-    """Rows of the linear system x*g - g*x = 0 for all gens, in the
-    coordinates of ``ring`` over its base, and the number of unknowns."""
-    basis = ring.module_basis()
+    """The system x*g - g*x = 0 for all gens, in coordinates over the
+    innermost scalar ring: its rows and its number of unknowns."""
+    s = ring.scalar_ring
+    dim = len(ring.scalar_coords(ring._zero))
+    # the unknowns' unit vectors: the rows of the identity matrix over s
+    basis = [ring.from_scalar_coords(row) for row in MatrixRing(dim, s)._one_payload()]
     rows = []
     for g in gens:
+        g = g.payload
         cols = [
-            ring.coords(ring._add(ring._mul(b, g.payload), ring._neg(ring._mul(g.payload, b))))
+            ring.scalar_coords(ring._add(ring._mul(b, g), ring._neg(ring._mul(g, b))))
             for b in basis
         ]
         rows.extend(list(row) for row in zip(*cols))
-    return rows, len(basis)
+    return rows, dim
 
 
 def centralizer_of_set(ring: Ring, gens) -> CentralizerDescription:
     """Centralizer of a set of elements.
 
     A commutative ring, or an empty set, is its own centralizer. Otherwise
-    the ring must be a matrix ring or table algebra, and the centralizer is
-    the kernel of the linear system x*g = g*x, which the base decides with
-    its own ``kernel``: a rational basis over Q, a primitive integer basis
-    over Z, a basis and its span over Z/p, and a Smith-form count and
-    enumeration over composite Z/n. The explicit element list is also
+    the ring is a matrix ring or table algebra, over any tower of bases, and
+    the centralizer is the kernel of the linear system x*g = g*x, which the
+    innermost scalar ring decides with its own ``kernel``: a rational basis
+    over Q, a primitive integer basis over Z, a basis and its span over Z/p,
+    and a Smith-form count and enumeration over composite Z/n. The explicit
+    element list is also
     produced whenever the kernel is enumerable with at most ``ENUM_LIMIT``
     members; a larger one is refused when it has no basis either.
     """
@@ -1007,29 +1027,25 @@ def centralizer_of_set(ring: Ring, gens) -> CentralizerDescription:
     for g in gens:
         if g.ring != ring:
             raise RingMismatchError("generator does not belong to the ring")
-    is_module = isinstance(ring, FreeModuleRing)
 
     if ring.is_commutative or not gens:
         card = ring.cardinality
         elems = tuple(ring.elements()) if card is not None and card <= ENUM_LIMIT else None
-        if is_module:
+        if isinstance(ring, FreeModuleRing):
             basis = tuple(Element(ring, b) for b in ring.module_basis())
         else:
             basis = (ring.one(),)
         return CentralizerDescription(ring, gens, elems, basis, card)
 
-    if not is_module:
-        raise UnsupportedOperationError(f"centralizer over {ring.describe()} is not supported")
-
+    # every noncommutative ring here is a FreeModuleRing
     rows, dim = _commutation_system(ring, gens)
-    vecs, count, solutions = ring.base.kernel(rows, dim)
-    basis = None if vecs is None else tuple(Element(ring, ring.from_coords(v)) for v in vecs)
+    vecs, count, solutions = ring.scalar_ring.kernel(rows, dim)
+    from_sc = ring.from_scalar_coords
+    basis = None if vecs is None else tuple(Element(ring, from_sc(v)) for v in vecs)
     elems = None
     if solutions is not None:
         if count <= ENUM_LIMIT:
-            elems = tuple(
-                Element(ring, p) for p in sorted(ring.from_coords(v) for v in solutions)
-            )
+            elems = tuple(Element(ring, p) for p in sorted(from_sc(v) for v in solutions))
         elif basis is None:
             raise UnsupportedOperationError(
                 f"centralizer has more than {ENUM_LIMIT} elements, above the enumeration limit"

@@ -54,7 +54,6 @@ from .rings import (
     InfiniteRingError,
     Ring,
     RingError,
-    UnsupportedOperationError,
     inverse,
     is_unit,
 )
@@ -83,8 +82,8 @@ class SearchTask:
             raise InfiniteRingError("search needs a finite ring")
         if self.target.is_zero:
             raise ValueError("target polynomial must be nonzero")
-        if self.n > MAX_DEGREE:
-            raise ValueError(f"factor count {self.n} is above the cap of {MAX_DEGREE}")
+        if not 1 <= self.n <= MAX_DEGREE:
+            raise ValueError(f"factor count must be between 1 and {MAX_DEGREE}, got {self.n}")
 
     def to_json(self):
         return {
@@ -255,14 +254,8 @@ def enumerate_splittings(task: SearchTask) -> SearchOutcome:
     ring = task.ring
     _require_desk_scale(ring)
     f = task.target
-    if task.n < 1:
-        raise ValueError("factor count must be at least 1")
     leading = f.coeffs[-1]
-    try:
-        lead_inv = inverse(leading).payload if is_unit(leading) else None
-    except UnsupportedOperationError:
-        # invertibility is undecidable at this size: sweep the last factor too
-        lead_inv = None
+    lead_inv = inverse(leading).payload if is_unit(leading) else None
     counter = _NodeCounter()
     # 0 and 1 commute with everything, and a repeated coefficient needs one test
     coeffs = {c.payload for c in f.coeffs} - {ring._zero, ring._one_payload()}

@@ -24,6 +24,7 @@ from .ncpoly import (
 from .rings import (
     Element,
     FreeModuleRing,
+    MatrixRing,
     Ring,
     RingMismatchError,
     UnsupportedOperationError,
@@ -232,12 +233,12 @@ def product_commutation_check(g: NCPoly, a: Element) -> bool:
 
 @dataclass(frozen=True)
 class VandermondeReport:
-    """Flattened block Vandermonde matrix of a witness over the base ring.
+    """Flattened block Vandermonde matrix of a witness.
 
     Row block i holds the (n-1-i)-th powers of the pseudoroots, so the top
     block row has the highest powers and the bottom one is all ones.
-    Flattening is block-row-major. ``det`` and ``invertible`` refer to the
-    flattened matrix over the commutative base.
+    Flattening is block-row-major. ``base`` is the innermost scalar ring,
+    and ``det`` and ``invertible`` refer to the flattened matrix over it.
     """
 
     base: Ring
@@ -257,36 +258,24 @@ class VandermondeReport:
 
 
 def vandermonde(w: SplittingWitness) -> VandermondeReport:
-    """The block Vandermonde matrix (a_j^(n-1-i)), each block the base
-    matrix of the power (the matrix itself in a matrix ring, left
-    multiplication in a table algebra), with its determinant over the base."""
+    """The block Vandermonde matrix (a_j^(n-1-i)), each block the scalar matrix
+    of the power (the matrix itself over Z, Q or Z/n, left multiplication in a
+    table algebra), with its determinant over the innermost scalar ring."""
     ring = w.ring
     if not isinstance(ring, FreeModuleRing):
-        raise UnsupportedOperationError(
-            "vandermonde needs a matrix ring or table algebra over a commutative base"
-        )
-    base = ring.base
-    if not base.is_commutative:
-        raise UnsupportedOperationError("the base ring must be commutative")
+        raise UnsupportedOperationError("vandermonde needs a matrix ring or table algebra")
     n = len(w.pseudoroots)
-    blocks = [
-        [ring.base_matrix((a ** (n - 1 - i)).payload) for a in w.pseudoroots]
-        for i in range(n)
-    ]
-    k = len(blocks[0][0])
-    rows = []
-    for i in range(n):
-        for r in range(k):
-            rows.append(
-                tuple(blocks[i][j][r][c] for j in range(n) for c in range(k))
-            )
-    det = base.det(rows)
+    # the scalar matrix of an n x n matrix over the ring is its flattening
+    powers = tuple(tuple((a ** (n - 1 - i)).payload for a in w.pseudoroots) for i in range(n))
+    rows = MatrixRing(n, ring).scalar_matrix(powers)
+    s = ring.scalar_ring
+    det = s.det(rows)
     return VandermondeReport(
-        base=base,
-        size=n * k,
-        rows=tuple(rows),
+        base=s,
+        size=len(rows),
+        rows=tuple(map(tuple, rows)),
         det=det,
-        invertible=base._is_unit(base._canon(det)),
+        invertible=s._is_unit(s._canon(det)),
     )
 
 

@@ -26,6 +26,15 @@ def det_permutation_oracle(rows):
     return total
 
 
+def flatten_blocks(payload):
+    """The block isomorphism Mat(2, Mat(2, R)) -> Mat(4, R), written out
+    independently of the library: block (i, j) fills rows 2i, 2i+1 and
+    columns 2j, 2j+1."""
+    return tuple(
+        tuple(payload[r // 2][c // 2][r % 2][c % 2] for c in range(4)) for r in range(4)
+    )
+
+
 def random_element(ring: Ring, rng: random.Random):
     """Deterministic pseudo-random element of any supported ring."""
     card = ring.cardinality

@@ -151,6 +151,12 @@ def test_cli_parse_errors_exit_2(tmp_path):
         ("search", "--ring", "Zmod:3", "--poly", "X", "--n", str(MAX_DEGREE + 1)),
         ("endos", "--p", "1"),
         ("export", "--p", "4", "--table", "monoid"),
+        # a factor count of 0 from a task file, or from a constant target
+        # with no --n, is refused the same way
+        ("search", "--task", json.dumps(
+            {"ring": "Zmod:3", "target": {"ring": "Zmod:3", "coeffs": [0, 1]}, "n": 0,
+             "mode": "all_splittings"})),
+        ("search", "--ring", "Zmod:3", "--poly", "2"),
     ):
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
@@ -437,7 +443,7 @@ def test_cli_export_descriptor_round_trips_as_ring(tmp_path):
 # bound for a prime modulus above it (2^89 - 1).
 FUZZ_SPECS = (
     "Z", "Q", "Zmod:6", "Zmod:1", "Zmod:", "Zmod:²", "Zmod:" + "9" * 5000,
-    "Mat:2:Zmod:2", "UT:2:Zmod:4", "UT:2:Z", "Mat:2:Q", "Mat:2:Mat:2:Q",
+    "Mat:2:Zmod:2", "UT:2:Zmod:4", "UT:2:Z", "Mat:2:Q", "Mat:2:Mat:2:Q", "Mat:1:UT:2:Zmod:2",
     "Mat:2:Mat:2:Z", "Mat:0:Z", "Mat:" + "9" * 5000 + ":Z", "Mat:1:" * 40 + "Z",
     "Mat:2:Zmod:1000000000000000003", "Mat:2:Zmod:618970019642690137449562111",
     "UT:2", "Table:", "Table:/no/such/file.json", "Nope", "",

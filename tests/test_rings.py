@@ -37,7 +37,7 @@ from cyclesplit.rings import (
     is_unit,
     parse_ring_spec,
 )
-from helpers import dense_table_mul, random_element
+from helpers import dense_table_mul, flatten_blocks, random_element
 
 Z = parse_ring_spec("Z")
 Q = parse_ring_spec("Q")
@@ -308,7 +308,8 @@ def test_table_algebra_units_over_large_composite_moduli():
         assert inverse(u) * u == algebra.one() == u * inverse(u)
 
 
-def test_table_algebra_over_a_base_without_determinant_searches():
+def test_table_algebra_over_a_matrix_base_decides_units():
+    # the base has no determinant; the algebra flattens to Z/2 instead
     base = parse_ring_spec("Mat:2:Zmod:2")
     algebra = TableAlgebra(EXAMPLE1_DESCRIPTOR, base)
     with pytest.raises(UnsupportedOperationError):
@@ -330,6 +331,41 @@ def test_table_algebra_over_a_base_without_determinant_searches():
         else:
             with pytest.raises(NotInvertibleError):
                 inverse(x)
+
+
+def test_units_of_a_triangular_tower_exhaustive():
+    ring = parse_ring_spec("UT:2:UT:2:Zmod:2")
+    one = ring.one()
+    for x in ring.elements():
+        (a, _), (_, d) = x.payload
+        # the four innermost diagonal entries
+        diagonal = (a[0][0], a[1][1], d[0][0], d[1][1])
+        assert is_unit(x) == (diagonal == (1, 1, 1, 1)), x
+        if is_unit(x):
+            y = inverse(x)
+            assert x * y == one == y * x
+        else:
+            with pytest.raises(NotInvertibleError):
+                inverse(x)
+
+
+def test_units_of_a_matrix_tower_match_the_flat_ring():
+    ring = parse_ring_spec("Mat:2:Mat:2:Zmod:2")
+    flat = parse_ring_spec("Mat:4:Zmod:2")
+    rng = random.Random(23)
+    units = 0
+    for _ in range(200):
+        x = random_element(ring, rng)
+        fx = flat.element(flatten_blocks(x.payload))
+        assert is_unit(x) == is_unit(fx)
+        if is_unit(x):
+            units += 1
+            assert flatten_blocks(inverse(x).payload) == inverse(fx).payload
+            assert x * inverse(x) == ring.one() == inverse(x) * x
+        else:
+            with pytest.raises(NotInvertibleError):
+                inverse(x)
+    assert 30 <= units <= 170  # both kinds are sampled
 
 
 def test_ring_mismatch_errors():

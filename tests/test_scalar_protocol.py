@@ -17,7 +17,7 @@ from cyclesplit.rings import (
     commutator,
     parse_ring_spec,
 )
-from helpers import det_permutation_oracle, random_element
+from helpers import det_permutation_oracle, flatten_blocks, random_element
 
 SCALAR_SPECS = ("Z", "Q", "Zmod:5", "Zmod:6")
 
@@ -127,10 +127,45 @@ def test_kernel_over_z_and_q_against_rank(spec):
                     assert next(e for e in v if e) > 0
 
 
+# spec, innermost scalar ring, number of scalar coordinates, side of the
+# scalar matrix
+TOWERS = (
+    ("Zmod:6", "Zmod:6", 1, 1),
+    ("Q", "Q", 1, 1),
+    ("UT:2:Z", "Z", 3, 2),
+    ("Mat:2:Mat:2:Zmod:2", "Zmod:2", 16, 4),
+    ("UT:2:Mat:2:Zmod:3", "Zmod:3", 12, 4),
+    ("Mat:1:UT:2:Q", "Q", 3, 2),
+)
+
+
+@pytest.mark.parametrize("spec, scalar_spec, ncoords, side", TOWERS)
+def test_scalar_coordinates_invert_and_the_scalar_matrix_multiplies(
+    spec, scalar_spec, ncoords, side
+):
+    ring = parse_ring_spec(spec)
+    scalar = ring.scalar_ring
+    assert scalar == parse_ring_spec(scalar_spec)
+    rng = random.Random(17)
+    for _ in range(20):
+        x, y = random_element(ring, rng), random_element(ring, rng)
+        coords, mx = ring.scalar_coords(x.payload), ring.scalar_matrix(x.payload)
+        assert len(coords) == ncoords and len(mx) == side and all(len(r) == side for r in mx)
+        assert ring.from_scalar_coords(coords) == x.payload
+        assert ring.from_scalar_matrix(mx) == x.payload
+        my = ring.scalar_matrix(y.payload)
+        product = [
+            [scalar.element(sum(a * b for a, b in zip(row, col))).payload for col in zip(*my)]
+            for row in mx
+        ]
+        assert ring.scalar_matrix((x * y).payload) == product
+
+
 CENTRALIZER_RINGS = {
     "Mat:2:Zmod:4": lambda: parse_ring_spec("Mat:2:Zmod:4"),
     "Mat:2:Zmod:5": lambda: parse_ring_spec("Mat:2:Zmod:5"),
     "UT:3:Zmod:2": lambda: parse_ring_spec("UT:3:Zmod:2"),
+    "UT:2:UT:2:Zmod:2": lambda: parse_ring_spec("UT:2:UT:2:Zmod:2"),
     "example1 over Zmod:5": lambda: example1_algebra(ResidueRing(5)),
     "example1 over Zmod:6": lambda: example1_algebra(ResidueRing(6)),
 }
@@ -153,12 +188,20 @@ def test_centralizer_matches_commutator_scan(name):
             assert all(desc.contains(b) for b in desc.basis)
 
 
-def test_centralizer_over_a_matrix_base_is_refused():
+def test_centralizer_over_a_matrix_base_matches_the_flat_ring():
     ring = parse_ring_spec("Mat:2:Mat:2:Zmod:2")
+    flat = parse_ring_spec("Mat:4:Zmod:2")
     one, zero = ((1, 0), (0, 1)), ((0, 0), (0, 0))
     x = ring.element(((one, one), (zero, one)))
-    with pytest.raises(UnsupportedOperationError):
-        centralizer_of_set(ring, [x])
+    desc = centralizer_of_set(ring, [x])
+    flat_desc = centralizer_of_set(flat, [flat.element(flatten_blocks(x.payload))])
+    assert desc.count == flat_desc.count == len(desc.elements) == 256
+    assert sorted(flatten_blocks(e.payload) for e in desc.elements) == [
+        e.payload for e in flat_desc.elements
+    ]
+    # a basis over Z/2 whose span is the centralizer
+    assert 2 ** len(desc.basis) == desc.count
+    assert all(desc.contains(b) for b in desc.basis)
     # the module basis is built from the base's own one and zero
     desc = centralizer_of_set(ring, [])
     assert len(desc.basis) == 4 and desc.elements is None

@@ -109,8 +109,9 @@ def _differential_cases():
     z4 = parse_ring_spec("Zmod:4")
     a, b = ut3.element(((1, 0), (0, 0))), ut3.element(((0, 1), (0, 0)))
     u = ut3.element(((1, 1), (0, 2)))  # a unit that commutes with neither
-    # is_unit raises UnsupportedOperationError here: no determinant over a table algebra
-    undecided = MatrixRing(1, example1_algebra(ResidueRing(2)))
+    # a unit leading coefficient over a base without a determinant: decided
+    # by the determinant of the scalar matrix over Z/2
+    tower = MatrixRing(1, example1_algebra(ResidueRing(2)))
     ut2 = parse_ring_spec("UT:2:Zmod:2")
     # diagonal coefficients: their centralizer is the 9 diagonal matrices,
     # three times the centre
@@ -127,8 +128,8 @@ def _differential_cases():
         ("n < deg f, Zmod:4", z4, from_int_coeffs(z4, [0, 0, 1]), 1),
         ("n > deg f, Zmod:4", z4, from_int_coeffs(z4, [0, 0, 1]), 3),
         ("n > deg f, unit leading, Zmod:5", z5, from_int_coeffs(z5, [1, 3, 2]), 3),
-        ("undecidable unit, Mat:1 over a table algebra", undecided,
-         from_int_coeffs(undecided, [0, -1, 1]), 2),
+        ("unit decided by flattening, Mat:1 over a table algebra", tower,
+         from_int_coeffs(tower, [0, -1, 1]), 2),
         ("closed-form candidate outside the centralizer, UT:2:Zmod:3", ut3,
          _noncentral_closed_form_target(ut3), 2),
         # 8 witnesses in 4 classes, among them the periodic (0,0,0,0) and (0,n,0,n)
@@ -219,8 +220,9 @@ def test_factor_count_cap():
     f = x_power(ring, MAX_DEGREE)
     outcome = enumerate_splittings(SearchTask(ring, f, MAX_DEGREE, "all_splittings"))
     assert [w.pseudoroots for w in outcome.witnesses] == [(ring.zero(),) * MAX_DEGREE]
-    with pytest.raises(ValueError):
-        SearchTask(ring, f, MAX_DEGREE + 1, "all_splittings")
+    for n in (0, MAX_DEGREE + 1):
+        with pytest.raises(ValueError):
+            SearchTask(ring, f, n, "all_splittings")
 
 
 def test_commuting_mode_witnesses_satisfy_the_cyclic_law():

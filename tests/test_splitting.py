@@ -28,7 +28,7 @@ from cyclesplit.splitting import (
     verify_cyclic_splitting,
     witness_from_json,
 )
-from helpers import random_element
+from helpers import flatten_blocks, random_element
 
 Z = parse_ring_spec("Z")
 
@@ -184,6 +184,30 @@ def test_vandermonde_trivial_and_table_algebra():
 
     with pytest.raises(Exception):
         vandermonde(SplittingWitness(Z, Z.one(), (Z.one(),)))
+
+
+def test_vandermonde_of_a_tower_matches_the_flat_ring():
+    ring = parse_ring_spec("Mat:2:Mat:2:Zmod:2")
+    flat = parse_ring_spec("Mat:4:Zmod:2")
+
+    def flatten(x):
+        return flat.element(flatten_blocks(x.payload))
+
+    rng = random.Random(9)
+    verdicts = set()
+    for n in (1, 2, 3):
+        for _ in range(4):
+            roots = tuple(random_element(ring, rng) for _ in range(n))
+            report = vandermonde(SplittingWitness(ring, ring.one(), roots))
+            flat_report = vandermonde(
+                SplittingWitness(flat, flat.one(), tuple(map(flatten, roots)))
+            )
+            assert report.base == flat_report.base == parse_ring_spec("Zmod:2")
+            assert report.size == flat_report.size == 4 * n
+            assert report.rows == flat_report.rows
+            assert (report.det, report.invertible) == (flat_report.det, flat_report.invertible)
+            verdicts.add(report.invertible)
+    assert verdicts == {True, False}
 
 
 def test_evaluation_homomorphism_example1_z5():
