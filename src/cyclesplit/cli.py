@@ -3,8 +3,9 @@
 Commands: expand, rotate, divide, eval, verify, search, roots, centralizer,
 endos, example1, example2, export. Exit status 0 when all checks pass, 1 on
 a failed check or a failed write to the output, 2 on a parse error (with a
-position-annotated message), a file argument that cannot be opened, or an
-out-of-range ``--n`` or ``--p`` (checked before any work).
+position-annotated message), a file argument that cannot be opened, an
+out-of-range ``--n`` or ``--p``, or a search target that is zero (or
+constant, for ``counterexample_hunt``), all checked before any work.
 
 Polynomial surface grammar: a sum of signed monomials ``c``, ``c*X^k``,
 ``X^k``, ``X`` with integer or rational (``p/q``) scalar coefficients;
@@ -45,6 +46,7 @@ from .rings import (
     SpecParseError,
     UnsupportedOperationError,
     centralizer_of_set,
+    json_value,
     parse_ring_spec,
 )
 from .search import (
@@ -219,6 +221,8 @@ def _witness_from_arg(value: str):
 
 
 def _emit(payload, fmt: str, out):
+    """Write records, elements and plain values as JSON or as text."""
+    payload = json_value(payload)
     if fmt == "json":
         out.write(json.dumps(payload, sort_keys=True, indent=2))
         out.write("\n")
@@ -259,15 +263,12 @@ def _check(out, label: str, ok: bool, detail: str = ""):
 
 
 def _cmd_expand(ns, out):
-    w = _witness_from_arg(ns.witness)
-    f = expand(w)
-    _emit(f.to_json(), ns.format, out)
+    _emit(expand(_witness_from_arg(ns.witness)), ns.format, out)
     return 0
 
 
 def _cmd_rotate(ns, out):
-    w = _witness_from_arg(ns.witness)
-    _emit(rotate(w, ns.k).to_json(), ns.format, out)
+    _emit(rotate(_witness_from_arg(ns.witness), ns.k), ns.format, out)
     return 0
 
 
@@ -275,10 +276,9 @@ def _cmd_divide(ns, out):
     ring = parse_ring_spec(ns.ring) if ns.ring else None
     f = _poly_from_arg(ns.poly, ring)
     a = _element_from_arg(ns.element, f.ring)
-    q, r = (
-        right_divide_linear(f, a) if ns.side == "right" else left_divide_linear(f, a)
-    )
-    _emit({"quotient": q.to_json(), "remainder": r.to_json(), "side": ns.side}, ns.format, out)
+    divide = right_divide_linear if ns.side == "right" else left_divide_linear
+    q, r = divide(f, a)
+    _emit({"quotient": q, "remainder": r, "side": ns.side}, ns.format, out)
     return 0
 
 
@@ -287,14 +287,14 @@ def _cmd_eval(ns, out):
     f = _poly_from_arg(ns.poly, ring)
     a = _element_from_arg(ns.element, f.ring)
     fn = {"right": right_eval, "left": left_eval, "commuting": eval_commuting}[ns.mode]
-    _emit({"value": fn(f, a).to_json(), "mode": ns.mode}, ns.format, out)
+    _emit({"value": fn(f, a), "mode": ns.mode}, ns.format, out)
     return 0
 
 
 def _cmd_verify(ns, out):
     w = _witness_from_arg(ns.witness)
     report = verify_cyclic_splitting(w)
-    _emit(report.to_json(), ns.format, out)
+    _emit(report, ns.format, out)
     if report.passed:
         return 0
     if not report.rotations_equal:
@@ -308,11 +308,15 @@ def _cmd_verify(ns, out):
     return 1
 
 
+def _roots_payload(f, ring):
+    roots = find_roots(f, ring)
+    return {"count": len(roots), "roots": roots}
+
+
 def _cmd_roots(ns, out):
     ring = parse_ring_spec(ns.ring)
     f = _poly_from_arg(ns.poly, ring)
-    roots = find_roots(f, ring)
-    _emit({"count": len(roots), "roots": [r.to_json() for r in roots]}, ns.format, out)
+    _emit(_roots_payload(f, ring), ns.format, out)
     return 0
 
 
@@ -344,18 +348,16 @@ def _cmd_search(ns, out):
             raise CheckFailure("search needs --task or both --ring and --poly")
         ring = parse_ring_spec(ns.ring)
         f = _poly_from_arg(ns.poly, ring)
+    if f.is_zero:
+        raise ParseError("the target polynomial must be nonzero", 1)
     if ns.mode == "roots_only":
-        roots = find_roots(f, ring)
-        out.write(_as_text({"count": len(roots), "roots": [r.to_json() for r in roots]}))
+        _emit(_roots_payload(f, ring), "text", out)
         return 0
     if ns.mode == "counterexample_hunt":
+        if f.degree < 1:
+            raise ParseError("counterexample_hunt needs a target of degree at least 1", 1)
         w = counterexample_hunt(f, ring)
-        if w is None:
-            out.write(json.dumps({"counterexample": None}, sort_keys=True) + "\n")
-        else:
-            out.write(
-                json.dumps({"counterexample": w.to_json()}, sort_keys=True) + "\n"
-            )
+        out.write(json.dumps(json_value({"counterexample": w}), sort_keys=True) + "\n")
         return 0
     n = ns.n if ns.n is not None else (f.degree or 0)
     _check_factor_count_arg(n)
@@ -373,24 +375,17 @@ def _cmd_centralizer(ns, out):
         raise ParseError("--elements must be a JSON list of element payloads", 1)
     gens = [_decode_element(obj, ring) for obj in objs]
     desc = centralizer_of_set(ring, gens)
-    payload = {
-        "count": desc.count,
-        "kind": "elements" if desc.elements is not None else "basis",
-        "elements": None
-        if desc.elements is None
-        else [e.to_json() for e in desc.elements],
-        "basis": None if desc.basis is None else [b.to_json() for b in desc.basis],
-    }
-    _emit(payload, ns.format, out)
+    elements, basis = desc.elements, desc.basis
+    kind = "elements" if elements is not None else "basis"
+    _emit({"count": desc.count, "kind": kind, "elements": elements, "basis": basis}, ns.format, out)
     return 0
 
 
 def _cmd_endos(ns, out):
     _check_prime_arg(ns.p)
     report = endo_mod.full_suite(ns.p)
-    payload = report.to_json()
-    payload["composition_order_evidence"] = report.monoid.evidence()
-    _emit(payload, ns.format, out)
+    evidence = report.monoid.evidence()
+    _emit({**report.to_json(), "composition_order_evidence": evidence}, ns.format, out)
     return 0 if report.passed else 1
 
 
@@ -401,8 +396,7 @@ def _cmd_export(ns, out):
         if ns.format == "csv":
             raise ParseError("the descriptor exports as JSON; csv is for the endomorphism tables", 1)
         parse_ring_spec(ns.base)  # refuse a base no reader could parse back
-        payload = ex.EXAMPLE1_DESCRIPTOR.to_json(ns.base)
-        out.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        _emit(ex.EXAMPLE1_DESCRIPTOR.to_json(ns.base), "json", out)
         return 0
     if builder is None:
         raise CheckFailure(f"unknown table {ns.table!r}")
@@ -414,10 +408,7 @@ def _cmd_export(ns, out):
         writer.writerows(rows)
         out.write(buf.getvalue())
     elif ns.format == "json":
-        out.write(
-            json.dumps({"headers": headers, "rows": rows}, sort_keys=True, indent=2)
-            + "\n"
-        )
+        _emit({"headers": headers, "rows": rows}, "json", out)
     else:
         out.write(endo_mod.format_table(headers, rows) + "\n")
     return 0

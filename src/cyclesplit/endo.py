@@ -30,6 +30,9 @@ e2 second. Under this order the matrix model is a monoid homomorphism:
 M(compose(e1, e2)) = M(e1) M(e2). The evidence for freezing this order over
 the alternative is ``MonoidTableReport.evidence()``, which
 :func:`composition_order_evidence` returns and the ``endos`` report embeds.
+
+The five phase reports and ``EndoSuiteReport``, which nests them, serialize
+by the one ``rings.Record`` rule: fields in order, then ``passed``.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .examples import EXAMPLE1_DESCRIPTOR, example1_algebra, example1_cubic
-from .rings import Element, ResidueRing, TableAlgebra
+from .rings import Element, Record, ResidueRing, TableAlgebra
 from .search import SearchOutcome, SearchTask, canonical_rotation, enumerate_splittings
 
 COMPOSITION_ORDER = "left-operand-first"
@@ -233,7 +236,7 @@ def automorphisms(endos: list[EndoMap]) -> list[EndoMap]:
 
 
 @dataclass(frozen=True)
-class MonoidTableReport:
+class MonoidTableReport(Record):
     p: int
     endo_count: int
     automorphism_count: int
@@ -255,22 +258,6 @@ class MonoidTableReport:
             and self.invertibles_ok
             and self.frozen_order_agreement == self.total_pairs
         )
-
-    def to_json(self):
-        return {
-            "p": self.p,
-            "endo_count": self.endo_count,
-            "automorphism_count": self.automorphism_count,
-            "unclassified": list(self.unclassified),
-            "mismatches": [list(m) for m in self.mismatches],
-            "total_pairs": self.total_pairs,
-            "frozen_order_agreement": self.frozen_order_agreement,
-            "reversed_order_agreement": self.reversed_order_agreement,
-            "neutral_ok": self.neutral_ok,
-            "invertibles_ok": self.invertibles_ok,
-            "composition_order": self.composition_order,
-            "passed": self.passed,
-        }
 
     def evidence(self) -> dict:
         """Agreement counts of both candidate composition orders against the
@@ -612,7 +599,7 @@ def cycle_is_basis(record: CycleRecord) -> bool:
 
 
 @dataclass(frozen=True)
-class CycleSuiteReport:
+class CycleSuiteReport(Record):
     p: int
     root_record_count: int
     distinct_root_count: int
@@ -624,18 +611,6 @@ class CycleSuiteReport:
     @property
     def passed(self) -> bool:
         return self.roots_are_union_of_supports and self.basis_classes_ok
-
-    def to_json(self):
-        return {
-            "p": self.p,
-            "root_record_count": self.root_record_count,
-            "distinct_root_count": self.distinct_root_count,
-            "cycle_class_count": self.cycle_class_count,
-            "splitting_count": self.splitting_count,
-            "roots_are_union_of_supports": self.roots_are_union_of_supports,
-            "basis_classes_ok": self.basis_classes_ok,
-            "passed": self.passed,
-        }
 
 
 def verify_cycle_suite(modulus: int) -> CycleSuiteReport:
@@ -740,7 +715,7 @@ def action_on_root(e: EndoMap, record: RootRecord) -> RootRecord:
 
 
 @dataclass(frozen=True)
-class ActionTablesReport:
+class ActionTablesReport(Record):
     p: int
     root_action_checks: int
     root_action_mismatches: tuple[tuple[str, str, str, str], ...]
@@ -755,17 +730,6 @@ class ActionTablesReport:
             and not self.cycle_action_mismatches
             and self.images_are_roots
         )
-
-    def to_json(self):
-        return {
-            "p": self.p,
-            "root_action_checks": self.root_action_checks,
-            "root_action_mismatches": [list(m) for m in self.root_action_mismatches],
-            "cycle_action_checks": self.cycle_action_checks,
-            "cycle_action_mismatches": [list(m) for m in self.cycle_action_mismatches],
-            "images_are_roots": self.images_are_roots,
-            "passed": self.passed,
-        }
 
 
 def verify_action_tables(modulus: int) -> ActionTablesReport:
@@ -832,7 +796,7 @@ def _strictly_above(mp_x: str, mp_y: str) -> bool:
 
 
 @dataclass(frozen=True)
-class PosetReport:
+class PosetReport(Record):
     p: int
     minpoly_table_ok: bool
     monotone_ok: bool
@@ -853,20 +817,6 @@ class PosetReport:
             and set(self.failing_kinds) == {"eps", "eps_prime"}
             and self.exception_pattern_ok
         )
-
-    def to_json(self):
-        return {
-            "p": self.p,
-            "minpoly_table_ok": self.minpoly_table_ok,
-            "monotone_ok": self.monotone_ok,
-            "automorphisms_preserve_ok": self.automorphisms_preserve_ok,
-            "level_order_ok": self.level_order_ok,
-            "failing_kinds": list(self.failing_kinds),
-            "exception_patterns": [list(t) for t in self.exception_patterns],
-            "exception_pattern_ok": self.exception_pattern_ok,
-            "failing_pair_count": self.failing_pair_count,
-            "passed": self.passed,
-        }
 
 
 # the four exception patterns: which endomorphism breaks which strict pair
@@ -955,7 +905,7 @@ def minpoly_and_poset(modulus: int) -> PosetReport:
 
 
 @dataclass(frozen=True)
-class TranslateReport:
+class TranslateReport(Record):
     """Single-application translation checks, with the reachability-closure
     reading computed alongside (they agree on the checked primes)."""
 
@@ -974,17 +924,6 @@ class TranslateReport:
             and self.cycles_from_seeds
             and self.cycles_to_sink
         )
-
-    def to_json(self):
-        return {
-            "p": self.p,
-            "roots_from_seeds": self.roots_from_seeds,
-            "roots_to_sinks": self.roots_to_sinks,
-            "cycles_from_seeds": self.cycles_from_seeds,
-            "cycles_to_sink": self.cycles_to_sink,
-            "closure_needed": self.closure_needed,
-            "passed": self.passed,
-        }
 
 
 def verify_translate_properties(modulus: int) -> TranslateReport:
@@ -1059,7 +998,7 @@ def verify_translate_properties(modulus: int) -> TranslateReport:
 
 
 @dataclass(frozen=True)
-class EndoSuiteReport:
+class EndoSuiteReport(Record):
     p: int
     monoid: MonoidTableReport
     cycles: CycleSuiteReport
@@ -1076,17 +1015,6 @@ class EndoSuiteReport:
             and self.poset.passed
             and self.translate.passed
         )
-
-    def to_json(self):
-        return {
-            "p": self.p,
-            "monoid": self.monoid.to_json(),
-            "cycles": self.cycles.to_json(),
-            "actions": self.actions.to_json(),
-            "poset": self.poset.to_json(),
-            "translate": self.translate.to_json(),
-            "passed": self.passed,
-        }
 
 
 def full_suite(modulus: int) -> EndoSuiteReport:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .rings import Element, Ring, RingMismatchError
+from .rings import Element, Record, Ring, RingMismatchError
 
 # The largest exponent the polynomial parser accepts and the largest factor
 # count a splitting search takes (the search recurses once per factor).
@@ -40,7 +40,7 @@ class CommutationError(Exception):
 
 
 @dataclass(frozen=True)
-class NCPoly:
+class NCPoly(Record):
     ring: Ring
     coeffs: tuple[Element, ...]
 
@@ -99,12 +99,6 @@ class NCPoly:
 
     def __repr__(self):
         return f"NCPoly(degree={self.degree}, coeffs={[c.payload for c in self.coeffs]})"
-
-    def to_json(self):
-        return {
-            "ring": self.ring.spec_string(),
-            "coeffs": [c.to_json() for c in self.coeffs],
-        }
 
 
 def poly(ring: Ring, coeffs) -> NCPoly:

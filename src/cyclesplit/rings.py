@@ -25,15 +25,19 @@ where ``<path>`` names a JSON file with keys ``basis_size``,
 ``unit_vector`` and ``base`` (a ring spec string). Elements serialize to
 JSON as integers, strings ``"p/q"`` or nested arrays matching the payload
 shape.
+
+Result records (polynomials, witnesses, search tasks, reports) share one
+JSON rule, ``Record.to_json``: the fields in declaration order, each through
+``json_value``, then ``passed`` when the class defines it.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from math import gcd
 
 from . import linalg
@@ -143,6 +147,44 @@ class Element:
 
     def to_json(self):
         return self.ring.payload_to_json(self.payload)
+
+
+# values that are their own JSON: most fields of a report, tested first
+_PLAIN_JSON = frozenset({bool, int, str, type(None)})
+
+
+def json_value(value):
+    """The JSON form of a value: a ring's spec string, an element's payload
+    JSON, a list for a tuple or list, a dict for a dict, and ``to_json()``
+    of anything else that has one. Other values are their own JSON."""
+    kind = type(value)
+    if kind in _PLAIN_JSON:
+        return value
+    if kind is Element:
+        return value.ring.payload_to_json(value.payload)
+    if kind is tuple or kind is list:
+        return [json_value(v) for v in value]
+    if isinstance(value, Ring):
+        return value.spec_string()
+    if isinstance(value, dict):
+        return {k: json_value(v) for k, v in value.items()}
+    to_json = getattr(value, "to_json", None)
+    return value if to_json is None else to_json()
+
+
+@cache
+def _record_keys(cls) -> tuple[str, ...]:
+    keys = tuple(f.name for f in fields(cls))
+    return keys + ("passed",) if hasattr(cls, "passed") else keys
+
+
+class Record:
+    """Mixin for result dataclasses. The JSON of a record is its fields in
+    declaration order, each through ``json_value``, followed by ``passed``
+    when the class defines it."""
+
+    def to_json(self) -> dict:
+        return {k: json_value(getattr(self, k)) for k in _record_keys(type(self))}
 
 
 class Ring:

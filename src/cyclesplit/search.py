@@ -52,6 +52,7 @@ from .ncpoly import MAX_DEGREE, NCPoly, _divide_linear, right_divide_linear, rig
 from .rings import (
     Element,
     InfiniteRingError,
+    Record,
     Ring,
     RingError,
     inverse,
@@ -69,7 +70,7 @@ class SearchSpaceTooLargeError(RingError):
 
 
 @dataclass(frozen=True)
-class SearchTask:
+class SearchTask(Record):
     ring: Ring
     target: NCPoly
     n: int
@@ -84,14 +85,6 @@ class SearchTask:
             raise ValueError("target polynomial must be nonzero")
         if not 1 <= self.n <= MAX_DEGREE:
             raise ValueError(f"factor count must be between 1 and {MAX_DEGREE}, got {self.n}")
-
-    def to_json(self):
-        return {
-            "ring": self.ring.spec_string(),
-            "target": self.target.to_json(),
-            "n": self.n,
-            "mode": self.mode,
-        }
 
 
 def task_from_json(obj) -> SearchTask:

@@ -6,6 +6,9 @@ When every coefficient of the expanded polynomial commutes with every
 pseudoroot, cyclically rotating the factors leaves the product unchanged and
 every pseudoroot is a two-sided root. The checker below reports all of that,
 plus the commutators that obstruct transposing adjacent factors.
+
+Witnesses and reports serialize by the one ``rings.Record`` rule, except
+``VandermondeReport``: its rows and determinant are scalar payloads.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from .rings import (
     Element,
     FreeModuleRing,
     MatrixRing,
+    Record,
     Ring,
     RingMismatchError,
     UnsupportedOperationError,
@@ -43,7 +47,7 @@ class FactorCommutationError(Exception):
 
 
 @dataclass(frozen=True)
-class SplittingWitness:
+class SplittingWitness(Record):
     ring: Ring
     leading: Element
     pseudoroots: tuple[Element, ...]
@@ -56,13 +60,6 @@ class SplittingWitness:
         for a in self.pseudoroots:
             if a.ring != self.ring:
                 raise RingMismatchError("pseudoroot belongs to a different ring")
-
-    def to_json(self):
-        return {
-            "ring": self.ring.spec_string(),
-            "leading": self.leading.to_json(),
-            "pseudoroots": [a.to_json() for a in self.pseudoroots],
-        }
 
 
 def witness(ring: Ring, leading: Element, pseudoroots) -> SplittingWitness:
@@ -111,7 +108,7 @@ def commutation_hypothesis(f: NCPoly, pseudoroots) -> tuple[bool, tuple[tuple[in
 
 
 @dataclass(frozen=True)
-class CyclicSplittingReport:
+class CyclicSplittingReport(Record):
     """Everything the rotation/root check finds about one witness.
 
     ``roots_ok`` lists (position, right value of f at that pseudoroot).
@@ -141,20 +138,6 @@ class CyclicSplittingReport:
     def consistent_with_cyclic_law(self) -> bool:
         """Hypothesis implies conclusions; vacuously true without it."""
         return (not self.commutation_ok) or (self.rotations_equal and self.all_roots_zero)
-
-    def to_json(self):
-        return {
-            "witness": self.witness.to_json(),
-            "expanded": self.expanded.to_json(),
-            "commutation_ok": self.commutation_ok,
-            "commutation_violations": [list(v) for v in self.commutation_violations],
-            "rotations_equal": self.rotations_equal,
-            "first_differing_rotation": self.first_differing_rotation,
-            "root_mode": self.root_mode,
-            "roots_ok": [[k, v.to_json()] for k, v in self.roots_ok],
-            "obstructions": [o.to_json() for o in self.obstructions],
-            "passed": self.passed,
-        }
 
 
 def verify_cyclic_splitting(w: SplittingWitness) -> CyclicSplittingReport:
@@ -201,17 +184,17 @@ def factor_out_commuting_root(f: NCPoly, a: Element) -> NCPoly:
     The quotient's coefficients then also commute with a; that conclusion is
     re-checked at runtime and a failure raises FactorCommutationError.
     """
-    for i, c in enumerate(f.coeffs):
-        if not commutator(c, a).is_zero:
-            raise CommutationError(i)
+    ok, violations = commutation_hypothesis(f, (a,))
+    if not ok:
+        raise CommutationError(violations[0][0])
     q, r = right_divide_linear(f, a)
     if not r.is_zero:
         raise NotAFactorError("X - a does not divide f on the right")
-    for i, c in enumerate(q.coeffs):
-        if not commutator(c, a).is_zero:
-            raise FactorCommutationError(
-                f"quotient coefficient at degree {i} fails to commute"
-            )
+    ok, violations = commutation_hypothesis(q, (a,))
+    if not ok:
+        raise FactorCommutationError(
+            f"quotient coefficient at degree {violations[0][0]} fails to commute"
+        )
     return q
 
 
@@ -285,7 +268,7 @@ def vandermonde(w: SplittingWitness) -> VandermondeReport:
 
 
 @dataclass(frozen=True)
-class EvaluationHomReport:
+class EvaluationHomReport(Record):
     """Pointwise check that p -> (p(a_1), ..., p(a_n)) behaves like a ring
     homomorphism on the samples, kills the expanded polynomial, and commutes
     with cyclic rotation of the witness."""
@@ -305,19 +288,6 @@ class EvaluationHomReport:
             and self.zero_tuple_ok
             and self.rotation_permutes_ok
         )
-
-    def to_json(self):
-        return {
-            "witness": self.witness.to_json(),
-            "sample_values": [
-                [v.to_json() for v in tup] for tup in self.sample_values
-            ],
-            "additive_ok": self.additive_ok,
-            "multiplicative_ok": self.multiplicative_ok,
-            "zero_tuple_ok": self.zero_tuple_ok,
-            "rotation_permutes_ok": self.rotation_permutes_ok,
-            "passed": self.passed,
-        }
 
 
 def check_evaluation_homomorphism(w: SplittingWitness, samples) -> EvaluationHomReport:

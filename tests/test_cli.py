@@ -157,6 +157,16 @@ def test_cli_parse_errors_exit_2(tmp_path):
             {"ring": "Zmod:3", "target": {"ring": "Zmod:3", "coeffs": [0, 1]}, "n": 0,
              "mode": "all_splittings"})),
         ("search", "--ring", "Zmod:3", "--poly", "2"),
+        # a zero target in any mode, and a constant one to counterexample_hunt
+        ("search", "--ring", "Zmod:3", "--poly", "0", "--n", "2"),
+        ("search", "--ring", "Zmod:3", "--poly", "0", "--mode", "roots_only"),
+        ("search", "--ring", "Zmod:3", "--poly", "2", "--mode", "counterexample_hunt"),
+        ("search", "--task", json.dumps(
+            {"ring": "Zmod:3", "target": {"ring": "Zmod:3", "coeffs": [0]}, "n": 2,
+             "mode": "all_splittings"})),
+        ("search", "--task", json.dumps(
+            {"ring": "Zmod:3", "target": {"ring": "Zmod:3", "coeffs": [2]}, "n": 1,
+             "mode": "counterexample_hunt"})),
     ):
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
@@ -291,6 +301,57 @@ def test_cli_search_stdout_golden(args, digest):
     code, text = invoke("search", *args)
     assert code == 0
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+EXAMPLE1_WITNESS = json.dumps({
+    "ring": "UT:2:Z",
+    "leading": [[1, 0], [0, 1]],
+    "pseudoroots": [[[0, 0], [0, 1]], [[0, -1], [0, 0]], [[1, 1], [0, 0]]],
+})
+# E12 and E21: the expanded coefficients do not commute with the pseudoroots
+NONCOMMUTING_WITNESS = json.dumps({
+    "ring": "Mat:2:Z",
+    "leading": [[1, 0], [0, 1]],
+    "pseudoroots": [[[0, 1], [0, 0]], [[0, 0], [1, 0]]],
+})
+
+# (argv, exit code, sha256 of --format text stdout, of --format json stdout),
+# recorded from the per-class serializers the record rule replaced
+RECORD_GOLDEN = [
+    (("verify", "--witness", EXAMPLE1_WITNESS), 0,
+     "13c7d98c1a2891fb6fe96197e23fce5dee1cd2ed8de224ffb4916d1378795b4c",
+     "f968428bc44c3ab67debb47fc75aa2387e14971308296e6649510720b58f7a76"),
+    (("expand", "--witness", EXAMPLE1_WITNESS), 0,
+     "c391ccdaca5714d952c1af11c9c092f4bd588519386b24fa28bdc89ee4a0c145",
+     "ebf3185658ab77c45936880f6874ce08288a910dc64533ac46e640a1edd40295"),
+    (("rotate", "--witness", EXAMPLE1_WITNESS, "--k", "1"), 0,
+     "4f2b60fe5324b2ecd392d3c6b78ad8c1bc741736c072997a5fa91edfaa7b3b73",
+     "8cf0266d3c428f1504640f48edb602964c6dd92ed3bd806aee16d32308017d97"),
+    (("verify", "--witness", NONCOMMUTING_WITNESS), 1,
+     "d9614e2cf406d02a24deb994af0dd7566b41589b1088a2ecfa48c1088f82c000",
+     "344fb4c2b24bca54c4e957441179fa9d92f006f7ba8e166440c96fbae0f97a57"),
+    (("endos", "--p", "3"), 0,
+     "70d02abccdb154e845095896cd9d0435d1e8d920a39cf086c320af986ab6977b",
+     "2b9b01a6d1f8a2b66a44443466a36a2e8f43253452e5979af984ffd3f59ca85a"),
+    (("divide", "--ring", "Mat:2:Z", "--poly", "X^2 + X", "--element", "[[1,2],[3,4]]"), 0,
+     "7beb2e23838883d1152831bb1db21f344aecd7084c1e2ed3ac6933fc03130e99",
+     "c6c03081f5cdac4a47ede702de03289ef84eefb48bb1a39e04717099c57d6fc5"),
+    (("eval", "--ring", "Mat:2:Q", "--poly", "1/2*X^2 + 1", "--element", "[[1,2],[3,4]]"), 0,
+     "8fd1f90ef5438051d2f9b7fe17d6f29ecf32872838e37a9727411022863e2e22",
+     "5492d59a1c1d345ed77b60142616aa33f59129335a516dbebf35f6440c350b45"),
+    (("roots", "--ring", "Mat:2:Zmod:3", "--poly", "X^2 - X"), 0,
+     "cc7767cea325f37fe2cf6d53797ab021d65fe60c9644163880d1bede94785db8",
+     "3a3791d66b2dacbd9c8636d0d6079cd85b4461a9f5c3adcb33391c1b473960c6"),
+]
+
+
+@pytest.mark.parametrize("argv,code,text_digest,json_digest", RECORD_GOLDEN,
+                         ids=[f"{row[0][0]}-{i}" for i, row in enumerate(RECORD_GOLDEN)])
+def test_cli_record_stdout_golden(argv, code, text_digest, json_digest):
+    for fmt, digest in (("text", text_digest), ("json", json_digest)):
+        got, text = invoke(*argv, "--format", fmt)
+        assert got == code, fmt
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, fmt
 
 
 def test_cli_roots_and_eval_and_divide():

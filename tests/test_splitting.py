@@ -1,9 +1,11 @@
+import dataclasses
 import json
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cyclesplit import endo, splitting
 from cyclesplit.examples import (
     example1_cubic,
     example1_matrix_ring,
@@ -13,7 +15,8 @@ from cyclesplit.examples import (
     example2_witness,
 )
 from cyclesplit.ncpoly import CommutationError, from_int_coeffs, poly, x_minus
-from cyclesplit.rings import commutator, parse_ring_spec
+from cyclesplit.rings import Record, commutator, parse_ring_spec
+from cyclesplit.search import SearchTask
 from cyclesplit.splitting import (
     FactorCommutationError,
     NotAFactorError,
@@ -130,8 +133,24 @@ def test_factor_out_commuting_root():
 
     with pytest.raises(NotAFactorError):
         factor_out_commuting_root(f, ring.from_int(7))
-    with pytest.raises(CommutationError):
+    with pytest.raises(CommutationError) as err:
         factor_out_commuting_root(poly(ring, [a1, ring.one()]), a2)
+    assert err.value.index == 0
+    # the first offending degree is named, not a later one
+    with pytest.raises(CommutationError) as err:
+        factor_out_commuting_root(poly(ring, [ring.one(), a1, a1]), a2)
+    assert err.value.index == 1
+
+
+def test_factor_out_commuting_root_reports_a_noncommuting_quotient(monkeypatch):
+    # the quotient check cannot fail on correct arithmetic: feed it a bad
+    # quotient, noncommuting first at degree 1, through the division
+    ring = example1_matrix_ring(Z)
+    a1, a2, _ = example1_witness(ring).pseudoroots
+    bad = poly(ring, [ring.one(), a1, a1])
+    monkeypatch.setattr(splitting, "right_divide_linear", lambda f, a: (bad, ring.zero()))
+    with pytest.raises(FactorCommutationError, match="degree 1 "):
+        factor_out_commuting_root(x_minus(ring.zero()), a2)
 
 
 def test_factor_out_commuting_root_exhaustive_ut2_z3():
@@ -292,7 +311,7 @@ def test_witness_json_round_trip(tmp_path):
 def test_report_json_shape():
     w = example2_witness(example2_matrix_ring(Z))
     blob = verify_cyclic_splitting(w).to_json()
-    assert set(blob) == {
+    assert list(blob) == [
         "witness",
         "expanded",
         "commutation_ok",
@@ -303,5 +322,34 @@ def test_report_json_shape():
         "roots_ok",
         "obstructions",
         "passed",
-    }
+    ]
     json.dumps(blob)  # serializable
+
+    # every record serializes to exactly its field names, in declaration
+    # order, then ``passed`` where the class defines it
+    ring = example1_matrix_ring(parse_ring_spec("Zmod:5"))
+    w1 = example1_witness(ring)
+    suite = endo.full_suite(2)
+    records = [
+        expand(w1),
+        w1,
+        verify_cyclic_splitting(w1),
+        check_evaluation_homomorphism(w1, [from_int_coeffs(ring, [0, 1])]),
+        SearchTask(ring, expand(w1), 3, "all_splittings"),
+        suite,
+        suite.monoid,
+        suite.cycles,
+        suite.actions,
+        suite.poset,
+        suite.translate,
+    ]
+    assert {type(r) for r in records} == set(Record.__subclasses__())
+    for record in records:
+        cls = type(record)
+        keys = [f.name for f in dataclasses.fields(cls)]
+        if hasattr(cls, "passed"):
+            keys.append("passed")
+        blob = record.to_json()
+        assert list(blob) == keys, cls.__name__
+        assert "to_json" not in vars(cls), cls.__name__
+        assert json.loads(json.dumps(blob)) == blob, cls.__name__
