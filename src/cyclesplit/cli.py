@@ -391,16 +391,13 @@ def _cmd_endos(ns, out):
 
 def _cmd_export(ns, out):
     _check_prime_arg(ns.p)
-    builder = endo_mod.TABLE_BUILDERS.get(ns.table)
     if ns.table == "descriptor":
         if ns.format == "csv":
             raise ParseError("the descriptor exports as JSON; csv is for the endomorphism tables", 1)
         parse_ring_spec(ns.base)  # refuse a base no reader could parse back
         _emit(ex.EXAMPLE1_DESCRIPTOR.to_json(ns.base), "json", out)
         return 0
-    if builder is None:
-        raise CheckFailure(f"unknown table {ns.table!r}")
-    headers, rows = builder(ns.p)
+    headers, rows = endo_mod.TABLE_BUILDERS[ns.table](ns.p)
     if ns.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")

@@ -17,13 +17,17 @@ classes of splittings of X^3 - X^2 into their parameter families, checks
 both monoid actions entrywise, and verifies the minimal-polynomial poset
 and the translation properties.
 
-Elements are handled as their payloads, the coordinate tuples over
-(a_1, a_2, a_3). Products, sums and negatives are the payload operations
-of the ``TableAlgebra`` over ``ResidueRing(p)``, the engine the splitting
-search uses too. An endomorphism is the payload triple of its basis
-images, acting as their linear map; it is an automorphism exactly when the
-base determinant of the triple is a unit (``FreeModuleRing``'s unit rule).
-The monoid check composes each ordered pair once.
+Elements, root records and cycle supports are handled as their payloads,
+the coordinate tuples over (a_1, a_2, a_3). The enumeration, the root scan
+and the minimal polynomials multiply with the payload operations of the
+``TableAlgebra`` over ``ResidueRing(p)``, the engine the splitting search
+uses too. An endomorphism is the payload triple of its basis images;
+``EndoMap.apply_vec`` is that linear map, written out mod p. It is an
+automorphism exactly when the base determinant of the triple is a unit
+(``FreeModuleRing``'s unit rule). Each table of compositions, root images
+or cycle images is one loop that streams a row per endomorphism, and the
+table's check and its export both read it; the monoid check composes each
+ordered pair once.
 
 Composition order (frozen): ``compose_endos(e1, e2)`` applies e1 first and
 e2 second. Under this order the matrix model is a monoid homomorphism:
@@ -75,10 +79,25 @@ def _cubic_algebra(p: int) -> TableAlgebra:
     return example1_algebra(ResidueRing(p))
 
 
-def _is_root(algebra: TableAlgebra, x: Vec) -> bool:
-    """Is x a root of X^3 - X^2, that is x^3 = x^2?"""
-    x2 = algebra._mul(x, x)
-    return algebra._mul(x2, x) == x2
+# label formats by family kind, filled by ``%`` from the parameters; one line
+# each for the endomorphism, root and cycle families
+_LABELS = {
+    "eps": "eps", "eps_prime": "eps'", "eps_sigma_s": "eps^%s_%s", "eps_s": "eps_%s",
+    "unclassified": "unclassified",
+    "r_tau": "r^%s", "r_tau_t": "r^%s_%s", "r_t": "r_%s", "r": "r",
+    "c_tau": "c^%s", "c_tau_t": "c^%s_%s", "c_t": "c_%s",
+}
+
+
+@dataclass(frozen=True)
+class _Family:
+    """A family tag: its kind and parameters; ``_LABELS`` names it."""
+
+    kind: str
+    params: tuple[int, ...] = ()
+
+    def label(self) -> str:
+        return _LABELS[self.kind] % self.params
 
 
 # ---------------------------------------------------------------------------
@@ -86,23 +105,8 @@ def _is_root(algebra: TableAlgebra, x: Vec) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EndoFamily:
+class EndoFamily(_Family):
     """Family tag: eps, eps_prime, eps_sigma_s(scale, shift) or eps_s(shift)."""
-
-    kind: str
-    params: tuple[int, ...] = ()
-
-    def label(self) -> str:
-        if self.kind == "eps":
-            return "eps"
-        if self.kind == "eps_prime":
-            return "eps'"
-        if self.kind == "eps_sigma_s":
-            return f"eps^{self.params[0]}_{self.params[1]}"
-        if self.kind == "eps_s":
-            return f"eps_{self.params[0]}"
-        return "unclassified"
 
 
 def classify_endo_images(images: tuple[Vec, Vec, Vec], p: int) -> EndoFamily:
@@ -228,6 +232,12 @@ def identity_endo(modulus: int) -> EndoMap:
     return _mk_endo(algebra, algebra.module_basis())
 
 
+def _composite_rows(endos: list[EndoMap]):
+    """Stream one row per endomorphism r: r and compose(r, c) for each c."""
+    for r in endos:
+        yield r, [compose_endos(r, c) for c in endos]
+
+
 def automorphisms(endos: list[EndoMap]) -> list[EndoMap]:
     """Members with a two-sided compositional inverse: an endomorphism of
     the finite algebra is invertible exactly when its linear map is, that
@@ -287,10 +297,9 @@ def verify_monoid_table(modulus: int) -> MonoidTableReport:
     frozen_hits = 0
     reversed_hits = 0
     neutral_ok = any(e.images == ident for e in endos)
-    for r in endos:
-        for c in endos:
+    for r, row in _composite_rows(endos):
+        for c, composite in zip(endos, row):
             predicted = predicted_composition(r.family, c.family, p)
-            composite = compose_endos(r, c)
             actual = composite.family
             if actual == predicted:
                 frozen_hits += 1
@@ -335,21 +344,8 @@ def composition_order_evidence(modulus: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RootFamily:
+class RootFamily(_Family):
     """Tag: r_tau(t), r_tau_t(t, u), r_t(u) or r (the unit)."""
-
-    kind: str
-    params: tuple[int, ...] = ()
-
-    def label(self) -> str:
-        if self.kind == "r_tau":
-            return f"r^{self.params[0]}"
-        if self.kind == "r_tau_t":
-            return f"r^{self.params[0]}_{self.params[1]}"
-        if self.kind == "r_t":
-            return f"r_{self.params[0]}"
-        return "r"
 
     def element_vec(self, p: int) -> Vec:
         if self.kind == "r_tau":
@@ -366,8 +362,7 @@ class RootFamily:
 
 @dataclass(frozen=True)
 class RootRecord:
-    algebra: TableAlgebra
-    element: Element
+    element: Vec
     family: RootFamily
     minpoly: str
 
@@ -428,7 +423,8 @@ def minpoly_label(x: Vec, p: int) -> str:
 def root_elements(modulus: int) -> list[Vec]:
     """Exhaustive scan: every x in A with x^3 = x^2, in lexicographic order."""
     algebra = _algebra_for(modulus)
-    return [x for x in algebra.payloads() if _is_root(algebra, x)]
+    mul = algebra._mul
+    return [x for x in algebra.payloads() if mul(x2 := mul(x, x), x) == x2]
 
 
 def _all_root_families(p: int) -> list[RootFamily]:
@@ -462,7 +458,6 @@ def classify_roots(modulus: int) -> list[RootRecord]:
     otherwise).
     """
     p = _require_prime(modulus)
-    algebra = _algebra_for(p)
     scan = root_elements(p)
     scan_set = set(scan)
     records = []
@@ -470,10 +465,8 @@ def classify_roots(modulus: int) -> list[RootRecord]:
         vec = fam.element_vec(p)
         if vec not in scan_set:
             raise ClassificationError(f"family instance {fam.label()} is not a root")
-        records.append(
-            RootRecord(algebra, Element(algebra, vec), fam, minpoly_label(vec, p))
-        )
-    covered = {r.element.payload for r in records}
+        records.append(RootRecord(vec, fam, minpoly_label(vec, p)))
+    covered = {r.element for r in records}
     for x in scan:
         if x not in covered:
             raise ClassificationError(f"root {x} matched no family")
@@ -482,7 +475,7 @@ def classify_roots(modulus: int) -> list[RootRecord]:
 
 
 def distinct_root_elements(records: list[RootRecord]) -> list[Vec]:
-    return sorted({r.element.payload for r in records})
+    return sorted({r.element for r in records})
 
 
 # ---------------------------------------------------------------------------
@@ -490,19 +483,8 @@ def distinct_root_elements(records: list[RootRecord]) -> list[Vec]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CycleFamily:
+class CycleFamily(_Family):
     """Tag: c_tau(t), c_tau_t(t, u) or c_t(u)."""
-
-    kind: str
-    params: tuple[int, ...] = ()
-
-    def label(self) -> str:
-        if self.kind == "c_tau":
-            return f"c^{self.params[0]}"
-        if self.kind == "c_tau_t":
-            return f"c^{self.params[0]}_{self.params[1]}"
-        return f"c_{self.params[0]}"
 
     def support_vecs(self, p: int) -> tuple[Vec, Vec, Vec]:
         if self.kind == "c_tau":
@@ -530,7 +512,7 @@ class CycleFamily:
 @dataclass(frozen=True)
 class CycleRecord:
     algebra: TableAlgebra
-    roots: tuple[Element, Element, Element]  # canonical rotation
+    roots: tuple[Vec, Vec, Vec]  # canonical rotation
     family: CycleFamily
 
 
@@ -587,15 +569,13 @@ def _classify_census(p: int, outcome: SearchOutcome) -> list[CycleRecord]:
             raise ClassificationError(
                 f"family instance {fam.label()} was not found by the search"
             )
-        records.append(
-            CycleRecord(algebra, tuple(Element(algebra, v) for v in key), fam)
-        )
+        records.append(CycleRecord(algebra, key, fam))
     return records
 
 
 def cycle_is_basis(record: CycleRecord) -> bool:
     base = record.algebra.base
-    return base._is_unit(base.det([r.payload for r in record.roots]))
+    return base._is_unit(base.det(record.roots))
 
 
 @dataclass(frozen=True)
@@ -623,7 +603,7 @@ def verify_cycle_suite(modulus: int) -> CycleSuiteReport:
     cycles = _classify_census(p, outcome)
 
     distinct = distinct_root_elements(roots)
-    support = {v.payload for rec in cycles for v in rec.roots}
+    support = {v for rec in cycles for v in rec.roots}
     union_ok = support == set(distinct)
 
     basis_ok = all(
@@ -704,14 +684,28 @@ def action_on_root(e: EndoMap, record: RootRecord) -> RootRecord:
     """Image of a root record under an endomorphism, canonically reclassified.
 
     Raises ClassificationError when the image is not a root (it always is:
-    endomorphisms preserve roots of scalar-coefficient polynomials).
+    endomorphisms preserve roots of scalar-coefficient polynomials), because
+    the shapes ``classify_element_as_root`` accepts are exactly the roots.
     """
     p = e.p
-    img = e.apply_vec(record.element.payload)
-    if not _is_root(e.algebra, img):
-        raise ClassificationError(f"image {img} is not a root")
-    fam = classify_element_as_root(img, p)
-    return RootRecord(e.algebra, Element(e.algebra, img), fam, minpoly_label(img, p))
+    img = e.apply_vec(record.element)
+    return RootRecord(img, classify_element_as_root(img, p), minpoly_label(img, p))
+
+
+def _root_image_rows(endos: list[EndoMap], fams: list[RootFamily], p: int):
+    """Stream one row per endomorphism e: e and the image under e of each
+    root-family instance in ``fams``."""
+    vecs = [f.element_vec(p) for f in fams]
+    for e in endos:
+        yield e, [e.apply_vec(v) for v in vecs]
+
+
+def _cycle_image_rows(endos: list[EndoMap], fams: list[CycleFamily], p: int):
+    """Stream one row per endomorphism e: e and, for each cycle family in
+    ``fams``, the canonical rotation of the image under e of its support."""
+    supports = [f.support_vecs(p) for f in fams]
+    for e in endos:
+        yield e, [canonical_rotation(tuple(map(e.apply_vec, s))) for s in supports]
 
 
 @dataclass(frozen=True)
@@ -735,42 +729,35 @@ class ActionTablesReport(Record):
 def verify_action_tables(modulus: int) -> ActionTablesReport:
     """Entrywise check of both action tables over all parameter values."""
     p = _require_prime(modulus)
-    algebra = _algebra_for(p)
     endos = enumerate_endos(p)
+    roots = set(root_elements(p))
+    root_fams = _all_root_families(p)
     root_mismatches = []
     cycle_mismatches = []
     images_are_roots = True
-    root_checks = 0
-    for e in endos:
-        for fam in _all_root_families(p):
-            root_checks += 1
-            vec = fam.element_vec(p)
-            img = e.apply_vec(vec)
-            if not _is_root(algebra, img):
+    for e, images in _root_image_rows(endos, root_fams, p):
+        for fam, img in zip(root_fams, images):
+            if img not in roots:
                 images_are_roots = False
             expected = predicted_root_action(e.family, fam, p).element_vec(p)
             if img != expected:
                 root_mismatches.append(
                     (e.label(), fam.label(), str(expected), str(img))
                 )
-    cycle_checks = 0
-    for e in endos:
-        for fam in _all_cycle_families(p):
-            cycle_checks += 1
-            img = tuple(e.apply_vec(v) for v in fam.support_vecs(p))
-            got = canonical_rotation(img)
-            expected = canonical_rotation(
-                predicted_cycle_action(e.family, fam, p).support_vecs(p)
-            )
+    # family -> canonical rotation of its support
+    cycle_keys = {fam: key for key, fam in predicted_cycle_classes(p).items()}
+    for e, got_keys in _cycle_image_rows(endos, list(cycle_keys), p):
+        for fam, got in zip(cycle_keys, got_keys):
+            expected = cycle_keys[predicted_cycle_action(e.family, fam, p)]
             if got != expected:
                 cycle_mismatches.append(
                     (e.label(), fam.label(), str(expected), str(got))
                 )
     return ActionTablesReport(
         p=p,
-        root_action_checks=root_checks,
+        root_action_checks=len(endos) * len(root_fams),
         root_action_mismatches=tuple(root_mismatches),
-        cycle_action_checks=cycle_checks,
+        cycle_action_checks=len(endos) * len(cycle_keys),
         cycle_action_mismatches=tuple(cycle_mismatches),
         images_are_roots=images_are_roots,
     )
@@ -859,10 +846,9 @@ def minpoly_and_poset(modulus: int) -> PosetReport:
     patterns = set()
     failing_pair_count = 0
     automorphisms_preserve_ok = True
-    for e in endos:
+    for e, images in _root_image_rows(endos, [rec.family for rec in records], p):
         image_mps = []
-        for rec in records:
-            img = e.apply_vec(rec.element.payload)
+        for rec, img in zip(records, images):
             if img not in labels:
                 labels[img] = minpoly_label(img, p)
             mp_img = labels[img]
@@ -949,14 +935,9 @@ def verify_translate_properties(modulus: int) -> TranslateReport:
     )
 
     cycle_keys = set(predicted_cycle_classes(p))
-    seed_cycles = [
-        CycleFamily("c_tau", (1,)).support_vecs(p),
-        CycleFamily("c_tau_t", (1, 0)).support_vecs(p),
-    ]
+    seed_cycles = [CycleFamily("c_tau", (1,)), CycleFamily("c_tau_t", (1, 0))]
     one_step_cycle_images = {
-        canonical_rotation(tuple(e.apply_vec(v) for v in support))
-        for e in endos
-        for support in seed_cycles
+        key for _, keys in _cycle_image_rows(endos, seed_cycles, p) for key in keys
     }
     cycles_from_seeds = cycle_keys <= one_step_cycle_images
 
@@ -1066,43 +1047,31 @@ def monoid_table_rows(modulus: int) -> tuple[list[str], list[list[str]]]:
     endos = enumerate_endos(modulus)
     headers = ["first, then:"] + [e.label() for e in endos]
     rows = [
-        [r.label()] + [compose_endos(r, c).label() for c in endos] for r in endos
+        [r.label()] + [x.label() for x in row] for r, row in _composite_rows(endos)
     ]
     return headers, rows
 
 
 def root_action_rows(modulus: int) -> tuple[list[str], list[list[str]]]:
     p = _require_prime(modulus)
-    endos = enumerate_endos(p)
     fams = _all_root_families(p)
     headers = ["endo \\ root"] + [f.label() for f in fams]
-    rows = []
-    for e in endos:
-        rows.append(
-            [e.label()]
-            + [
-                classify_element_as_root(e.apply_vec(f.element_vec(p)), p).label()
-                for f in fams
-            ]
-        )
+    rows = [
+        [e.label()] + [classify_element_as_root(img, p).label() for img in images]
+        for e, images in _root_image_rows(enumerate_endos(p), fams, p)
+    ]
     return headers, rows
 
 
 def cycle_action_rows(modulus: int) -> tuple[list[str], list[list[str]]]:
     p = _require_prime(modulus)
-    endos = enumerate_endos(p)
-    fams = _all_cycle_families(p)
     predicted = predicted_cycle_classes(p)
+    fams = list(predicted.values())
     headers = ["endo \\ cycle"] + [f.label() for f in fams]
-    rows = []
-    for e in endos:
-        row = [e.label()]
-        for f in fams:
-            key = canonical_rotation(
-                tuple(e.apply_vec(v) for v in f.support_vecs(p))
-            )
-            row.append(predicted[key].label())
-        rows.append(row)
+    rows = [
+        [e.label()] + [predicted[key].label() for key in keys]
+        for e, keys in _cycle_image_rows(enumerate_endos(p), fams, p)
+    ]
     return headers, rows
 
 
@@ -1110,7 +1079,7 @@ def minpoly_rows(modulus: int) -> tuple[list[str], list[list[str]]]:
     records = classify_roots(modulus)
     headers = ["root", "element", "minpoly"]
     rows = [
-        [r.family.label(), render_vec(r.element.payload), r.minpoly]
+        [r.family.label(), render_vec(r.element), r.minpoly]
         for r in records
     ]
     return headers, rows

@@ -167,6 +167,14 @@ def test_cli_parse_errors_exit_2(tmp_path):
         ("search", "--task", json.dumps(
             {"ring": "Zmod:3", "target": {"ring": "Zmod:3", "coeffs": [2]}, "n": 1,
              "mode": "counterexample_hunt"})),
+        # a task's n must be an integer, and its target may not name a
+        # different ring
+        *(("search", "--task", json.dumps(
+            {"ring": "Zmod:3", "target": {"ring": "Zmod:3", "coeffs": [0, 1]}, "n": n,
+             "mode": "all_splittings"})) for n in (1.5, "1", True)),
+        ("search", "--task", json.dumps(
+            {"ring": "Zmod:3", "target": {"ring": "Zmod:5", "coeffs": [0, 1]}, "n": 1,
+             "mode": "all_splittings"})),
     ):
         err = io.StringIO()
         with contextlib.redirect_stderr(err):

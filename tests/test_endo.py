@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from cyclesplit import endo
@@ -26,9 +29,10 @@ from cyclesplit.endo import (
     verify_monoid_table,
     verify_translate_properties,
 )
-from cyclesplit.examples import example1_algebra
+from cyclesplit.examples import example1_algebra, example1_cubic
 from cyclesplit.ncpoly import from_int_coeffs, right_eval
 from cyclesplit.rings import ResidueRing
+from cyclesplit.search import find_roots
 from helpers import monoid_report_reference
 
 PRIMES = (2, 3, 5)
@@ -147,7 +151,7 @@ def test_root_records_and_elements(p):
     # each element maps to exactly one family kind
     kind_by_element = {}
     for rec in records:
-        kind = kind_by_element.setdefault(rec.element.payload, rec.family.kind)
+        kind = kind_by_element.setdefault(rec.element, rec.family.kind)
         assert kind == rec.family.kind
 
 
@@ -156,10 +160,10 @@ def test_root_family_values():
     records = classify_roots(p)
     by_family = {rec.family: rec for rec in records}
     unit_rec = by_family[RootFamily("r")]
-    assert unit_rec.element.payload == (1, 1, 1)
+    assert unit_rec.element == (1, 1, 1)
     assert unit_rec.minpoly == "X-1"
     zero_rec = by_family[RootFamily("r_tau", (0,))]
-    assert zero_rec.element.payload == (0, 0, 0)
+    assert zero_rec.element == (0, 0, 0)
     assert zero_rec.minpoly == "X"
     for t in range(1, p):
         assert by_family[RootFamily("r_tau", (t,))].minpoly == "X^2"
@@ -213,7 +217,7 @@ def test_pseudoroot_triple_is_the_scale_one_cycle():
     p = 3
     records = {r.family: r for r in classify_cycles(p)}
     rec = records[CycleFamily("c_tau_t", (1, 0))]
-    support = {v.payload for v in rec.roots}
+    support = set(rec.roots)
     assert support == {(0, 1, 0), (0, 0, 1), (1, 0, 0)}
 
 
@@ -221,7 +225,7 @@ def test_zero_cycle_contains_zero_twice():
     p = 3
     records = {r.family: r for r in classify_cycles(p)}
     rec = records[CycleFamily("c_tau", (0,))]
-    payloads = [v.payload for v in rec.roots]
+    payloads = list(rec.roots)
     assert payloads.count((0, 0, 0)) == 2
     assert (1, 1, 1) in payloads
 
@@ -325,3 +329,67 @@ def test_table_renderers_have_stable_shapes():
         assert all(len(r) == len(headers) for r in rows)
         text = endo.format_table(headers, rows)
         assert text.splitlines()[0].startswith(headers[0])
+
+
+# sha256 of the JSON of each endo output, recorded before the tables were
+# built from streamed rows: the suite report, the composition-order
+# evidence and every TABLE_BUILDERS table, per prime
+ENDO_GOLDEN = {
+    2: {
+        "suite": "a3928262ecb05e640ff40e2e91b0df9003a645ce8f078a796b99a465543d1026",
+        "evidence": "66a352f869b417d4b9660708bfc05d2c10b59a1c87afdece4e6b584030373267",
+        "images": "9d92a9859376f26bd43f653ae568d239587a0c29502fabb36db27c9b65e674a2",
+        "monoid": "e44cb25515df068fdc2d75484f8fe4d313300542d7e1ce80823c554b4ede2d2d",
+        "action-roots": "1d893339d5a0dc261973d628e65300613a3f930d59c8feeb49798bb8107d1751",
+        "action-cycles": "7282728f94ddc64a46372206d3d07fee654654307d292504fe754fc077191e1b",
+        "minpoly": "6dd6345391bf76ff97d3b92e1a9f16a33ddfdccb9afe2602e412ec8f68f50c87",
+    },
+    3: {
+        "suite": "9b01686426525463ee669dd074b56d737fd9f7daf3aad69c09fc750512f7fa70",
+        "evidence": "b8711216d715bf76effff882a8c729799a1bdd5f554c6b53ab95b16c53ba075d",
+        "images": "d3657c358e794f0dae7a1296ac3c2840d2935693485bbfb14d15e6c425b51e60",
+        "monoid": "6798388b0f147cbebd70b1dc496bb67211464933fe6ec770409923d21a5f5ec5",
+        "action-roots": "5801c0fecbf3c714cd8ab456fdd805a4bb594a1b822b3d105600422fd8d4ae13",
+        "action-cycles": "556e570bf3e1ffa8f4158bd9f4fd114735f5f5c3a777ac3ffd8ca5bbf4b70626",
+        "minpoly": "62e6f02f727f0dc55cbd6a03124f405b0313d0c660c1802e826c34db5d82fbba",
+    },
+    5: {
+        "suite": "0a9cc94c07f00780e2b5c7b320149123b7d11cc94bfb937cb5e4e2ab0e368f95",
+        "evidence": "b3d5932a39b30b0fa046ef2c52b8b714df61cbc1009610ff20415c9ac1047132",
+        "images": "e39bf1a83da4597bad23a061d1ff57445cc834f3984656096795b77404dd179e",
+        "monoid": "0ed0bb3fa1371ed25579ceeb5eb94d8352e79c86ece5d590b501620731a7387b",
+        "action-roots": "239a805c44164639a001b3a754f7b7cf93910ddc0b11662ea79c4ddf0c6bd0f1",
+        "action-cycles": "64620bf4d2c7a60931254ac7c21516a3274bb43170d5469626ce9e5797aedeaf",
+        "minpoly": "be19a5fa6929638265bfa4a2a16762ae5bed20b413c8db4381245efa30b1ee59",
+    },
+    7: {
+        "suite": "6411376cd71bda7f94e971d5598be3c0f05a1c2e62d2a6b2fc61711279a82234",
+        "evidence": "9a426ebe930bca070bdb661cbc14b1138d3eaa65b9c1963734681d78f70fd419",
+        "images": "83de4038fc09d858da334f97b7e696fe3b59edd6a20c9cf49050df572506c131",
+        "monoid": "b0255698268e30bb7a01f993a3b8245bc5288e6c7fd58e0ec533db63a331edbf",
+        "action-roots": "87c4dfe8714cd45e572508d9377682eb9c5d4b264d151402c075d4600c8edb56",
+        "action-cycles": "4323f2b19925055075f70f5214b26a4921f4a5b5f7d55fb019602d946f8c11f9",
+        "minpoly": "3fbf15c23fb425bd949a740905def60fe3e118e89009cb6886dd0cde39749c3f",
+    },
+}
+
+
+@pytest.mark.parametrize("p", sorted(ENDO_GOLDEN))
+def test_endo_outputs_golden(p):
+    outputs = {
+        "suite": endo.full_suite(p).to_json(),
+        "evidence": endo.composition_order_evidence(p),
+        **{name: builder(p) for name, builder in endo.TABLE_BUILDERS.items()},
+    }
+    digests = {
+        name: hashlib.sha256(json.dumps(value).encode()).hexdigest()
+        for name, value in outputs.items()
+    }
+    assert digests == ENDO_GOLDEN[p]
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_root_scan_matches_find_roots(p):
+    # the direct x^3 = x^2 scan against the two-sided division sweep
+    algebra = example1_algebra(ResidueRing(p))
+    assert root_elements(p) == [x.payload for x in find_roots(example1_cubic(algebra))]
