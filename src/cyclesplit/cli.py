@@ -3,9 +3,12 @@
 Commands: expand, rotate, divide, eval, verify, search, roots, centralizer,
 endos, example1, example2, export. Exit status 0 when all checks pass, 1 on
 a failed check or a failed write to the output, 2 on a parse error (with a
-position-annotated message), a file argument that cannot be opened, an
-out-of-range ``--n`` or ``--p``, or a search target that is zero (or
-constant, for ``counterexample_hunt``), all checked before any work.
+column in polynomial text only), a missing argument, a file argument that
+cannot be opened or written, an out-of-range ``--n`` or ``--p``, a matrix spec
+above ``rings.MAX_SCALAR_RANK`` scalars, or a search target that is zero (or
+constant, for ``counterexample_hunt``), all refused while the command line
+parses or before any work. The output is written once, when the command
+ends, so a refused invocation writes nothing, not even to ``--out``.
 
 Polynomial surface grammar: a sum of signed monomials ``c``, ``c*X^k``,
 ``X^k``, ``X`` with integer or rational (``p/q``) scalar coefficients;
@@ -18,7 +21,6 @@ Identical invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import io
 import json
@@ -66,9 +68,9 @@ from .splitting import (
 )
 
 class ParseError(Exception):
-    def __init__(self, message: str, position: int):
+    def __init__(self, message: str, position: int | None = None):
         self.position = position
-        super().__init__(f"col {position}: {message}")
+        super().__init__(message if position is None else f"col {position}: {message}")
 
 
 class CheckFailure(Exception):
@@ -159,7 +161,7 @@ def parse_poly(text: str, ring: Ring) -> NCPoly:
                 out.append(ring.from_base_scalar(c))
             except ValueError as exc:
                 raise ParseError(
-                    f"coefficient {c} is not representable over {ring.spec_string()}", 1
+                    f"coefficient {c} is not representable over {ring.spec_string()}"
                 ) from exc
     return poly(ring, out)
 
@@ -177,47 +179,65 @@ def _load_json(value: str):
             with open(value[1:], "r", encoding="utf-8") as fh:
                 body = fh.read()
         except OSError as exc:
-            reason = exc.strerror or exc
-            raise ParseError(f"cannot read {value[1:]!r}: {reason}", 1) from exc
+            raise ParseError(f"cannot read {value[1:]!r}: {exc.strerror or exc}") from exc
     try:
         return json.loads(body)
-    except RecursionError as exc:  # nesting deeper than the decoder's stack
-        raise ParseError("JSON nests too deeply", 1) from exc
+    except (ValueError, RecursionError) as exc:  # or nesting deeper than its stack
+        raise ParseError(f"bad JSON: {exc}") from exc
+
+
+def _decoded(what: str, decode, *args):
+    """``decode(*args)``; a value it cannot decode is a parse error, not a
+    failed check."""
+    try:
+        return decode(*args)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"bad {what}: {exc!r}") from exc
+
+
+# argparse ``type=`` converters. They raise ParseError or SpecParseError
+# only: argparse turns a ValueError or TypeError into a usage message.
+
+
+def _prime(text: str) -> int:
+    try:
+        return endo_mod._require_prime(int(text))
+    except (ValueError, UnsupportedOperationError) as exc:
+        raise ParseError(f"--p must be a prime: {exc}") from exc
+
+
+def _factor_count(value) -> int:
+    """A factor count, from ``--n`` or from the target's degree."""
+    n = _decoded("--n", int, value)
+    if not 1 <= n <= MAX_DEGREE:
+        raise ParseError(f"the factor count must be between 1 and {MAX_DEGREE}, got {n}")
+    return n
+
+
+def _json_arg(what: str, decode):
+    """A converter of JSON text or an @file through ``decode``."""
+    return lambda value: _decoded(what, decode, _load_json(value))
+
+
+def _writable(path: str) -> str:
+    """``path`` if it can be written; neither creates nor truncates it."""
+    folder = os.path.dirname(os.path.abspath(path))
+    target = path if os.path.exists(path) else folder
+    if os.path.isdir(path) or not os.path.isdir(folder) or not os.access(target, os.W_OK):
+        raise ParseError(f"cannot write --out {path!r}")
+    return path
 
 
 def _poly_from_arg(value: str, ring: Ring | None) -> NCPoly:
     if value.startswith("@"):
-        obj = _load_json(value)
-        try:
-            return poly_from_json(obj, ring=ring)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"bad polynomial: {exc!r}", 1) from exc
+        return _decoded("polynomial", poly_from_json, _load_json(value), ring)
     if ring is None:
-        raise CheckFailure("--poly text syntax needs --ring")
+        raise ParseError("--poly text syntax needs --ring")
     return parse_poly(value, ring)
 
 
-def _decode_element(obj, ring: Ring):
-    """A ring element from its JSON payload; a malformed payload is a
-    parse error, not a failed check."""
-    try:
-        return ring.element_from_json(obj)
-    except (ValueError, TypeError) as exc:
-        raise ParseError(f"bad element payload for {ring.describe()}: {exc}", 1) from exc
-
-
-def _element_from_arg(value: str, ring: Ring):
-    return _decode_element(_load_json(value), ring)
-
-
-def _witness_from_arg(value: str):
-    """A splitting witness from its JSON or @file; a malformed witness is a
-    parse error, not a failed check."""
-    obj = _load_json(value)
-    try:
-        return witness_from_json(obj)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad witness: {exc!r}", 1) from exc
+def _element(obj, ring: Ring):
+    return _decoded(f"element payload for {ring.describe()}", ring.element_from_json, obj)
 
 
 def _emit(payload, fmt: str, out):
@@ -263,19 +283,18 @@ def _check(out, label: str, ok: bool, detail: str = ""):
 
 
 def _cmd_expand(ns, out):
-    _emit(expand(_witness_from_arg(ns.witness)), ns.format, out)
+    _emit(expand(ns.witness), ns.format, out)
     return 0
 
 
 def _cmd_rotate(ns, out):
-    _emit(rotate(_witness_from_arg(ns.witness), ns.k), ns.format, out)
+    _emit(rotate(ns.witness, ns.k), ns.format, out)
     return 0
 
 
 def _cmd_divide(ns, out):
-    ring = parse_ring_spec(ns.ring) if ns.ring else None
-    f = _poly_from_arg(ns.poly, ring)
-    a = _element_from_arg(ns.element, f.ring)
+    f = _poly_from_arg(ns.poly, ns.ring)
+    a = _element(_load_json(ns.element), f.ring)
     divide = right_divide_linear if ns.side == "right" else left_divide_linear
     q, r = divide(f, a)
     _emit({"quotient": q, "remainder": r, "side": ns.side}, ns.format, out)
@@ -283,17 +302,15 @@ def _cmd_divide(ns, out):
 
 
 def _cmd_eval(ns, out):
-    ring = parse_ring_spec(ns.ring) if ns.ring else None
-    f = _poly_from_arg(ns.poly, ring)
-    a = _element_from_arg(ns.element, f.ring)
+    f = _poly_from_arg(ns.poly, ns.ring)
+    a = _element(_load_json(ns.element), f.ring)
     fn = {"right": right_eval, "left": left_eval, "commuting": eval_commuting}[ns.mode]
     _emit({"value": fn(f, a), "mode": ns.mode}, ns.format, out)
     return 0
 
 
 def _cmd_verify(ns, out):
-    w = _witness_from_arg(ns.witness)
-    report = verify_cyclic_splitting(w)
+    report = verify_cyclic_splitting(ns.witness)
     _emit(report, ns.format, out)
     if report.passed:
         return 0
@@ -314,53 +331,30 @@ def _roots_payload(f, ring):
 
 
 def _cmd_roots(ns, out):
-    ring = parse_ring_spec(ns.ring)
-    f = _poly_from_arg(ns.poly, ring)
-    _emit(_roots_payload(f, ring), ns.format, out)
+    _emit(_roots_payload(_poly_from_arg(ns.poly, ns.ring), ns.ring), ns.format, out)
     return 0
 
 
-def _check_factor_count_arg(n):
-    if not 1 <= n <= MAX_DEGREE:
-        raise ParseError(f"the factor count must be between 1 and {MAX_DEGREE}, got {n}", 1)
-
-
-def _check_prime_arg(p):
-    try:
-        endo_mod._require_prime(p)
-    except (ValueError, UnsupportedOperationError) as exc:
-        raise ParseError(f"--p must be a prime: {exc}", 1) from exc
-
-
 def _cmd_search(ns, out):
-    if ns.n is not None:
-        _check_factor_count_arg(ns.n)
-    if ns.task:
-        obj = _load_json(ns.task)
-        try:
-            task = task_from_json(obj)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"bad search task: {exc!r}", 1) from exc
-        ring, f = task.ring, task.target
-        ns.mode, ns.n, ns.ring = task.mode, task.n, ring.spec_string()
+    if ns.task is not None:
+        ring, f = ns.task.ring, ns.task.target
+        ns.mode, ns.n = ns.task.mode, ns.task.n
+    elif ns.ring is not None and ns.poly is not None:
+        ring, f = ns.ring, _poly_from_arg(ns.poly, ns.ring)
     else:
-        if not ns.ring or not ns.poly:
-            raise CheckFailure("search needs --task or both --ring and --poly")
-        ring = parse_ring_spec(ns.ring)
-        f = _poly_from_arg(ns.poly, ring)
+        raise ParseError("search needs --task or both --ring and --poly")
     if f.is_zero:
-        raise ParseError("the target polynomial must be nonzero", 1)
+        raise ParseError("the target polynomial must be nonzero")
     if ns.mode == "roots_only":
         _emit(_roots_payload(f, ring), "text", out)
         return 0
     if ns.mode == "counterexample_hunt":
         if f.degree < 1:
-            raise ParseError("counterexample_hunt needs a target of degree at least 1", 1)
+            raise ParseError("counterexample_hunt needs a target of degree at least 1")
         w = counterexample_hunt(f, ring)
         out.write(json.dumps(json_value({"counterexample": w}), sort_keys=True) + "\n")
         return 0
-    n = ns.n if ns.n is not None else (f.degree or 0)
-    _check_factor_count_arg(n)
+    n = ns.n if ns.n is not None else _factor_count(f.degree or 0)
     task = SearchTask(ring, f, n, ns.mode)
     outcome = enumerate_splittings(task)
     for line in outcome.to_json_lines():
@@ -369,12 +363,10 @@ def _cmd_search(ns, out):
 
 
 def _cmd_centralizer(ns, out):
-    ring = parse_ring_spec(ns.ring)
     objs = _load_json(ns.elements)
     if not isinstance(objs, list):
-        raise ParseError("--elements must be a JSON list of element payloads", 1)
-    gens = [_decode_element(obj, ring) for obj in objs]
-    desc = centralizer_of_set(ring, gens)
+        raise ParseError("--elements must be a JSON list of element payloads")
+    desc = centralizer_of_set(ns.ring, [_element(obj, ns.ring) for obj in objs])
     elements, basis = desc.elements, desc.basis
     kind = "elements" if elements is not None else "basis"
     _emit({"count": desc.count, "kind": kind, "elements": elements, "basis": basis}, ns.format, out)
@@ -382,7 +374,6 @@ def _cmd_centralizer(ns, out):
 
 
 def _cmd_endos(ns, out):
-    _check_prime_arg(ns.p)
     report = endo_mod.full_suite(ns.p)
     evidence = report.monoid.evidence()
     _emit({**report.to_json(), "composition_order_evidence": evidence}, ns.format, out)
@@ -390,20 +381,17 @@ def _cmd_endos(ns, out):
 
 
 def _cmd_export(ns, out):
-    _check_prime_arg(ns.p)
     if ns.table == "descriptor":
         if ns.format == "csv":
-            raise ParseError("the descriptor exports as JSON; csv is for the endomorphism tables", 1)
+            raise ParseError("the descriptor exports as JSON; csv is for the endomorphism tables")
         parse_ring_spec(ns.base)  # refuse a base no reader could parse back
         _emit(ex.EXAMPLE1_DESCRIPTOR.to_json(ns.base), "json", out)
         return 0
     headers, rows = endo_mod.TABLE_BUILDERS[ns.table](ns.p)
     if ns.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
+        writer = csv.writer(out, lineterminator="\n")
         writer.writerow(headers)
         writer.writerows(rows)
-        out.write(buf.getvalue())
     elif ns.format == "json":
         _emit({"headers": headers, "rows": rows}, "json", out)
     else:
@@ -412,9 +400,7 @@ def _cmd_export(ns, out):
 
 
 def _cmd_example1(ns, out):
-    if ns.p is not None:
-        _check_prime_arg(ns.p)
-    ring = parse_ring_spec(ns.ring)
+    ring = ns.ring
     w = ex.example1_witness(ring)
     f = expand(w)
     target = ex.example1_cubic(ring)
@@ -468,7 +454,7 @@ def _swap_first_two(w):
 
 
 def _cmd_example2(ns, out):
-    ring = parse_ring_spec(ns.ring)
+    ring = ns.ring
     w = ex.example2_witness(ring)
     f = expand(w)
     _check(out, "expansion equals X^3 - 4", f == ex.example2_cubic(ring))
@@ -547,60 +533,64 @@ def build_parser() -> argparse.ArgumentParser:
         "with noncommutative coefficients",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    witness = _json_arg("witness", witness_from_json)
 
-    def add(name, formats=("text", "json"), **kwargs):
+    def add(name, command, formats=("text", "json"), **kwargs):
         p = sub.add_parser(name, **kwargs)
+        p.set_defaults(command=command)
         if formats:
             p.add_argument("--format", choices=formats, default="text")
-        p.add_argument("--out", default=None, help="write output to a file")
+        p.add_argument("--out", type=_writable, default=None, help="write output to a file")
         return p
 
-    p = add("expand", help="expand a splitting witness")
-    p.add_argument("--witness", required=True, help="@file with witness JSON")
+    p = add("expand", _cmd_expand, help="expand a splitting witness")
+    p.add_argument("--witness", type=witness, required=True, help="@file with witness JSON")
 
-    p = add("rotate", help="cyclically rotate a witness (k=1 moves the last factor first)")
-    p.add_argument("--witness", required=True)
+    p = add("rotate", _cmd_rotate, help="cyclically rotate a witness (k=1 moves the last factor first)")
+    p.add_argument("--witness", type=witness, required=True)
     p.add_argument("--k", type=int, required=True)
 
-    p = add("divide", help="divide by the monic linear factor X - a")
-    p.add_argument("--ring", default=None)
+    p = add("divide", _cmd_divide, help="divide by the monic linear factor X - a")
+    p.add_argument("--ring", type=parse_ring_spec, default=None)
     p.add_argument("--poly", required=True, help="plain syntax or @file JSON")
     p.add_argument("--element", required=True, help="element JSON or @file")
     p.add_argument("--side", choices=("right", "left"), default="right")
 
-    p = add("eval", help="evaluate a polynomial at a point")
-    p.add_argument("--ring", default=None)
+    p = add("eval", _cmd_eval, help="evaluate a polynomial at a point")
+    p.add_argument("--ring", type=parse_ring_spec, default=None)
     p.add_argument("--poly", required=True)
     p.add_argument("--element", required=True)
     p.add_argument("--mode", choices=("right", "left", "commuting"), default="right")
 
-    p = add("verify", help="verify rotation invariance and roots of a witness")
-    p.add_argument("--witness", required=True)
+    p = add("verify", _cmd_verify, help="verify rotation invariance and roots of a witness")
+    p.add_argument("--witness", type=witness, required=True)
 
-    p = add("roots", help="all two-sided roots over a finite ring")
-    p.add_argument("--ring", required=True)
+    p = add("roots", _cmd_roots, help="all two-sided roots over a finite ring")
+    p.add_argument("--ring", type=parse_ring_spec, required=True)
     p.add_argument("--poly", required=True)
 
-    p = add("search", formats=(), help="enumerate splittings (JSON lines output)")
-    p.add_argument("--ring", default=None)
+    p = add("search", _cmd_search, formats=(), help="enumerate splittings (JSON lines output)")
+    p.add_argument("--ring", type=parse_ring_spec, default=None)
     p.add_argument("--poly", default=None)
-    p.add_argument("--task", default=None, help="@file with a search task JSON")
-    p.add_argument("--n", type=int, default=None, help="factor count (default: degree)")
+    p.add_argument("--task", type=_json_arg("search task", task_from_json), default=None,
+                   help="@file with a search task JSON")
+    p.add_argument("--n", type=_factor_count, default=None, help="factor count (default: degree)")
     p.add_argument("--mode", choices=MODES, default="all_splittings")
 
-    p = add("centralizer", help="centralizer of a set of elements")
-    p.add_argument("--ring", required=True)
+    p = add("centralizer", _cmd_centralizer, help="centralizer of a set of elements")
+    p.add_argument("--ring", type=parse_ring_spec, required=True)
     p.add_argument("--elements", required=True, help="JSON list of elements or @file")
 
-    p = add("endos", help="full endomorphism battery over Z/p")
-    p.add_argument("--p", type=int, required=True)
+    p = add("endos", _cmd_endos, help="full endomorphism battery over Z/p")
+    p.add_argument("--p", type=_prime, required=True)
 
     p = add(
         "export",
+        _cmd_export,
         formats=("text", "json", "csv"),
         help="export an endomorphism table or the algebra descriptor",
     )
-    p.add_argument("--p", type=int, default=2)
+    p.add_argument("--p", type=_prime, default=2)
     p.add_argument(
         "--table",
         required=True,
@@ -608,67 +598,44 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--base", default="Z", help="base ring spec for descriptor export")
 
-    p = add("example1", formats=(), help="the X^3 - X^2 splitting suite")
-    p.add_argument("--ring", default="UT:2:Z")
-    p.add_argument("--p", type=int, default=None, help="also run the endomorphism battery over Z/p")
+    p = add("example1", _cmd_example1, formats=(), help="the X^3 - X^2 splitting suite")
+    p.add_argument("--ring", type=parse_ring_spec, default="UT:2:Z")
+    p.add_argument("--p", type=_prime, default=None, help="also run the endomorphism battery over Z/p")
 
-    p = add("example2", formats=(), help="the X^3 - 4 splitting suite")
-    p.add_argument("--ring", default="Mat:3:Z")
+    p = add("example2", _cmd_example2, formats=(), help="the X^3 - 4 splitting suite")
+    p.add_argument("--ring", type=parse_ring_spec, default="Mat:3:Z")
 
     return parser
 
 
-_COMMANDS = {
-    "expand": _cmd_expand,
-    "rotate": _cmd_rotate,
-    "divide": _cmd_divide,
-    "eval": _cmd_eval,
-    "verify": _cmd_verify,
-    "roots": _cmd_roots,
-    "search": _cmd_search,
-    "centralizer": _cmd_centralizer,
-    "endos": _cmd_endos,
-    "export": _cmd_export,
-    "example1": _cmd_example1,
-    "example2": _cmd_example2,
-}
-
-
 def run(argv=None, out=None) -> int:
-    parser = build_parser()
+    buf, ns, error = io.StringIO(), None, None
     try:
-        ns = parser.parse_args(argv)
-    except SystemExit as exc:
+        ns = build_parser().parse_args(argv)
+        code = ns.command(ns, buf)
+    except SystemExit as exc:  # --help, or a usage error argparse printed
         return int(exc.code or 0)
-    stream = out or sys.stdout
-    if ns.out:
-        try:
-            stream = open(ns.out, "w", encoding="utf-8")
-        except OSError as exc:
-            reason = exc.strerror or exc
-            print(f"parse error: cannot open --out {ns.out!r}: {reason}", file=sys.stderr)
-            return 2
-    try:
-        code = _COMMANDS[ns.command](ns, stream)
-        stream.flush()
-        return code
-    except (ParseError, SpecParseError, json.JSONDecodeError) as exc:
+    except (ParseError, SpecParseError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
     except CheckFailure as exc:
-        print(f"check failed: {exc}", file=sys.stderr)
-        return 1
+        code, error = 1, f"check failed: {exc}"
     except (RingError, ValueError, CommutationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:  # a file argument that fails is a ParseError above
-        print(f"error: cannot write the output: {exc.strerror or exc}", file=sys.stderr)
-        return 1
-    finally:
-        if ns.out:
-            # a write that failed has been reported; closing retries it
-            with contextlib.suppress(OSError):
-                stream.close()
+        code, error = 1, f"error: {exc}"
+    # the one write of the output, after the work
+    try:
+        if ns is not None and ns.out:  # None: a converter failed with exit 1
+            with open(ns.out, "w", encoding="utf-8") as fh:
+                fh.write(buf.getvalue())
+        else:
+            stream = out or sys.stdout
+            stream.write(buf.getvalue())
+            stream.flush()
+    except OSError as exc:
+        code, error = 1, f"error: cannot write the output: {exc.strerror or exc}"
+    if error:
+        print(error, file=sys.stderr)
+    return code
 
 
 def main() -> None:

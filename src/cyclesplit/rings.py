@@ -203,16 +203,7 @@ class Ring:
     def _mul(self, a, b):
         raise NotImplementedError
 
-    def _zero_payload(self):
-        raise NotImplementedError
-
-    @cached_property
-    def _zero(self):
-        # built once per ring; stored in the instance dict, so it is no
-        # dataclass field and takes no part in __eq__ or __hash__. The scalar
-        # rings shadow it with a class attribute: a write to their instance
-        # dict would slow every later attribute read in their arithmetic.
-        return self._zero_payload()
+    # every ring defines ``_zero``, its zero payload
 
     def _one_payload(self):
         raise NotImplementedError
@@ -343,9 +334,6 @@ class IntegerRing(Ring):
 
     _zero = 0
 
-    def _zero_payload(self):
-        return 0
-
     def _one_payload(self):
         return 1
 
@@ -407,9 +395,6 @@ class RationalRing(Ring):
         return a * b
 
     _zero = Fraction(0)
-
-    def _zero_payload(self):
-        return Fraction(0)
 
     def _one_payload(self):
         return Fraction(1)
@@ -486,9 +471,6 @@ class ResidueRing(Ring):
         return (a * b) % self.modulus
 
     _zero = 0
-
-    def _zero_payload(self):
-        return 0
 
     def _one_payload(self):
         return 1 % self.modulus
@@ -608,7 +590,7 @@ class FreeModuleRing(Ring):
     def module_basis(self):
         """Payloads of the distinguished basis, built from the base's own
         one and zero, so a base that is itself a matrix ring works too."""
-        one, zero = self.base._one_payload(), self.base._zero_payload()
+        one, zero = self.base._one_payload(), self.base._zero
         rank = self.rank
         return tuple(
             self.from_coords([one if j == i else zero for j in range(rank)])
@@ -626,8 +608,13 @@ class FreeModuleRing(Ring):
     def from_base_scalar(self, scalar):
         return self.element(self._scaled_one(self.base.from_base_scalar(scalar).payload))
 
-    def _zero_payload(self):
-        return self.from_coords([self.base._zero_payload()] * self.rank)
+    @cached_property
+    def _zero(self):
+        # built once per ring; stored in the instance dict, so it is no
+        # dataclass field and takes no part in __eq__ or __hash__. The scalar
+        # rings keep a class attribute instead: a write to their instance
+        # dict would slow every later attribute read in their arithmetic.
+        return self.from_coords([self.base._zero] * self.rank)
 
     @property
     def cardinality(self):
@@ -746,7 +733,7 @@ class MatrixRing(FreeModuleRing):
         if len(rows) != k or any(len(r) != k for r in rows):
             raise ValueError(f"payload is not a {k}x{k} matrix")
         if self.upper_triangular:
-            zero = self.base._zero_payload()
+            zero = self.base._zero
             for r in range(k):
                 for c in range(r):
                     if rows[r][c] != zero:
@@ -763,7 +750,7 @@ class MatrixRing(FreeModuleRing):
 
     def _mul(self, a, b):
         k = self.size
-        badd, bmul, bzero = self.base._add, self.base._mul, self.base._zero_payload()
+        badd, bmul, bzero = self.base._add, self.base._mul, self.base._zero
         out = []
         for r in range(k):
             row = []
@@ -776,7 +763,7 @@ class MatrixRing(FreeModuleRing):
         return tuple(out)
 
     def _one_payload(self):
-        z, one = self.base._zero_payload(), self.base._one_payload()
+        z, one = self.base._zero, self.base._one_payload()
         return tuple(
             tuple(one if r == c else z for c in range(self.size)) for r in range(self.size)
         )
@@ -1105,6 +1092,9 @@ _Q = RationalRing()
 # Bases nest at most this deep in one spec, Table: files included, so a
 # self-referencing descriptor is refused instead of recursing without end.
 MAX_SPEC_DEPTH = 16
+# A Mat: or UT: spec spans at most this many scalars (k^2, or k(k+1)/2 for
+# UT, times the base's count), so no payload of it grows past 256 entries.
+MAX_SCALAR_RANK = 256
 
 
 def parse_ring_spec(text: str, _depth: int = 0) -> Ring:
@@ -1130,7 +1120,11 @@ def parse_ring_spec(text: str, _depth: int = 0) -> Ring:
             k = _decimal(k_str)
             if not sep or k is None or k < 1:
                 raise SpecParseError(f"bad matrix spec {text!r}")
-            return MatrixRing(k, parse_ring_spec(base_str, _depth + 1), upper_triangular=ut)
+            base = parse_ring_spec(base_str, _depth + 1)
+            rank = (k * (k + 1) // 2 if ut else k * k) * len(base.scalar_coords(base._zero))
+            if rank > MAX_SCALAR_RANK:
+                raise SpecParseError(f"{text!r} spans more than {MAX_SCALAR_RANK} scalars")
+            return MatrixRing(k, base, upper_triangular=ut)
     if text.startswith("Table:"):
         path = text[len("Table:"):]
         if not path:

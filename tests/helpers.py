@@ -64,7 +64,7 @@ def _random_payload(ring: Ring, rng: random.Random):
         return rng.randrange(ring.modulus)
     if isinstance(ring, MatrixRing):
         k = ring.size
-        grid = [[ring.base._zero_payload() for _ in range(k)] for _ in range(k)]
+        grid = [[ring.base._zero for _ in range(k)] for _ in range(k)]
         for r in range(k):
             start = r if ring.upper_triangular else 0
             for c in range(start, k):
@@ -197,7 +197,7 @@ class CayleyTables:
         self.add = [[index[ring._add(x, y)] for y in payloads] for x in payloads]
         self.mul = [[index[ring._mul(x, y)] for y in payloads] for x in payloads]
         self.neg = [index[ring._neg(x)] for x in payloads]
-        self.zero = index[ring._zero_payload()]
+        self.zero = index[ring._zero]
         self.one = index[ring._one_payload()]
 
     def __len__(self):
@@ -233,7 +233,7 @@ def dense_table_mul(algebra, a, b):
     structure constant, zeros included, each embedded into the base."""
     base = algebra.base
     m = algebra.descriptor.basis_size
-    out = [base._zero_payload()] * m
+    out = [base._zero] * m
     for i in range(m):
         for j in range(m):
             for k in range(m):

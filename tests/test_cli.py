@@ -175,6 +175,14 @@ def test_cli_parse_errors_exit_2(tmp_path):
         ("search", "--task", json.dumps(
             {"ring": "Zmod:3", "target": {"ring": "Zmod:5", "coeffs": [0, 1]}, "n": 1,
              "mode": "all_splittings"})),
+        # missing arguments: polynomial text without --ring, a search
+        # without a target
+        ("divide", "--poly", "X", "--element", "1"),
+        ("eval", "--poly", "X", "--element", "1"),
+        ("search", "--ring", "Zmod:3"),
+        # malformed JSON in --witness and --task
+        ("verify", "--witness", "{"),
+        ("search", "--task", "{"),
     ):
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
@@ -212,7 +220,8 @@ def test_cli_parse_errors_exit_2(tmp_path):
         (tmp_path / name).write_text(json.dumps(body))
         code, _ = invoke("roots", "--ring", f"Table:{tmp_path / name}", "--poly", "X")
         assert code == 2, name
-    for spec in ("Zmod:" + "9" * 5000, "Mat:" + "9" * 5000 + ":Z", "Mat:1:" * 40 + "Z"):
+    # and matrix specs above the cap of 256 scalars
+    for spec in ("Zmod:" + "9" * 5000, "Mat:" + "9" * 5000 + ":Z", "Mat:1:" * 40 + "Z", "Mat:400:Zmod:2"):
         code, _ = invoke("roots", "--ring", spec, "--poly", "X")
         assert code == 2
     code, text = invoke("export", "--table", "descriptor", "--base", "Nope")
@@ -248,6 +257,64 @@ def test_cli_file_errors_exit_2_and_write_errors_exit_1(tmp_path, capsys):
     assert capsys.readouterr().err == "error: cannot write the output: Broken pipe\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ("roots", "--ring", "Nope", "--poly", "X"),
+    ("endos", "--p", "4"),
+    ("roots", "--ring", "Zmod:3", "--poly", "X^2 +"),
+    ("search", "--ring", "Zmod:3", "--poly", "0"),
+])
+def test_cli_refusal_leaves_out_file_untouched(tmp_path, capsys, argv):
+    kept = tmp_path / "kept.txt"
+    kept.write_bytes(b"earlier output\n")
+    code, text = invoke(*argv, "--out", str(kept))
+    assert code == 2 and text == ""
+    assert kept.read_bytes() == b"earlier output\n"
+    err = capsys.readouterr().err
+    assert err.startswith("parse error:") and err.count("\n") == 1
+    # nor does a refused invocation create the file
+    code, _ = invoke(*argv, "--out", str(tmp_path / "new.txt"))
+    assert code == 2 and not (tmp_path / "new.txt").exists()
+
+
+def test_cli_check_failure_still_writes_the_output(tmp_path, capsys, monkeypatch):
+    import cyclesplit.examples
+
+    monkeypatch.setattr(cyclesplit.examples, "verify_example1_isomorphism", lambda base: False)
+    path = tmp_path / "out.txt"
+    code, text = invoke("example1", "--out", str(path))
+    assert code == 1 and text == ""
+    lines = path.read_text().splitlines()
+    assert lines[-1] == "[FAIL] table algebra is isomorphic to UT(2) via the standard map"
+    assert len(lines) == 8 and all(line.startswith("[PASS]") for line in lines[:-1])
+    assert capsys.readouterr().err.startswith("check failed: table algebra")
+
+
+def test_parse_error_carries_a_column_only_for_polynomial_text():
+    assert ParseError("bad witness").position is None
+    assert str(ParseError("bad witness")) == "bad witness"
+    ring = parse_ring_spec("Zmod:6")
+    for bad in ("", "X +", "* X", "X^", "2**X", "X^2*(X-1)", "1/0*X"):
+        with pytest.raises(ParseError) as err:
+            parse_poly(bad, ring)
+        assert err.value.position is not None and "col" in str(err.value), bad
+    # every refusal outside polynomial text has no column
+    for argv in (
+        ("endos", "--p", "4"),
+        ("verify", "--witness", "{}"),
+        ("search", "--task", "{"),
+        ("export", "--table", "descriptor", "--format", "csv"),
+    ):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert invoke(*argv)[0] == 2
+        assert not err.getvalue().startswith("parse error: col "), argv
+
+
+def test_cli_help_exits_0(capsys):
+    assert run(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: cyclesplit")
+
+
 def test_cli_closed_stdout_exits_1_without_traceback():
     read_end, write_end = os.pipe()
     os.close(read_end)  # the reader has gone before the first write
@@ -269,12 +336,12 @@ def test_cli_closed_stdout_exits_1_without_traceback():
 
 
 def test_cli_search_budget_refusal_is_fast(capsys):
-    # the ring has 2^160000 elements, more digits than int() prints
-    ring = parse_ring_spec("Mat:400:Zmod:2")
+    # the ring has 2^36 elements, over the budget of 10^8 candidates
+    ring = parse_ring_spec("Mat:6:Zmod:2")
     with pytest.raises(SearchSpaceTooLargeError, match="search budget"):
         find_roots(x_power(ring, 1), ring)
     start = time.monotonic()
-    code, _ = invoke("roots", "--ring", "Mat:400:Zmod:2", "--poly", "X")
+    code, _ = invoke("roots", "--ring", "Mat:6:Zmod:2", "--poly", "X")
     assert code == 1
     assert time.monotonic() - start < 10
     assert "elements, the search budget" in capsys.readouterr().err
@@ -424,7 +491,7 @@ def test_cli_search_task_file(tmp_path):
     assert code == 0
     assert json.loads(text.splitlines()[-1])["summary"]["witness_count"] == 2
     code, _ = invoke("search", "--poly", "X^2")
-    assert code == 1  # needs --task or --ring/--poly
+    assert code == 2  # needs --task or --ring/--poly
 
 
 def test_cli_centralizer():
@@ -508,13 +575,14 @@ def test_cli_export_descriptor_round_trips_as_ring(tmp_path):
 
 # A fixed pool of small and hostile inputs for the exit-code contract. Rings
 # stay small enough (at most 64 elements) for every command to finish at
-# once, or are huge and refused at once: the search budget, and the primality
-# bound for a prime modulus above it (2^89 - 1).
+# once, or are huge and refused at once: the search budget, the primality
+# bound for a prime modulus above it (2^89 - 1), and the cap on matrix specs.
 FUZZ_SPECS = (
     "Z", "Q", "Zmod:6", "Zmod:1", "Zmod:", "Zmod:²", "Zmod:" + "9" * 5000,
     "Mat:2:Zmod:2", "UT:2:Zmod:4", "UT:2:Z", "Mat:2:Q", "Mat:2:Mat:2:Q", "Mat:1:UT:2:Zmod:2",
     "Mat:2:Mat:2:Z", "Mat:0:Z", "Mat:" + "9" * 5000 + ":Z", "Mat:1:" * 40 + "Z",
     "Mat:2:Zmod:1000000000000000003", "Mat:2:Zmod:618970019642690137449562111",
+    "Mat:400:Zmod:2", "Mat:4:Mat:5:Z",
     "UT:2", "Table:", "Table:/no/such/file.json", "Nope", "",
 )
 FUZZ_POLYS = (
