@@ -21,7 +21,6 @@ from .rings import (
     UnsupportedOperationError,
     centralizer_of_set,
     commutator,
-    enumerate_elements,
     equals,
     inverse,
     is_unit,
@@ -47,7 +46,6 @@ from .splitting import (
     commutation_hypothesis,
     expand,
     factor_out_commuting_root,
-    product_commutation_check,
     rotate,
     vandermonde,
     verify_cyclic_splitting,

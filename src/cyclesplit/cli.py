@@ -2,8 +2,9 @@
 
 Commands: expand, rotate, divide, eval, verify, search, roots, centralizer,
 endos, example1, example2, export. Exit status 0 when all checks pass, 1 on
-a failed check or a failed write to the output, 2 on a parse error (with a
-column in polynomial text only), a missing argument, a file argument that
+a failed check or a failed write to the output, 2 on a parse error (one
+line, with a column in polynomial text only), a missing or unknown command,
+flag or argument, an example ring of the wrong shape, a file argument that
 cannot be opened or written, an out-of-range ``--n`` or ``--p``, a matrix spec
 above ``rings.MAX_SCALAR_RANK`` scalars, or a search target that is zero (or
 constant, for ``counterexample_hunt``), all refused while the command line
@@ -41,8 +42,10 @@ from .ncpoly import (
     poly_from_json,
     right_divide_linear,
     right_eval,
+    x_minus,
 )
 from .rings import (
+    MatrixRing,
     Ring,
     RingError,
     SpecParseError,
@@ -71,6 +74,14 @@ class ParseError(Exception):
     def __init__(self, message: str, position: int | None = None):
         self.position = position
         super().__init__(message if position is None else f"col {position}: {message}")
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse's own usage errors are parse errors too: one line, exit 2.
+    The subcommand parsers are of this class as well."""
+
+    def error(self, message):
+        raise ParseError(message)
 
 
 class CheckFailure(Exception):
@@ -196,7 +207,8 @@ def _decoded(what: str, decode, *args):
 
 
 # argparse ``type=`` converters. They raise ParseError or SpecParseError
-# only: argparse turns a ValueError or TypeError into a usage message.
+# only: argparse drops the message of a ValueError or TypeError for its own
+# "invalid value" text.
 
 
 def _prime(text: str) -> int:
@@ -212,6 +224,21 @@ def _factor_count(value) -> int:
     if not 1 <= n <= MAX_DEGREE:
         raise ParseError(f"the factor count must be between 1 and {MAX_DEGREE}, got {n}")
     return n
+
+
+def _example_ring(size: int, triangular: bool):
+    """A converter of a ``--ring`` spec to a ``size`` x ``size`` matrix ring
+    over Z, Q or Z/n, upper triangular only if ``triangular``."""
+
+    def convert(spec: str) -> MatrixRing:
+        ring = parse_ring_spec(spec)
+        if isinstance(ring, MatrixRing) and ring.size == size and ring.base.scalar_ring is ring.base:
+            if triangular or not ring.upper_triangular:
+                return ring
+        kinds = "Mat or UT" if triangular else "Mat"
+        raise ParseError(f"--ring must be a {size}x{size} {kinds} ring over Z, Q or Z/n")
+
+    return convert
 
 
 def _json_arg(what: str, decode):
@@ -472,8 +499,6 @@ def _cmd_example2(ns, out):
     r3 = ex.example2_matrix_ring(parse_ring_spec("Zmod:3"))
     b1, b2, b3 = ex.example2_matrices(r3)
     _check(out, "mod 3 the pseudoroots collapse to one matrix", b1 == b2 == b3)
-    from .ncpoly import x_minus
-
     cube = x_minus(r3.one()) * x_minus(r3.one()) * x_minus(r3.one())
     _check(out, "mod 3 the cubic becomes (X-1)^3", ex.example2_cubic(r3) == cube)
 
@@ -527,7 +552,7 @@ def desc_is_scalars(desc, ring) -> bool:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cyclesplit",
         description="exact arithmetic for cyclic splittings of polynomials "
         "with noncommutative coefficients",
@@ -599,11 +624,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base", default="Z", help="base ring spec for descriptor export")
 
     p = add("example1", _cmd_example1, formats=(), help="the X^3 - X^2 splitting suite")
-    p.add_argument("--ring", type=parse_ring_spec, default="UT:2:Z")
+    p.add_argument("--ring", type=_example_ring(2, True), default="UT:2:Z")
     p.add_argument("--p", type=_prime, default=None, help="also run the endomorphism battery over Z/p")
 
     p = add("example2", _cmd_example2, formats=(), help="the X^3 - 4 splitting suite")
-    p.add_argument("--ring", type=parse_ring_spec, default="Mat:3:Z")
+    p.add_argument("--ring", type=_example_ring(3, False), default="Mat:3:Z")
 
     return parser
 
@@ -613,7 +638,7 @@ def run(argv=None, out=None) -> int:
     try:
         ns = build_parser().parse_args(argv)
         code = ns.command(ns, buf)
-    except SystemExit as exc:  # --help, or a usage error argparse printed
+    except SystemExit as exc:  # --help
         return int(exc.code or 0)
     except (ParseError, SpecParseError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)

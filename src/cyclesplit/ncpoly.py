@@ -8,19 +8,21 @@ products convolve coefficients while preserving their order:
 The degree of the zero polynomial is ``None`` (a bona fide "minus infinity"
 marker), never an integer sentinel.
 
-Division by X - a, on either side, is one synthetic-division kernel over
-payload lists (``_divide_linear``): ``right_divide_linear`` and
-``left_divide_linear`` wrap it for ``NCPoly`` and ``Element`` values, so a
-division runs its Horner loop on payloads and wraps only the quotient and the
-remainder. Evaluation is that remainder: right_eval(f, a) = sum f_i a^i is
-the remainder of right division by X - a and left_eval the remainder of left
-division, so a is a root exactly when X - a divides f on that side. Products
-and ``expand`` still work on elements.
+All arithmetic runs on the ring's payload ops (``_add``, ``_mul``, ``_neg``)
+over ``NCPoly.payloads``, the coefficients' payloads; an ``Element`` is built
+once per output coefficient, never per step. Division by X - a, on either
+side, is one synthetic-division kernel (``_divide_linear``), and evaluation
+is its remainder: right_eval(f, a) = sum f_i a^i is the remainder of right
+division by X - a and left_eval the remainder of left division, so a is a
+root exactly when X - a divides f on that side. Whether a coefficient
+commutes with a point is one payload test, ``_noncommuting``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import zip_longest
 
 from .rings import Element, Record, Ring, RingMismatchError
 
@@ -61,35 +63,37 @@ class NCPoly(Record):
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def coefficient(self, i: int) -> Element:
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return self.ring.zero()
+    @cached_property
+    def payloads(self) -> tuple:
+        """The coefficients' payloads, low to high."""
+        return tuple(c.payload for c in self.coeffs)
 
     def __add__(self, other: "NCPoly") -> "NCPoly":
         self._check(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return poly(
-            self.ring, [self.coefficient(i) + other.coefficient(i) for i in range(n)]
-        )
+        add = self.ring._add
+        pairs = zip_longest(self.payloads, other.payloads, fillvalue=self.ring._zero)
+        return _from_payloads(self.ring, [add(x, y) for x, y in pairs])
 
     def __sub__(self, other: "NCPoly") -> "NCPoly":
         return self + (-other)
 
     def __neg__(self) -> "NCPoly":
-        return NCPoly(self.ring, tuple(-c for c in self.coeffs))
+        return _from_payloads(self.ring, list(map(self.ring._neg, self.payloads)))
 
     def __mul__(self, other: "NCPoly") -> "NCPoly":
         self._check(other)
-        if self.is_zero or other.is_zero:
-            return NCPoly(self.ring, ())
-        out = [self.ring.zero()] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, fi in enumerate(self.coeffs):
-            if fi.is_zero:
+        ring = self.ring
+        f, g = self.payloads, other.payloads
+        if not f or not g:
+            return NCPoly(ring, ())
+        add, mul, zero = ring._add, ring._mul, ring._zero
+        out = [zero] * (len(f) + len(g) - 1)
+        for i, fi in enumerate(f):
+            if fi == zero:
                 continue
-            for j, gj in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + fi * gj
-        return poly(self.ring, out)
+            for j, gj in enumerate(g):
+                out[i + j] = add(out[i + j], mul(fi, gj))
+        return _from_payloads(ring, out)
 
     def _check(self, other):
         if not isinstance(other, NCPoly):
@@ -98,7 +102,7 @@ class NCPoly(Record):
             raise RingMismatchError("polynomials over different rings")
 
     def __repr__(self):
-        return f"NCPoly(degree={self.degree}, coeffs={[c.payload for c in self.coeffs]})"
+        return f"NCPoly(degree={self.degree}, coeffs={list(self.payloads)})"
 
 
 def poly(ring: Ring, coeffs) -> NCPoly:
@@ -107,9 +111,20 @@ def poly(ring: Ring, coeffs) -> NCPoly:
     for c in cs:
         if not isinstance(c, Element):
             raise TypeError("coefficients must be ring elements")
-    while cs and cs[-1].is_zero:
+    while cs and cs[-1].payload == ring._zero:
         cs.pop()
     return NCPoly(ring, tuple(cs))
+
+
+def _from_payloads(ring: Ring, payloads: list) -> NCPoly:
+    """``poly`` on a list of payloads: one element per coefficient. The
+    list also fills the ``payloads`` cache, so the next operation on the
+    result does not rebuild it."""
+    while payloads and payloads[-1] == ring._zero:
+        payloads.pop()
+    f = NCPoly(ring, tuple([Element(ring, p) for p in payloads]))
+    f.__dict__["payloads"] = tuple(payloads)
+    return f
 
 
 def from_int_coeffs(ring: Ring, ints) -> NCPoly:
@@ -123,11 +138,12 @@ def x_power(ring: Ring, k: int) -> NCPoly:
 
 def x_minus(a: Element) -> NCPoly:
     """The monic linear polynomial X - a."""
-    return poly(a.ring, [-a, a.ring.one()])
+    ring = a.ring
+    return _from_payloads(ring, [ring._neg(a.payload), ring._one_payload()])
 
 
 def constant(a: Element) -> NCPoly:
-    return poly(a.ring, [a])
+    return _from_payloads(a.ring, [a.payload])
 
 
 def poly_from_json(obj, ring: Ring | None = None) -> NCPoly:
@@ -159,18 +175,19 @@ def _divide_linear(ring: Ring, coeffs, a, right: bool):
     return partial, acc
 
 
-def _divide_payloads(f: NCPoly, a: Element, right: bool, point: str):
-    """``_divide_linear`` on f's coefficient payloads, after checking that a
-    lies in f's ring (``point`` names a in the error)."""
+def _point(f: NCPoly, a: Element, what: str):
+    """a's payload, after checking that a lies in f's ring."""
     if a.ring is not f.ring and a.ring != f.ring:
-        raise RingMismatchError(f"{point} belongs to a different ring")
-    return _divide_linear(f.ring, [c.payload for c in f.coeffs], a.payload, right)
+        raise RingMismatchError(f"{what} belongs to a different ring")
+    return a.payload
 
 
-def _divide_element(f: NCPoly, a: Element, right: bool) -> tuple[NCPoly, Element]:
-    ring = f.ring
-    q, r = _divide_payloads(f, a, right, "divisor point")
-    return NCPoly(ring, tuple([Element(ring, p) for p in q])), Element(ring, r)
+def _noncommuting(ring: Ring, coeffs, a):
+    """The positions i, in order, at which the payload ``coeffs[i]`` does not
+    commute with the payload a (c a and a c differ), lazily: the first one
+    is found without testing the rest."""
+    mul = ring._mul
+    return (i for i, c in enumerate(coeffs) if mul(c, a) != mul(a, c))
 
 
 def right_divide_linear(f: NCPoly, a: Element) -> tuple[NCPoly, Element]:
@@ -179,24 +196,28 @@ def right_divide_linear(f: NCPoly, a: Element) -> tuple[NCPoly, Element]:
     Synthetic division (``_divide_linear``), total for any a since X - a is
     monic.
     """
-    return _divide_element(f, a, right=True)
+    q, r = _divide_linear(f.ring, f.payloads, _point(f, a, "divisor point"), True)
+    return _from_payloads(f.ring, q), Element(f.ring, r)
 
 
 def left_divide_linear(f: NCPoly, a: Element) -> tuple[NCPoly, Element]:
     """Unique (q, r) with f = (X - a) * q + r (the same recurrence with a
     on the left)."""
-    return _divide_element(f, a, right=False)
+    q, r = _divide_linear(f.ring, f.payloads, _point(f, a, "divisor point"), False)
+    return _from_payloads(f.ring, q), Element(f.ring, r)
 
 
 def right_eval(f: NCPoly, a: Element) -> Element:
     """Sum of f_i * a^i (coefficients on the left): the remainder of right
     division by X - a."""
-    return Element(f.ring, _divide_payloads(f, a, True, "evaluation point")[1])
+    _, r = _divide_linear(f.ring, f.payloads, _point(f, a, "evaluation point"), True)
+    return Element(f.ring, r)
 
 
 def left_eval(f: NCPoly, a: Element) -> Element:
     """Sum of a^i * f_i: the remainder of left division by X - a."""
-    return Element(f.ring, _divide_payloads(f, a, False, "evaluation point")[1])
+    _, r = _divide_linear(f.ring, f.payloads, _point(f, a, "evaluation point"), False)
+    return Element(f.ring, r)
 
 
 def eval_commuting(f: NCPoly, a: Element) -> Element:
@@ -204,7 +225,6 @@ def eval_commuting(f: NCPoly, a: Element) -> Element:
 
     Raises CommutationError naming the offending coefficient degree otherwise.
     """
-    for i, c in enumerate(f.coeffs):
-        if not (c * a - a * c).is_zero:
-            raise CommutationError(i)
+    for i in _noncommuting(f.ring, f.payloads, _point(f, a, "evaluation point")):
+        raise CommutationError(i)
     return right_eval(f, a)

@@ -980,14 +980,6 @@ def commutator(x: Element, y: Element) -> Element:
     return x * y - y * x
 
 
-def enumerate_elements(ring: Ring):
-    """Deterministic stream of every element of a finite ring, lexicographic
-    on the reduced payload."""
-    if not ring.is_finite:
-        raise InfiniteRingError(f"{ring.describe()} is not finite")
-    return ring.elements()
-
-
 def is_unit(x: Element) -> bool:
     return x.ring._is_unit(x.payload)
 

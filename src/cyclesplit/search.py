@@ -48,7 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .ncpoly import MAX_DEGREE, NCPoly, _divide_linear, right_divide_linear, right_eval
+from .ncpoly import MAX_DEGREE, NCPoly, _divide_linear, _noncommuting, right_divide_linear, right_eval
 from .rings import (
     Element,
     InfiniteRingError,
@@ -157,7 +157,7 @@ def find_roots(f: NCPoly, ring: Ring | None = None) -> list[Element]:
     if f.ring != ring:
         raise RingError("polynomial is not over the requested ring")
     _require_desk_scale(ring)
-    coeffs = [c.payload for c in f.coeffs]
+    coeffs = f.payloads
     zero = ring._zero
     return [
         Element(ring, a)
@@ -180,7 +180,7 @@ def _survivors(f: NCPoly, depth: int, candidates: dict, counter: _NodeCounter, l
     """
     ring = f.ring
     if depth == 1 and lead_inv is not None and f.degree == 1:
-        a = ring._neg(ring._mul(lead_inv, f.coeffs[0].payload))
+        a = ring._neg(ring._mul(lead_inv, f.payloads[0]))
         sweep = (candidates[a],) if a in candidates else ()
     else:
         sweep = candidates.values()
@@ -254,11 +254,10 @@ def enumerate_splittings(task: SearchTask) -> SearchOutcome:
     lead_inv = inverse(leading).payload if is_unit(leading) else None
     counter = _NodeCounter()
     # 0 and 1 commute with everything, and a repeated coefficient needs one test
-    coeffs = {c.payload for c in f.coeffs} - {ring._zero, ring._one_payload()}
-    mul = ring._mul
+    coeffs = set(f.payloads) - {ring._zero, ring._one_payload()}
 
-    def commutes(a):  # with every coefficient: a commutes with c iff ac = ca
-        return all(mul(a, c) == mul(c, a) for c in coeffs)
+    def commutes(a):  # with every coefficient
+        return next(_noncommuting(ring, coeffs, a), None) is None
 
     if task.mode == "commuting_splittings_only":
         candidates = {a: Element(ring, a) for a in ring.payloads() if commutes(a)}

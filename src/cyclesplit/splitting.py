@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from .ncpoly import (
     CommutationError,
     NCPoly,
+    _noncommuting,
+    _point,
     constant,
     eval_commuting,
     right_divide_linear,
@@ -99,11 +101,11 @@ def commutation_hypothesis(f: NCPoly, pseudoroots) -> tuple[bool, tuple[tuple[in
     Violations are (coefficient degree, pseudoroot position) pairs, the
     position counted from 1.
     """
-    violations = []
-    for i, c in enumerate(f.coeffs):
-        for k, a in enumerate(pseudoroots, start=1):
-            if not commutator(c, a).is_zero:
-                violations.append((i, k))
+    violations = sorted(
+        (i, k)
+        for k, a in enumerate(pseudoroots, start=1)
+        for i in _noncommuting(f.ring, f.payloads, _point(f, a, "pseudoroot"))
+    )
     return not violations, tuple(violations)
 
 
@@ -150,13 +152,7 @@ def verify_cyclic_splitting(w: SplittingWitness) -> CyclicSplittingReport:
     ok, violations = commutation_hypothesis(f, w.pseudoroots)
     n = len(w.pseudoroots)
 
-    rotations_equal = True
-    first_diff = None
-    for k in range(1, n):
-        if expand(rotate(w, k)) != f:
-            rotations_equal = False
-            first_diff = k
-            break
+    first_diff = next((k for k in range(1, n) if expand(rotate(w, k)) != f), None)
 
     root_mode = "commuting" if ok else "right"
     values = tuple((k, right_eval(f, a)) for k, a in enumerate(w.pseudoroots, start=1))
@@ -169,7 +165,7 @@ def verify_cyclic_splitting(w: SplittingWitness) -> CyclicSplittingReport:
         expanded=f,
         commutation_ok=ok,
         commutation_violations=violations,
-        rotations_equal=rotations_equal,
+        rotations_equal=first_diff is None,
         first_differing_rotation=first_diff,
         root_mode=root_mode,
         roots_ok=values,
@@ -184,29 +180,14 @@ def factor_out_commuting_root(f: NCPoly, a: Element) -> NCPoly:
     The quotient's coefficients then also commute with a; that conclusion is
     re-checked at runtime and a failure raises FactorCommutationError.
     """
-    ok, violations = commutation_hypothesis(f, (a,))
-    if not ok:
-        raise CommutationError(violations[0][0])
+    for i in _noncommuting(f.ring, f.payloads, _point(f, a, "point")):
+        raise CommutationError(i)
     q, r = right_divide_linear(f, a)
     if not r.is_zero:
         raise NotAFactorError("X - a does not divide f on the right")
-    ok, violations = commutation_hypothesis(q, (a,))
-    if not ok:
-        raise FactorCommutationError(
-            f"quotient coefficient at degree {violations[0][0]} fails to commute"
-        )
+    for i in _noncommuting(q.ring, q.payloads, a.payload):
+        raise FactorCommutationError(f"quotient coefficient at degree {i} fails to commute")
     return q
-
-
-def product_commutation_check(g: NCPoly, a: Element) -> bool:
-    """Check, on this instance, that if g*(X - a) commutes with X - a then g
-    does too. Always true (X - a is monic, hence cancelable); exists as a
-    property-test hook."""
-    h = x_minus(a)
-    p = g * h
-    if p * h == h * p:
-        return g * h == h * g
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -299,15 +280,10 @@ def check_evaluation_homomorphism(w: SplittingWitness, samples) -> EvaluationHom
     """
     samples = list(samples)
     f = expand(w)
-    ok, violations = commutation_hypothesis(f, w.pseudoroots)
-    if not ok:
-        raise CommutationError(violations[0][0], "witness violates the commutation hypothesis")
-    for p in samples:
+    for p, what in [(f, "witness"), *((p, "sample polynomial") for p in samples)]:
         ok, violations = commutation_hypothesis(p, w.pseudoroots)
         if not ok:
-            raise CommutationError(
-                violations[0][0], "sample polynomial violates the commutation hypothesis"
-            )
+            raise CommutationError(violations[0][0], f"{what} violates the commutation hypothesis")
 
     def ev(p):
         return tuple(eval_commuting(p, a) for a in w.pseudoroots)

@@ -85,6 +85,64 @@ def random_poly(ring: Ring, rng: random.Random, max_degree: int):
     return poly(ring, [random_element(ring, rng) for _ in range(deg + 1)])
 
 
+def _normalized(ring: Ring, coeffs):
+    from cyclesplit.ncpoly import NCPoly
+
+    cs = list(coeffs)
+    while cs and cs[-1].is_zero:
+        cs.pop()
+    return NCPoly(ring, tuple(cs))
+
+
+def poly_add_reference(f, g):
+    """Reference sum on Element values, coefficient by coefficient."""
+    ring = f.ring
+
+    def coefficient(h, i):
+        return h.coeffs[i] if i < len(h.coeffs) else ring.zero()
+
+    n = max(len(f.coeffs), len(g.coeffs))
+    return _normalized(ring, [coefficient(f, i) + coefficient(g, i) for i in range(n)])
+
+
+def poly_neg_reference(f):
+    return _normalized(f.ring, [-c for c in f.coeffs])
+
+
+def poly_mul_reference(f, g):
+    """Reference product on Element values: (f g)_k is the sum of f_i * g_j
+    over i + j = k, with f's coefficient on the left."""
+    ring = f.ring
+    if f.is_zero or g.is_zero:
+        return _normalized(ring, [])
+    out = [ring.zero()] * (len(f.coeffs) + len(g.coeffs) - 1)
+    for i, fi in enumerate(f.coeffs):
+        for j, gj in enumerate(g.coeffs):
+            out[i + j] = out[i + j] + fi * gj
+    return _normalized(ring, out)
+
+
+def expand_reference(w):
+    """f_n (X - a_1) ... (X - a_n), multiplied out by ``poly_mul_reference``."""
+    ring = w.ring
+    acc = _normalized(ring, [w.leading])
+    for a in w.pseudoroots:
+        acc = poly_mul_reference(acc, _normalized(ring, [-a, ring.one()]))
+    return acc
+
+
+def product_commutation_check(g, a) -> bool:
+    """Check, on this instance, that if g*(X - a) commutes with X - a then g
+    does too. Always true (X - a is monic, hence cancelable)."""
+    from cyclesplit.ncpoly import x_minus
+
+    h = x_minus(a)
+    p = g * h
+    if p * h == h * p:
+        return g * h == h * g
+    return True
+
+
 def brute_force_census(ring: Ring, f, n: int, mode: str):
     """Reference splitting census: every n-tuple of elements, kept when its
     splitting with f's leading coefficient expands to f (and, in mode

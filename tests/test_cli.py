@@ -93,6 +93,14 @@ def test_cli_example_suites_pass():
     code, text = invoke("example2")
     assert code == 0
     assert "[FAIL]" not in text
+    # every ring of the documented shapes runs its suite
+    for argv in (
+        ("example1", "--ring", "UT:2:Q"),
+        ("example1", "--ring", "Mat:2:Z"),
+        ("example2", "--ring", "Mat:3:Q"),
+        ("example2", "--ring", "Mat:3:Zmod:6"),
+    ):
+        assert invoke(*argv)[0] == 0, argv
 
 
 def test_cli_example1_with_endo_battery():
@@ -121,6 +129,8 @@ def test_cli_verify_perturbed_witness_fails(tmp_path):
 
 
 def test_cli_parse_errors_exit_2(tmp_path):
+    table = tmp_path / "table.json"
+    table.write_text(json.dumps(EXAMPLE1_DESCRIPTOR.to_json("Zmod:2")))
     code, _ = invoke("roots", "--ring", "Nope", "--poly", "X")
     assert code == 2
     code, _ = invoke("roots", "--ring", "Zmod:6", "--poly", "X^2*(X-1)")
@@ -183,6 +193,19 @@ def test_cli_parse_errors_exit_2(tmp_path):
         # malformed JSON in --witness and --task
         ("verify", "--witness", "{"),
         ("search", "--task", "{"),
+        # argparse's own usage errors: no command, an unknown one, a
+        # missing required flag, a flag that is not a number
+        (),
+        ("nope",),
+        ("roots", "--ring", "Zmod:3"),
+        ("rotate", "--witness", '{"ring":"Zmod:3","leading":1,"pseudoroots":[1,2]}', "--k", "x"),
+        # example rings of the wrong shape
+        ("example1", "--ring", "Z"),
+        ("example1", "--ring", "Mat:2:Mat:2:Zmod:2"),
+        ("example1", "--ring", f"Table:{table}"),
+        ("example2", "--ring", "UT:3:Z"),
+        ("example2", "--ring", "Mat:2:Z"),
+        ("example2", "--ring", "Z"),
     ):
         err = io.StringIO()
         with contextlib.redirect_stderr(err):

@@ -26,10 +26,16 @@ from cyclesplit.ncpoly import (
     x_power,
 )
 from cyclesplit.rings import ResidueRing, RingMismatchError, commutator, parse_ring_spec
+from cyclesplit.splitting import commutation_hypothesis, expand, witness
 from helpers import (
     CayleyTables,
     divide_linear_reference,
     eval_reference,
+    expand_reference,
+    poly_add_reference,
+    poly_mul_reference,
+    poly_neg_reference,
+    product_commutation_check,
     random_element,
     random_poly,
 )
@@ -162,6 +168,35 @@ def test_poly_mul_associative_and_distributive(data):
     assert (f + g) * h == f * h + g * h
 
 
+@pytest.mark.parametrize(
+    "spec", ["Zmod:6", "Q", "UT:2:Zmod:3", "Mat:2:Mat:2:Zmod:2", "cubic:Zmod:5"]
+)
+def test_payload_arithmetic_matches_element_reference(spec):
+    """Sums, differences, products, ``expand`` and the commutation
+    hypothesis, which run on payloads, agree with the plain Element-level
+    loops (over a noncommutative ring a swapped product fails here)."""
+    ring = example1_algebra(ResidueRing(5)) if spec == "cubic:Zmod:5" else parse_ring_spec(spec)
+    rng = random.Random(zlib.crc32(spec.encode()))
+    for _ in range(40):
+        f, g = random_poly(ring, rng, 4), random_poly(ring, rng, 4)
+        assert f * g == poly_mul_reference(f, g), spec
+        assert f + g == poly_add_reference(f, g), spec
+        assert f - g == poly_add_reference(f, poly_neg_reference(g)), spec
+        assert -f == poly_neg_reference(f), spec
+        for h in (f * g, f + g, f - g):
+            assert h.payloads == tuple(c.payload for c in h.coeffs), spec
+        roots = [random_element(ring, rng) for _ in range(rng.randint(1, 4))]
+        w = witness(ring, random_element(ring, rng), roots)
+        assert expand(w) == expand_reference(w), spec
+        clashes = tuple(
+            (i, k)
+            for i, c in enumerate(f.coeffs)
+            for k, a in enumerate(roots, start=1)
+            if not commutator(c, a).is_zero
+        )
+        assert commutation_hypothesis(f, roots) == (not clashes, clashes), spec
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_eval_commuting_agrees_both_sides(data):
@@ -186,8 +221,6 @@ def test_eval_commuting_raises_with_offending_index():
 def test_product_commutation_descends_exhaustive_ut2_z2():
     # over UT(2, Z/2): whenever g*(X-a) commutes with X-a, so does g;
     # checked on all g of degree <= 2 and all a
-    from cyclesplit.splitting import product_commutation_check
-
     coeff_tuples = itertools.product(UT2_ELEMS, repeat=3)
     polys = [poly(UT2, cs) for cs in coeff_tuples]
     for g in polys:

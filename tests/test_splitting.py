@@ -25,13 +25,12 @@ from cyclesplit.splitting import (
     commutation_hypothesis,
     expand,
     factor_out_commuting_root,
-    product_commutation_check,
     rotate,
     vandermonde,
     verify_cyclic_splitting,
     witness_from_json,
 )
-from helpers import flatten_blocks, random_element
+from helpers import flatten_blocks, product_commutation_check, random_element
 
 Z = parse_ring_spec("Z")
 
