@@ -167,7 +167,7 @@ def enumerate_endos(modulus: int) -> list[EndoMap]:
     """
     algebra = _algebra_for(modulus)
     mul, add, neg = algebra._mul, algebra._add, algebra._neg
-    one, zero = algebra._one_payload(), algebra._zero
+    one, zero = algebra._one, algebra._zero
     vecs = list(algebra.payloads())
     idempotents = [u for u in vecs if mul(u, u) == u]
     nilpotents = [v for v in vecs if mul(v, v) == zero]
@@ -399,7 +399,7 @@ def minpoly_label(x: Vec, p: int) -> str:
     algebra = _algebra_for(p)
     mul, add = algebra._mul, algebra._add
     x2 = mul(x, x)
-    powers = (algebra._one_payload(), x, x2, mul(x2, x))
+    powers = (algebra._one, x, x2, mul(x2, x))
     annihilating = set()
     for label, coeffs in MINPOLY_LATTICE.items():
         value = algebra._zero

@@ -1,30 +1,30 @@
 """Polynomials over a possibly noncommutative ring with a central variable.
 
-Coefficients are stored low to high: ``coeffs[i]`` multiplies X^i, with no
-trailing zero above the degree. The variable commutes with everything, so
-products convolve coefficients while preserving their order:
+A polynomial is its ring and its coefficients' canonical payloads, low to
+high: ``payloads[i]`` multiplies X^i, with no trailing zero above the
+degree. ``coeffs`` builds the ``Element`` tuple when it is read; nothing
+else does. The variable commutes with everything, so products convolve
+coefficients while preserving their order:
 (f*g)_k = sum over i+j=k of f_i * g_j, with f's coefficient on the left.
 
 The degree of the zero polynomial is ``None`` (a bona fide "minus infinity"
 marker), never an integer sentinel.
 
-All arithmetic runs on the ring's payload ops (``_add``, ``_mul``, ``_neg``)
-over ``NCPoly.payloads``, the coefficients' payloads; an ``Element`` is built
-once per output coefficient, never per step. Division by X - a, on either
-side, is one synthetic-division kernel (``_divide_linear``), and evaluation
-is its remainder: right_eval(f, a) = sum f_i a^i is the remainder of right
-division by X - a and left_eval the remainder of left division, so a is a
-root exactly when X - a divides f on that side. Whether a coefficient
-commutes with a point is one payload test, ``_noncommuting``.
+All arithmetic runs on the ring's payload ops (``_add``, ``_mul``, ``_neg``).
+Division by X - a, on either side, is one synthetic-division kernel
+(``_divide_linear``), and evaluation is its remainder: right_eval(f, a) =
+sum f_i a^i is the remainder of right division by X - a and left_eval the
+remainder of left division, so a is a root exactly when X - a divides f on
+that side. Whether a coefficient commutes with a point is one payload test,
+``_noncommuting``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import zip_longest
 
-from .rings import Element, Record, Ring, RingMismatchError
+from .rings import Element, Ring, RingMismatchError
 
 # The largest exponent the polynomial parser accepts and the largest factor
 # count a splitting search takes (the search recurses once per factor).
@@ -42,31 +42,29 @@ class CommutationError(Exception):
 
 
 @dataclass(frozen=True)
-class NCPoly(Record):
+class NCPoly:
+    """Unchecked like ``Element``: ``poly()`` is the checked builder."""
+
     ring: Ring
-    coeffs: tuple[Element, ...]
+    payloads: tuple
 
     def __post_init__(self):
-        ring = self.ring
-        for c in self.coeffs:
-            if c.ring is not ring and c.ring != ring:
-                raise RingMismatchError("coefficient belongs to a different ring")
-        if self.coeffs and self.coeffs[-1].is_zero:
+        if self.payloads and self.payloads[-1] == self.ring._zero:
             raise ValueError("coefficients must be normalized (use poly())")
+
+    @property
+    def coeffs(self) -> tuple[Element, ...]:
+        """The coefficients as elements, low to high."""
+        return tuple([Element(self.ring, p) for p in self.payloads])
 
     @property
     def degree(self) -> int | None:
         """Degree, or None for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else None
+        return len(self.payloads) - 1 if self.payloads else None
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @cached_property
-    def payloads(self) -> tuple:
-        """The coefficients' payloads, low to high."""
-        return tuple(c.payload for c in self.coeffs)
+        return not self.payloads
 
     def __add__(self, other: "NCPoly") -> "NCPoly":
         self._check(other)
@@ -104,42 +102,43 @@ class NCPoly(Record):
     def __repr__(self):
         return f"NCPoly(degree={self.degree}, coeffs={list(self.payloads)})"
 
+    def to_json(self) -> dict:
+        payload_json = self.ring.payload_to_json
+        return {"ring": self.ring.spec_string(), "coeffs": list(map(payload_json, self.payloads))}
+
 
 def poly(ring: Ring, coeffs) -> NCPoly:
-    """Build a normalized polynomial from a low-to-high coefficient sequence."""
-    cs = list(coeffs)
-    for c in cs:
+    """A normalized polynomial from a low-to-high sequence of ``ring``'s elements."""
+    payloads = []
+    for c in coeffs:
         if not isinstance(c, Element):
             raise TypeError("coefficients must be ring elements")
-    while cs and cs[-1].payload == ring._zero:
-        cs.pop()
-    return NCPoly(ring, tuple(cs))
+        if c.ring is not ring and c.ring != ring:
+            raise RingMismatchError("coefficient belongs to a different ring")
+        payloads.append(c.payload)
+    return _from_payloads(ring, payloads)
 
 
 def _from_payloads(ring: Ring, payloads: list) -> NCPoly:
-    """``poly`` on a list of payloads: one element per coefficient. The
-    list also fills the ``payloads`` cache, so the next operation on the
-    result does not rebuild it."""
+    """``poly`` on a list of canonical payloads, which it trims in place."""
     while payloads and payloads[-1] == ring._zero:
         payloads.pop()
-    f = NCPoly(ring, tuple([Element(ring, p) for p in payloads]))
-    f.__dict__["payloads"] = tuple(payloads)
-    return f
+    return NCPoly(ring, tuple(payloads))
 
 
 def from_int_coeffs(ring: Ring, ints) -> NCPoly:
     """Polynomial with scalar coefficients given as integers, embedded via n*1."""
-    return poly(ring, [ring.from_int(n) for n in ints])
+    return _from_payloads(ring, [ring._from_int(n) for n in ints])
 
 
 def x_power(ring: Ring, k: int) -> NCPoly:
-    return poly(ring, [ring.zero()] * k + [ring.one()])
+    return _from_payloads(ring, [ring._zero] * k + [ring._one])
 
 
 def x_minus(a: Element) -> NCPoly:
     """The monic linear polynomial X - a."""
     ring = a.ring
-    return _from_payloads(ring, [ring._neg(a.payload), ring._one_payload()])
+    return _from_payloads(ring, [ring._neg(a.payload), ring._one])
 
 
 def constant(a: Element) -> NCPoly:

@@ -26,9 +26,10 @@ where ``<path>`` names a JSON file with keys ``basis_size``,
 JSON as integers, strings ``"p/q"`` or nested arrays matching the payload
 shape.
 
-Result records (polynomials, witnesses, search tasks, reports) share one
-JSON rule, ``Record.to_json``: the fields in declaration order, each through
-``json_value``, then ``passed`` when the class defines it.
+Result records (witnesses, search tasks, reports) share one JSON rule,
+``Record.to_json``: the fields in declaration order, each through
+``json_value``, then ``passed`` when the class defines it. A polynomial
+writes its own, because its coefficients are stored as payloads.
 """
 
 from __future__ import annotations
@@ -203,10 +204,7 @@ class Ring:
     def _mul(self, a, b):
         raise NotImplementedError
 
-    # every ring defines ``_zero``, its zero payload
-
-    def _one_payload(self):
-        raise NotImplementedError
+    # every ring defines ``_zero`` and ``_one``, its zero and one payloads
 
     def _from_int(self, n: int):
         raise NotImplementedError
@@ -219,7 +217,7 @@ class Ring:
         return Element(self, self._zero)
 
     def one(self) -> Element:
-        return Element(self, self._one_payload())
+        return Element(self, self._one)
 
     def from_int(self, n: int) -> Element:
         return Element(self, self._from_int(n))
@@ -333,9 +331,7 @@ class IntegerRing(Ring):
         return a * b
 
     _zero = 0
-
-    def _one_payload(self):
-        return 1
+    _one = 1
 
     def _from_int(self, n):
         return _require_int(n)
@@ -395,9 +391,7 @@ class RationalRing(Ring):
         return a * b
 
     _zero = Fraction(0)
-
-    def _one_payload(self):
-        return Fraction(1)
+    _one = Fraction(1)
 
     def _from_int(self, n):
         return Fraction(_require_int(n))
@@ -434,11 +428,13 @@ class RationalRing(Ring):
 
     def payload_from_json(self, obj):
         if isinstance(obj, str):
-            num, _, den = obj.partition("/")
-            try:
-                return Fraction(int(num), int(den) if den else 1)
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ValueError(f"bad rational literal {obj!r}") from exc
+            # an optional "-", ASCII digits, then optionally "/" and ASCII digits
+            negative = obj.startswith("-")
+            num, slash, den = (obj[1:] if negative else obj).partition("/")
+            n, d = _decimal(num), _decimal(den) if slash else 1
+            if n is None or not d:
+                raise ValueError(f"bad rational literal {obj!r}")
+            return Fraction(-n if negative else n, d)
         return Fraction(_require_int(obj))
 
 
@@ -471,9 +467,7 @@ class ResidueRing(Ring):
         return (a * b) % self.modulus
 
     _zero = 0
-
-    def _one_payload(self):
-        return 1 % self.modulus
+    _one = 1  # the modulus is at least 2
 
     def _from_int(self, n):
         return _require_int(n) % self.modulus
@@ -590,7 +584,7 @@ class FreeModuleRing(Ring):
     def module_basis(self):
         """Payloads of the distinguished basis, built from the base's own
         one and zero, so a base that is itself a matrix ring works too."""
-        one, zero = self.base._one_payload(), self.base._zero
+        one, zero = self.base._one, self.base._zero
         rank = self.rank
         return tuple(
             self.from_coords([one if j == i else zero for j in range(rank)])
@@ -600,7 +594,7 @@ class FreeModuleRing(Ring):
     def _scaled_one(self, s):
         # the unit times the base payload s
         bmul = self.base._mul
-        return self.from_coords([bmul(s, c) for c in self.coords(self._one_payload())])
+        return self.from_coords([bmul(s, c) for c in self.coords(self._one)])
 
     def _from_int(self, n):
         return self._scaled_one(self.base._from_int(n))
@@ -610,10 +604,10 @@ class FreeModuleRing(Ring):
 
     @cached_property
     def _zero(self):
-        # built once per ring; stored in the instance dict, so it is no
-        # dataclass field and takes no part in __eq__ or __hash__. The scalar
-        # rings keep a class attribute instead: a write to their instance
-        # dict would slow every later attribute read in their arithmetic.
+        # built once per ring, like ``_one``; stored in the instance dict, so
+        # it is no dataclass field and takes no part in __eq__ or __hash__.
+        # The scalar rings keep class attributes instead: a write to their
+        # instance dict would slow every later attribute read in their arithmetic.
         return self.from_coords([self.base._zero] * self.rank)
 
     @property
@@ -762,8 +756,9 @@ class MatrixRing(FreeModuleRing):
             out.append(tuple(row))
         return tuple(out)
 
-    def _one_payload(self):
-        z, one = self.base._zero, self.base._one_payload()
+    @cached_property
+    def _one(self):
+        z, one = self.base._zero, self.base._one
         return tuple(
             tuple(one if r == c else z for c in range(self.size)) for r in range(self.size)
         )
@@ -869,7 +864,7 @@ class TableAlgebra(FreeModuleRing):
                         raise ValueError(
                             f"structure constants are not associative at basis triple ({i}, {j}, {k})"
                         )
-        unit = self._one_payload()
+        unit = self._one
         for i in range(m):
             if self._mul(unit, basis[i]) != basis[i] or self._mul(basis[i], unit) != basis[i]:
                 raise ValueError(f"unit vector fails the unit law on basis element {i}")
@@ -904,7 +899,8 @@ class TableAlgebra(FreeModuleRing):
             out[k] = badd(out[k], bmul(bmul(ai, bj), c))
         return tuple(out)
 
-    def _one_payload(self):
+    @cached_property
+    def _one(self):
         return tuple(self.base._from_int(c) for c in self.descriptor.unit_vector)
 
     @cached_property
@@ -937,7 +933,7 @@ class TableAlgebra(FreeModuleRing):
     def from_base_matrix(self, rows):
         # left multiplication by x sends the unit to x
         badd, bmul = self.base._add, self.base._mul
-        one = self._one_payload()
+        one = self._one
         out = []
         for row in rows:
             acc = self.base._zero
@@ -1019,7 +1015,7 @@ def _commutation_system(ring: FreeModuleRing, gens):
     s = ring.scalar_ring
     dim = len(ring.scalar_coords(ring._zero))
     # the unknowns' unit vectors: the rows of the identity matrix over s
-    basis = [ring.from_scalar_coords(row) for row in MatrixRing(dim, s)._one_payload()]
+    basis = [ring.from_scalar_coords(row) for row in MatrixRing(dim, s)._one]
     rows = []
     for g in gens:
         g = g.payload

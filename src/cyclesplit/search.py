@@ -12,14 +12,15 @@ canonically ordered and therefore identical across runs regardless of how
 the work is partitioned.
 
 Each candidate division is one ``right_divide_linear`` call, on elements
-built once per candidate before the sweep; the closed form, the membership
-test and the canonical order work on payloads, and a ``SplittingWitness`` is
-built only for tuples that reach depth 0, where ``expand`` re-checks them end
-to end. Root finding sweeps payloads too: both evaluations are remainders of
-the division kernel ``ncpoly._divide_linear``, and only roots become
-elements. In mode ``commuting_splittings_only`` the candidates are narrowed
-once, before the sweep, to the payloads that commute with every coefficient
-of the target; the closed-form candidate is held to the same membership test.
+built once per candidate before the sweep; only its remainder is an element.
+The closed form, the membership test, the quotients and the canonical order
+are payloads, and a ``SplittingWitness`` is built only for tuples that reach
+depth 0, where ``expand`` re-checks them end to end. Root finding sweeps
+payloads too: both evaluations are remainders of the division kernel
+``ncpoly._divide_linear``, and only roots become elements. In mode
+``commuting_splittings_only`` the candidates are narrowed once, before the
+sweep, to the payloads that commute with every coefficient of the target;
+the closed-form candidate is held to the same membership test.
 
 The paper's theorem prunes the search where it applies: in mode
 ``commuting_splittings_only`` always, and in ``all_splittings`` when every
@@ -55,6 +56,7 @@ from .rings import (
     Record,
     Ring,
     RingError,
+    RingMismatchError,
     inverse,
     is_unit,
 )
@@ -81,6 +83,8 @@ class SearchTask(Record):
             raise ValueError(f"mode must be one of {MODES}")
         if not self.ring.is_finite:
             raise InfiniteRingError("search needs a finite ring")
+        if self.target.ring != self.ring:
+            raise RingMismatchError("target polynomial is over a different ring")
         if self.target.is_zero:
             raise ValueError("target polynomial must be nonzero")
         if not 1 <= self.n <= MAX_DEGREE:
@@ -250,11 +254,11 @@ def enumerate_splittings(task: SearchTask) -> SearchOutcome:
     ring = task.ring
     _require_desk_scale(ring)
     f = task.target
-    leading = f.coeffs[-1]
+    leading = Element(ring, f.payloads[-1])
     lead_inv = inverse(leading).payload if is_unit(leading) else None
     counter = _NodeCounter()
     # 0 and 1 commute with everything, and a repeated coefficient needs one test
-    coeffs = set(f.payloads) - {ring._zero, ring._one_payload()}
+    coeffs = set(f.payloads) - {ring._zero, ring._one}
 
     def commutes(a):  # with every coefficient
         return next(_noncommuting(ring, coeffs, a), None) is None

@@ -6,7 +6,16 @@ import itertools
 import random
 from fractions import Fraction
 
+from cyclesplit.ncpoly import poly
 from cyclesplit.rings import Ring
+
+
+# strings that are no rational literal: the grammar is an optional "-", ASCII
+# digits, then optionally "/" and ASCII digits
+BAD_RATIONAL_LITERALS = (
+    "1/", " 1/2", "+1/2", "1_000/3", "\uff13/4", "1/0", "", "-", "/2", "1/-2",
+    "--1", "1/2/3", "1/2 ", "0x1",
+)
 
 
 def det_permutation_oracle(rows):
@@ -79,19 +88,8 @@ def _random_payload(ring: Ring, rng: random.Random):
 
 
 def random_poly(ring: Ring, rng: random.Random, max_degree: int):
-    from cyclesplit.ncpoly import poly
-
     deg = rng.randint(0, max_degree)
     return poly(ring, [random_element(ring, rng) for _ in range(deg + 1)])
-
-
-def _normalized(ring: Ring, coeffs):
-    from cyclesplit.ncpoly import NCPoly
-
-    cs = list(coeffs)
-    while cs and cs[-1].is_zero:
-        cs.pop()
-    return NCPoly(ring, tuple(cs))
 
 
 def poly_add_reference(f, g):
@@ -102,11 +100,11 @@ def poly_add_reference(f, g):
         return h.coeffs[i] if i < len(h.coeffs) else ring.zero()
 
     n = max(len(f.coeffs), len(g.coeffs))
-    return _normalized(ring, [coefficient(f, i) + coefficient(g, i) for i in range(n)])
+    return poly(ring, [coefficient(f, i) + coefficient(g, i) for i in range(n)])
 
 
 def poly_neg_reference(f):
-    return _normalized(f.ring, [-c for c in f.coeffs])
+    return poly(f.ring, [-c for c in f.coeffs])
 
 
 def poly_mul_reference(f, g):
@@ -114,20 +112,20 @@ def poly_mul_reference(f, g):
     over i + j = k, with f's coefficient on the left."""
     ring = f.ring
     if f.is_zero or g.is_zero:
-        return _normalized(ring, [])
+        return poly(ring, [])
     out = [ring.zero()] * (len(f.coeffs) + len(g.coeffs) - 1)
     for i, fi in enumerate(f.coeffs):
         for j, gj in enumerate(g.coeffs):
             out[i + j] = out[i + j] + fi * gj
-    return _normalized(ring, out)
+    return poly(ring, out)
 
 
 def expand_reference(w):
     """f_n (X - a_1) ... (X - a_n), multiplied out by ``poly_mul_reference``."""
     ring = w.ring
-    acc = _normalized(ring, [w.leading])
+    acc = poly(ring, [w.leading])
     for a in w.pseudoroots:
-        acc = poly_mul_reference(acc, _normalized(ring, [-a, ring.one()]))
+        acc = poly_mul_reference(acc, poly(ring, [-a, ring.one()]))
     return acc
 
 
@@ -256,7 +254,7 @@ class CayleyTables:
         self.mul = [[index[ring._mul(x, y)] for y in payloads] for x in payloads]
         self.neg = [index[ring._neg(x)] for x in payloads]
         self.zero = index[ring._zero]
-        self.one = index[ring._one_payload()]
+        self.one = index[ring._one]
 
     def __len__(self):
         return len(self.elements)

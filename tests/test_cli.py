@@ -22,6 +22,7 @@ from cyclesplit.examples import (
 from cyclesplit.ncpoly import MAX_DEGREE, from_int_coeffs, x_power
 from cyclesplit.rings import parse_ring_spec
 from cyclesplit.search import SearchSpaceTooLargeError, find_roots
+from helpers import BAD_RATIONAL_LITERALS
 
 
 def invoke(*argv):
@@ -62,6 +63,13 @@ def test_cli_rationals_over_nested_integer_bases_exit_2():
     # over Q the coefficient parses; the ring is infinite, so roots is a failed check
     code, _ = invoke("roots", "--ring", "Mat:2:Mat:2:Q", "--poly", "1/2*X")
     assert code == 1
+
+
+@pytest.mark.parametrize("text", BAD_RATIONAL_LITERALS)
+def test_cli_bad_rational_literal_exits_2(text, capsys):
+    code, out = invoke("eval", "--ring", "Q", "--poly", "X", "--element", json.dumps(text))
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err.startswith("parse error:")
 
 
 def test_parse_poly_rejects_products():

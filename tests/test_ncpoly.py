@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 import zlib
@@ -13,6 +14,7 @@ from cyclesplit.examples import (
 )
 from cyclesplit.ncpoly import (
     CommutationError,
+    NCPoly,
     _divide_linear,
     eval_commuting,
     from_int_coeffs,
@@ -51,6 +53,13 @@ def test_normalization_and_degree():
     zero = poly(Z, [Z.zero()])
     assert zero.is_zero and zero.degree is None
     assert (f - f).degree is None
+    # a polynomial stores its ring and its payloads; a direct NCPoly is
+    # checked only for a trailing zero, which poly() trims
+    z5 = parse_ring_spec("Zmod:5")
+    assert [field.name for field in dataclasses.fields(NCPoly)] == ["ring", "payloads"]
+    assert poly(z5, [z5.one(), z5.from_int(2), z5.zero()]) == NCPoly(z5, (1, 2))
+    with pytest.raises(ValueError):
+        NCPoly(z5, (1, z5._zero))
 
 
 def test_mul_keeps_coefficient_order():
@@ -66,8 +75,13 @@ def test_mul_keeps_coefficient_order():
 
 def test_ring_mismatch():
     f = from_int_coeffs(Z, [1, 1])
+    z5 = parse_ring_spec("Zmod:5")
     with pytest.raises(RingMismatchError):
-        right_divide_linear(f, parse_ring_spec("Zmod:5").one())
+        right_divide_linear(f, z5.one())
+    # poly() refuses a coefficient of another ring, wherever it stands
+    for coeffs in ([Z.one(), z5.one()], [z5.one(), Z.one()], [Z.zero()]):
+        with pytest.raises(RingMismatchError):
+            poly(z5, coeffs)
 
 
 def test_division_example_x_squared_by_one():
@@ -184,7 +198,7 @@ def test_payload_arithmetic_matches_element_reference(spec):
         assert f - g == poly_add_reference(f, poly_neg_reference(g)), spec
         assert -f == poly_neg_reference(f), spec
         for h in (f * g, f + g, f - g):
-            assert h.payloads == tuple(c.payload for c in h.coeffs), spec
+            assert poly(ring, h.coeffs) == h, spec
         roots = [random_element(ring, rng) for _ in range(rng.randint(1, 4))]
         w = witness(ring, random_element(ring, rng), roots)
         assert expand(w) == expand_reference(w), spec

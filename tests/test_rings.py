@@ -36,7 +36,7 @@ from cyclesplit.rings import (
     is_unit,
     parse_ring_spec,
 )
-from helpers import dense_table_mul, flatten_blocks, random_element
+from helpers import BAD_RATIONAL_LITERALS, dense_table_mul, flatten_blocks, random_element
 
 Z = parse_ring_spec("Z")
 Q = parse_ring_spec("Q")
@@ -515,6 +515,14 @@ def test_rational_payloads_canonical():
     assert x.payload == Fraction(-2, 3)
     assert q.payload_to_json(x.payload) == "-2/3"
     assert q.element_from_json("4/6").payload == Fraction(2, 3)
+    assert q.element_from_json("-2/3").payload == Fraction(-2, 3)
+    assert q.element_from_json("1/2").payload == Fraction(1, 2)
+
+
+@pytest.mark.parametrize("text", BAD_RATIONAL_LITERALS)
+def test_rational_literals_are_strict(text):
+    with pytest.raises(ValueError, match="bad rational literal"):
+        parse_ring_spec("Q").element_from_json(text)
 
 
 def test_upper_triangular_validation():

@@ -21,7 +21,13 @@ from cyclesplit.ncpoly import (
     x_minus,
     x_power,
 )
-from cyclesplit.rings import MatrixRing, ResidueRing, commutator, parse_ring_spec
+from cyclesplit.rings import (
+    MatrixRing,
+    ResidueRing,
+    RingMismatchError,
+    commutator,
+    parse_ring_spec,
+)
 import cyclesplit.search as search_mod
 from cyclesplit.search import (
     SearchSpaceTooLargeError,
@@ -344,6 +350,12 @@ def test_find_roots_matches_reference_scan(spec):
         left_only += bool(left - right)
     if not ring.is_commutative:
         assert right_only and left_only
+
+
+def test_task_refuses_a_target_over_another_ring():
+    f = from_int_coeffs(ResidueRing(5), [0, 1])
+    with pytest.raises(RingMismatchError):
+        SearchTask(ResidueRing(3), f, 1, "all_splittings")
 
 
 def test_size_guards():

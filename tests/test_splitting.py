@@ -14,7 +14,7 @@ from cyclesplit.examples import (
     example2_matrix_ring,
     example2_witness,
 )
-from cyclesplit.ncpoly import CommutationError, from_int_coeffs, poly, x_minus
+from cyclesplit.ncpoly import CommutationError, from_int_coeffs, poly, poly_from_json, x_minus
 from cyclesplit.rings import Record, commutator, parse_ring_spec
 from cyclesplit.search import SearchTask
 from cyclesplit.splitting import (
@@ -324,13 +324,21 @@ def test_report_json_shape():
     ]
     json.dumps(blob)  # serializable
 
-    # every record serializes to exactly its field names, in declaration
-    # order, then ``passed`` where the class defines it
+    # a polynomial writes its ring and its coefficients' payload JSON
     ring = example1_matrix_ring(parse_ring_spec("Zmod:5"))
     w1 = example1_witness(ring)
+    f = expand(w1)
+    assert f.to_json() == {
+        "ring": "UT:2:Zmod:5",
+        "coeffs": [[[0, 0], [0, 0]], [[0, 0], [0, 0]], [[4, 0], [0, 4]], [[1, 0], [0, 1]]],
+    }
+    assert list(f.to_json()) == ["ring", "coeffs"]
+    assert poly_from_json(json.loads(json.dumps(f.to_json()))) == f
+
+    # every record serializes to exactly its field names, in declaration
+    # order, then ``passed`` where the class defines it
     suite = endo.full_suite(2)
     records = [
-        expand(w1),
         w1,
         verify_cyclic_splitting(w1),
         check_evaluation_homomorphism(w1, [from_int_coeffs(ring, [0, 1])]),
