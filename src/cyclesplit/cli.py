@@ -5,16 +5,19 @@ endos, example1, example2, export. Exit status 0 when all checks pass, 1 on
 a failed check or a failed write to the output, 2 on a parse error (one
 line, with a column in polynomial text only), a missing or unknown command,
 flag or argument, an example ring of the wrong shape, a file argument that
-cannot be opened or written, an out-of-range ``--n`` or ``--p``, a matrix spec
-above ``rings.MAX_SCALAR_RANK`` scalars, or a search target that is zero (or
+cannot be opened or written, an ``--n``, ``--p`` or ``--k`` that is no ASCII
+decimal numeral (``rings._decimal``; ``--k`` alone may carry a leading "-"),
+an out-of-range ``--n`` or ``--p``, a matrix spec above
+``rings.MAX_SCALAR_RANK`` scalars, or a search target that is zero (or
 constant, for ``counterexample_hunt``), all refused while the command line
 parses or before any work. The output is written once, when the command
 ends, so a refused invocation writes nothing, not even to ``--out``.
 
 Polynomial surface grammar: a sum of signed monomials ``c``, ``c*X^k``,
-``X^k``, ``X`` with integer or rational (``p/q``) scalar coefficients;
-scalars embed as c times the unit of the coefficient ring. Matrix-valued
-coefficients enter through the JSON schema instead (``--poly @file``).
+``X^k``, ``X`` with integer or rational (``p/q``) scalar coefficients in
+ASCII digits; scalars embed as c times the unit of the coefficient ring.
+Matrix-valued coefficients enter through the JSON schema instead
+(``--poly @file``).
 
 Identical invocations produce byte-identical output.
 """
@@ -50,7 +53,9 @@ from .rings import (
     RingError,
     SpecParseError,
     UnsupportedOperationError,
+    _decimal,
     centralizer_of_set,
+    json_list,
     json_value,
     parse_ring_spec,
 )
@@ -106,14 +111,14 @@ def parse_poly(text: str, ring: Ring) -> NCPoly:
 
     def read_int(j):
         start = j
-        while j < n and text[j].isdigit():
+        while j < n and _is_digit(text[j]):
             j += 1
         if j == start:
             raise ParseError("expected a digit", start + 1)
-        try:
-            return int(text[start:j]), j
-        except ValueError as exc:  # more digits than int() converts
-            raise ParseError(str(exc), start + 1) from exc
+        value = _decimal(text[start:j])
+        if value is None:  # more digits than int() converts
+            raise ParseError("numeral too long", start + 1)
+        return value, j
 
     i = skip_ws(i)
     first = True
@@ -129,7 +134,7 @@ def parse_poly(text: str, ring: Ring) -> NCPoly:
             raise ParseError("dangling sign", i)
         coeff = Fraction(1)
         have_coeff = False
-        if text[i].isdigit():
+        if _is_digit(text[i]):
             num, i = read_int(i)
             coeff = Fraction(num)
             have_coeff = True
@@ -177,6 +182,10 @@ def parse_poly(text: str, ring: Ring) -> NCPoly:
     return poly(ring, out)
 
 
+def _is_digit(ch: str) -> bool:
+    return "0" <= ch <= "9"
+
+
 # ---------------------------------------------------------------------------
 # argument plumbing
 # ---------------------------------------------------------------------------
@@ -211,16 +220,26 @@ def _decoded(what: str, decode, *args):
 # "invalid value" text.
 
 
+def _numeral(flag: str, text: str, signed: bool = False) -> int:
+    """The value of an ASCII decimal numeral (``rings._decimal``), with a
+    leading "-" only if ``signed``: no other digits, signs, spaces or "_"."""
+    negative = signed and text.startswith("-")
+    n = _decimal(text[1:] if negative else text)
+    if n is None:
+        raise ParseError(f"{flag} must be a decimal numeral, got {text!r}")
+    return -n if negative else n
+
+
 def _prime(text: str) -> int:
+    p = _numeral("--p", text)
     try:
-        return endo_mod._require_prime(int(text))
+        return endo_mod._require_prime(p)
     except (ValueError, UnsupportedOperationError) as exc:
         raise ParseError(f"--p must be a prime: {exc}") from exc
 
 
-def _factor_count(value) -> int:
+def _factor_count(n: int) -> int:
     """A factor count, from ``--n`` or from the target's degree."""
-    n = _decoded("--n", int, value)
     if not 1 <= n <= MAX_DEGREE:
         raise ParseError(f"the factor count must be between 1 and {MAX_DEGREE}, got {n}")
     return n
@@ -390,9 +409,7 @@ def _cmd_search(ns, out):
 
 
 def _cmd_centralizer(ns, out):
-    objs = _load_json(ns.elements)
-    if not isinstance(objs, list):
-        raise ParseError("--elements must be a JSON list of element payloads")
+    objs = _decoded("element list", json_list, _load_json(ns.elements), "--elements")
     desc = centralizer_of_set(ns.ring, [_element(obj, ns.ring) for obj in objs])
     elements, basis = desc.elements, desc.basis
     kind = "elements" if elements is not None else "basis"
@@ -573,7 +590,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("rotate", _cmd_rotate, help="cyclically rotate a witness (k=1 moves the last factor first)")
     p.add_argument("--witness", type=witness, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=lambda text: _numeral("--k", text, signed=True), required=True)
 
     p = add("divide", _cmd_divide, help="divide by the monic linear factor X - a")
     p.add_argument("--ring", type=parse_ring_spec, default=None)
@@ -599,7 +616,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--poly", default=None)
     p.add_argument("--task", type=_json_arg("search task", task_from_json), default=None,
                    help="@file with a search task JSON")
-    p.add_argument("--n", type=_factor_count, default=None, help="factor count (default: degree)")
+    p.add_argument("--n", type=lambda text: _factor_count(_numeral("--n", text)), default=None,
+                   help="factor count (default: degree)")
     p.add_argument("--mode", choices=MODES, default="all_splittings")
 
     p = add("centralizer", _cmd_centralizer, help="centralizer of a set of elements")

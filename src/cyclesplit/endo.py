@@ -680,18 +680,6 @@ def predicted_cycle_action(e: EndoFamily, c: CycleFamily, p: int) -> CycleFamily
     raise ClassificationError(f"no action rule for {e!r}")
 
 
-def action_on_root(e: EndoMap, record: RootRecord) -> RootRecord:
-    """Image of a root record under an endomorphism, canonically reclassified.
-
-    Raises ClassificationError when the image is not a root (it always is:
-    endomorphisms preserve roots of scalar-coefficient polynomials), because
-    the shapes ``classify_element_as_root`` accepts are exactly the roots.
-    """
-    p = e.p
-    img = e.apply_vec(record.element)
-    return RootRecord(img, classify_element_as_root(img, p), minpoly_label(img, p))
-
-
 def _root_image_rows(endos: list[EndoMap], fams: list[RootFamily], p: int):
     """Stream one row per endomorphism e: e and the image under e of each
     root-family instance in ``fams``."""

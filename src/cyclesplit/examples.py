@@ -71,11 +71,6 @@ def example1_algebra(base: Ring) -> TableAlgebra:
     return TableAlgebra(EXAMPLE1_DESCRIPTOR, base)
 
 
-def example1_algebra_witness(algebra: TableAlgebra) -> SplittingWitness:
-    e1, e2, e3 = algebra.basis_elements()
-    return SplittingWitness(algebra, algebra.one(), (e1, e2, e3))
-
-
 def verify_example1_isomorphism(base: Ring) -> bool:
     """Check that basis -> (E22, -E12, E11+E12) extends to a unital ring
     isomorphism from the table algebra onto UT(2, base).

@@ -7,8 +7,7 @@ the algorithms favour exactness and clarity over asymptotics. There is no
 floating point anywhere.
 
 Over the fields Q and Z/p one Gauss-Jordan elimination (``_rref``) serves
-both nullspaces and the rational solver; a field is only its canonical-value
-map and its inversion. Composite moduli go through the Smith form instead.
+both nullspaces; a field is only its canonical-value map and its inversion. Composite moduli go through the Smith form instead.
 """
 
 from __future__ import annotations
@@ -131,21 +130,6 @@ def nullspace_rational(rows: list[list], ncols: int) -> list[tuple[Fraction, ...
 def nullspace_mod_prime(rows: list[list[int]], ncols: int, p: int) -> list[tuple[int, ...]]:
     """Basis of the kernel of an integer matrix over the prime field Z/p."""
     return _nullspace(rows, ncols, _prime_field(p))
-
-
-def solve_rational(rows: list[list], rhs: list) -> tuple[Fraction, ...] | None:
-    """One rational solution of rows . x = rhs (free variables set to 0), or None."""
-    if not rows:
-        return ()
-    ncols = len(rows[0])
-    m = [[Fraction(e) for e in r] + [Fraction(b)] for r, b in zip(rows, rhs)]
-    pivots = _rref(m, _RATIONALS)
-    if ncols in pivots:  # pivot in the augmented column: inconsistent
-        return None
-    x = [Fraction(0)] * ncols
-    for pi, pc in enumerate(pivots):
-        x[pc] = m[pi][ncols]
-    return tuple(x)
 
 
 def smith_diagonalize(rows: list[list[int]], ncols: int):

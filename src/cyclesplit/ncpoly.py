@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import zip_longest
 
-from .rings import Element, Ring, RingMismatchError
+from .rings import Element, Ring, RingMismatchError, json_list
 
 # The largest exponent the polynomial parser accepts and the largest factor
 # count a splitting search takes (the search recurses once per factor).
@@ -149,7 +149,7 @@ def poly_from_json(obj, ring: Ring | None = None) -> NCPoly:
     from .rings import parse_ring_spec
 
     r = ring if ring is not None else parse_ring_spec(obj["ring"])
-    return poly(r, [r.element_from_json(c) for c in obj["coeffs"]])
+    return poly(r, [r.element_from_json(c) for c in json_list(obj["coeffs"], "coeffs")])
 
 
 def _divide_linear(ring: Ring, coeffs, a, right: bool):

@@ -24,7 +24,12 @@ where ``<path>`` names a JSON file with keys ``basis_size``,
 ``structure_constants`` (an m x m array of length-m integer vectors),
 ``unit_vector`` and ``base`` (a ring spec string). Elements serialize to
 JSON as integers, strings ``"p/q"`` or nested arrays matching the payload
-shape.
+shape. A payload decodes, from Python values or from JSON, by one shape
+check per ring (``_shaped``) that maps the base's own rule over the leaves:
+every level must be a list or tuple of the right length, so a string or a
+dict is never read as a list (``json_list`` is the same rule for the lists
+of a witness or polynomial). A scalar embeds by one rule, ``_embed``: itself
+in a scalar ring, the scalar times the unit in every ring above it.
 
 Result records (witnesses, search tasks, reports) share one JSON rule,
 ``Record.to_json``: the fields in declaration order, each through
@@ -206,8 +211,13 @@ class Ring:
 
     # every ring defines ``_zero`` and ``_one``, its zero and one payloads
 
+    def _embed(self, scalar):
+        """The payload of a value of the innermost scalar ring (Z, Q or Z/n):
+        the value itself in a scalar ring, the scalar times the unit above."""
+        return self._canon(scalar)
+
     def _from_int(self, n: int):
-        raise NotImplementedError
+        return self._embed(_require_int(n))
 
     # -- element API ---------------------------------------------------------
     def element(self, payload) -> Element:
@@ -223,9 +233,7 @@ class Ring:
         return Element(self, self._from_int(n))
 
     def from_base_scalar(self, scalar) -> Element:
-        """Embed a value of the innermost scalar ring (Z, Q or Z/n): the
-        ring itself for scalar rings, the scalar times the unit otherwise."""
-        return self.element(scalar)
+        return Element(self, self._embed(scalar))
 
     # -- structure ------------------------------------------------------------
     @property
@@ -300,11 +308,12 @@ class Ring:
         except UnsupportedOperationError:
             return type(self).__name__
 
+    # Z and Z/n payloads are their own JSON; Q and the free-module rings override
     def payload_to_json(self, payload):
-        raise NotImplementedError
+        return payload
 
     def payload_from_json(self, obj):
-        raise NotImplementedError
+        return self._canon(obj)
 
     def element_from_json(self, obj) -> Element:
         return self.element(self.payload_from_json(obj))
@@ -313,6 +322,18 @@ class Ring:
 def _require_int(value) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _is_list(value, length: int | None = None) -> bool:
+    # the one list rule: a string or a dict never stands in for a list
+    return isinstance(value, (list, tuple)) and (length is None or len(value) == length)
+
+
+def json_list(value, what: str):
+    """``value`` if it is a list or tuple; ValueError for anything else."""
+    if not _is_list(value):
+        raise ValueError(f"{what} must be a list, got {type(value).__name__}")
     return value
 
 
@@ -332,9 +353,6 @@ class IntegerRing(Ring):
 
     _zero = 0
     _one = 1
-
-    def _from_int(self, n):
-        return _require_int(n)
 
     @property
     def cardinality(self):
@@ -365,12 +383,6 @@ class IntegerRing(Ring):
     def spec_string(self):
         return "Z"
 
-    def payload_to_json(self, payload):
-        return payload
-
-    def payload_from_json(self, obj):
-        return _require_int(obj)
-
 
 @dataclass(frozen=True)
 class RationalRing(Ring):
@@ -392,9 +404,6 @@ class RationalRing(Ring):
 
     _zero = Fraction(0)
     _one = Fraction(1)
-
-    def _from_int(self, n):
-        return Fraction(_require_int(n))
 
     @property
     def cardinality(self):
@@ -435,7 +444,7 @@ class RationalRing(Ring):
             if n is None or not d:
                 raise ValueError(f"bad rational literal {obj!r}")
             return Fraction(-n if negative else n, d)
-        return Fraction(_require_int(obj))
+        return self._canon(obj)
 
 
 # Miller-Rabin over the primes 2 to 41 is exact below PRIMALITY_BOUND, the least
@@ -468,9 +477,6 @@ class ResidueRing(Ring):
 
     _zero = 0
     _one = 1  # the modulus is at least 2
-
-    def _from_int(self, n):
-        return _require_int(n) % self.modulus
 
     @property
     def cardinality(self):
@@ -545,12 +551,6 @@ class ResidueRing(Ring):
     def spec_string(self):
         return f"Zmod:{self.modulus}"
 
-    def payload_to_json(self, payload):
-        return payload
-
-    def payload_from_json(self, obj):
-        return self._canon(obj)
-
 
 class FreeModuleRing(Ring):
     """A ring that is a free module of finite rank over its ``base``, with
@@ -591,16 +591,20 @@ class FreeModuleRing(Ring):
             for i in range(rank)
         )
 
-    def _scaled_one(self, s):
-        # the unit times the base payload s
-        bmul = self.base._mul
+    def _shaped(self, obj, leaf):
+        """The payload of the nested lists ``obj``, each leaf through ``leaf``;
+        ValueError unless every level is a list or tuple of the right length."""
+        raise NotImplementedError
+
+    def _canon(self, payload):
+        return self._shaped(payload, self.base._canon)
+
+    def payload_from_json(self, obj):
+        return self._shaped(obj, self.base.payload_from_json)
+
+    def _embed(self, scalar):
+        s, bmul = self.base._embed(scalar), self.base._mul
         return self.from_coords([bmul(s, c) for c in self.coords(self._one)])
-
-    def _from_int(self, n):
-        return self._scaled_one(self.base._from_int(n))
-
-    def from_base_scalar(self, scalar):
-        return self.element(self._scaled_one(self.base.from_base_scalar(scalar).payload))
 
     @cached_property
     def _zero(self):
@@ -718,14 +722,11 @@ class MatrixRing(FreeModuleRing):
     def from_base_matrix(self, rows):
         return tuple(tuple(row) for row in rows)
 
-    def _canon(self, payload):
+    def _shaped(self, obj, leaf):
         k = self.size
-        try:
-            rows = tuple(tuple(self.base._canon(e) for e in row) for row in payload)
-        except TypeError as exc:  # a scalar where a row or matrix belongs
-            raise ValueError(f"payload is not a {k}x{k} matrix") from exc
-        if len(rows) != k or any(len(r) != k for r in rows):
+        if not _is_list(obj, k) or not all(_is_list(row, k) for row in obj):
             raise ValueError(f"payload is not a {k}x{k} matrix")
+        rows = tuple(tuple(map(leaf, row)) for row in obj)
         if self.upper_triangular:
             zero = self.base._zero
             for r in range(k):
@@ -773,11 +774,6 @@ class MatrixRing(FreeModuleRing):
 
     def payload_to_json(self, payload):
         return [[self.base.payload_to_json(e) for e in row] for row in payload]
-
-    def payload_from_json(self, obj):
-        return self._canon(
-            tuple(tuple(self.base.payload_from_json(e) for e in row) for row in obj)
-        )
 
 
 @dataclass(frozen=True)
@@ -869,15 +865,11 @@ class TableAlgebra(FreeModuleRing):
             if self._mul(unit, basis[i]) != basis[i] or self._mul(basis[i], unit) != basis[i]:
                 raise ValueError(f"unit vector fails the unit law on basis element {i}")
 
-    def _canon(self, payload):
+    def _shaped(self, obj, leaf):
         m = self.descriptor.basis_size
-        try:
-            vec = tuple(self.base._canon(e) for e in payload)
-        except TypeError as exc:  # a scalar where the vector belongs
-            raise ValueError(f"payload must be a vector of length {m}") from exc
-        if len(vec) != m:
+        if not _is_list(obj, m):
             raise ValueError(f"payload must be a vector of length {m}")
-        return vec
+        return tuple(map(leaf, obj))
 
     def _add(self, a, b):
         return tuple(self.base._add(x, y) for x, y in zip(a, b))
@@ -952,9 +944,6 @@ class TableAlgebra(FreeModuleRing):
 
     def payload_to_json(self, payload):
         return [self.base.payload_to_json(e) for e in payload]
-
-    def payload_from_json(self, obj):
-        return self._canon(tuple(self.base.payload_from_json(e) for e in obj))
 
 
 # ---------------------------------------------------------------------------
@@ -1140,11 +1129,7 @@ def load_table_algebra(path: str, _depth: int = 0) -> TableAlgebra:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
         descriptor = TableAlgebraDescriptor(
-            basis_size=data["basis_size"],
-            structure_constants=tuple(
-                tuple(tuple(vec) for vec in row) for row in data["structure_constants"]
-            ),
-            unit_vector=tuple(data["unit_vector"]),
+            data["basis_size"], data["structure_constants"], data["unit_vector"]
         )
         base = parse_ring_spec(data["base"], _depth + 1)
         return TableAlgebra(descriptor, base, source_path=path)

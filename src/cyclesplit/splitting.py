@@ -35,6 +35,7 @@ from .rings import (
     RingMismatchError,
     UnsupportedOperationError,
     commutator,
+    json_list,
     parse_ring_spec,
 )
 
@@ -70,10 +71,9 @@ def witness(ring: Ring, leading: Element, pseudoroots) -> SplittingWitness:
 
 def witness_from_json(obj) -> SplittingWitness:
     ring = parse_ring_spec(obj["ring"])
+    roots = json_list(obj["pseudoroots"], "pseudoroots")
     return SplittingWitness(
-        ring,
-        ring.element_from_json(obj["leading"]),
-        tuple(ring.element_from_json(a) for a in obj["pseudoroots"]),
+        ring, ring.element_from_json(obj["leading"]), tuple(map(ring.element_from_json, roots))
     )
 
 

@@ -17,6 +17,52 @@ BAD_RATIONAL_LITERALS = (
     "--1", "1/2/3", "1/2 ", "0x1",
 )
 
+# command lines whose numbers are no ASCII decimal numeral, the rule that
+# ring specs and rational literals follow too: non-ASCII digits, "_", a
+# space or a "+" in --n, --p or --k (a "-" only on --k), and non-ASCII
+# digits in polynomial text
+BAD_NUMERAL_ARGVS = (
+    ("endos", "--p", "\uff13"),
+    ("endos", "--p", "1_1"),
+    ("export", "--p", "-3", "--table", "monoid"),
+    ("search", "--ring", "Zmod:3", "--poly", "X^2", "--n", "\uff12"),
+    ("search", "--ring", "Zmod:3", "--poly", "X^2", "--n", "0_2"),
+    ("search", "--ring", "Zmod:3", "--poly", "X^2", "--n", " 2"),
+    ("search", "--ring", "Zmod:3", "--poly", "X^2", "--n", "+2"),
+    ("rotate", "--witness", '{"ring":"Zmod:3","leading":1,"pseudoroots":[1,2]}', "--k", "\u0661"),
+    ("rotate", "--witness", '{"ring":"Zmod:3","leading":1,"pseudoroots":[1,2]}', "--k", "1_0"),
+    ("roots", "--ring", "Q", "--poly", "\uff13*X"),
+    ("roots", "--ring", "Zmod:5", "--poly", "X^\uff12 - 1"),
+)
+
+
+def solve_rational(rows, rhs):
+    """One rational solution of rows . x = rhs, free variables set to 0, or
+    None when there is none: Gaussian elimination on the augmented matrix,
+    written out independently of ``cyclesplit.linalg``."""
+    if not rows:
+        return ()
+    ncols = len(rows[0])
+    m = [[Fraction(e) for e in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    pivots = []  # (row, column) of each pivot, top to bottom
+    for col in range(ncols):
+        r = len(pivots)
+        pick = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
+        if pick is None:
+            continue
+        m[r], m[pick] = m[pick], m[r]
+        m[r] = [e / m[r][col] for e in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][col] != 0:
+                m[i] = [a - m[i][col] * b for a, b in zip(m[i], m[r])]
+        pivots.append((r, col))
+    if any(all(e == 0 for e in row[:ncols]) and row[ncols] != 0 for row in m):
+        return None  # a row 0 = b with b nonzero
+    x = [Fraction(0)] * ncols
+    for r, col in pivots:
+        x[col] = m[r][ncols]
+    return tuple(x)
+
 
 def det_permutation_oracle(rows):
     """Reference determinant by signed permutation expansion. O(n!)."""
@@ -300,34 +346,21 @@ def dense_table_mul(algebra, a, b):
 
 def assert_cayley_axioms(cache: CayleyTables, block_size: int = 32):
     """Check associativity of + and * and both distributive laws on every
-    triple of a finite ring, via vectorized index-table lookups."""
+    triple of a finite ring, a block of first operands x at a time, by row
+    gathers from the index tables: ``mul[mul_b]`` holds (x*y)*z at [x, y, z]
+    and ``np.take(mul_b, mul, axis=1)`` holds x*(y*z)."""
     import numpy as np
 
-    n = len(cache)
     mul = np.array(cache.mul, dtype=np.int16)
     add = np.array(cache.add, dtype=np.int16)
-    idx = np.arange(n)
-    for start in range(0, n, block_size):
-        b = idx[start : start + block_size]
-        mul_b = mul[b]  # (len(b), n)
-        add_b = add[b]
+    for start in range(0, len(cache), block_size):
+        mul_b = mul[start : start + block_size]  # (block, n): x*y for x in the block
+        add_b = add[start : start + block_size]
         # (x*y)*z == x*(y*z)
-        assert np.array_equal(
-            mul[mul_b[:, :, None], idx[None, None, :]],
-            mul[b[:, None, None], mul[None, :, :]],
-        )
+        assert np.array_equal(mul[mul_b], np.take(mul_b, mul, axis=1))
         # (x+y)+z == x+(y+z)
-        assert np.array_equal(
-            add[add_b[:, :, None], idx[None, None, :]],
-            add[b[:, None, None], add[None, :, :]],
-        )
+        assert np.array_equal(add[add_b], np.take(add_b, add, axis=1))
         # x*(y+z) == x*y + x*z
-        assert np.array_equal(
-            mul[b[:, None, None], add[None, :, :]],
-            add[mul_b[:, :, None], mul_b[:, None, :]],
-        )
+        assert np.array_equal(np.take(mul_b, add, axis=1), add[mul_b[:, :, None], mul_b[:, None, :]])
         # (x+y)*z == x*z + y*z
-        assert np.array_equal(
-            mul[add_b[:, :, None], idx[None, None, :]],
-            add[mul_b[:, None, :], mul[None, :, :]],
-        )
+        assert np.array_equal(mul[add_b], add[mul_b[:, None, :], mul[None, :, :]])

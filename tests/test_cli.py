@@ -19,10 +19,11 @@ from cyclesplit.examples import (
     example1_matrix_ring,
     example1_witness,
 )
-from cyclesplit.ncpoly import MAX_DEGREE, from_int_coeffs, x_power
+from cyclesplit.ncpoly import MAX_DEGREE, from_int_coeffs, poly_from_json, x_power
 from cyclesplit.rings import parse_ring_spec
 from cyclesplit.search import SearchSpaceTooLargeError, find_roots
-from helpers import BAD_RATIONAL_LITERALS
+from cyclesplit.splitting import witness_from_json
+from helpers import BAD_NUMERAL_ARGVS, BAD_RATIONAL_LITERALS
 
 
 def invoke(*argv):
@@ -70,6 +71,54 @@ def test_cli_bad_rational_literal_exits_2(text, capsys):
     code, out = invoke("eval", "--ring", "Q", "--poly", "X", "--element", json.dumps(text))
     assert (code, out) == (2, "")
     assert capsys.readouterr().err.startswith("parse error:")
+
+
+@pytest.mark.parametrize("argv", BAD_NUMERAL_ARGVS)
+def test_cli_numbers_are_ascii_decimal_numerals(argv, capsys):
+    code, out = invoke(*argv)
+    assert (code, out) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith("parse error:") and err.count("\n") == 1
+    # a column only in polynomial text, where roots' bad numerals are
+    assert err.startswith("parse error: col ") == (argv[0] == "roots")
+
+
+def test_cli_rotate_takes_a_signed_k():
+    # --k alone of the numeric flags takes a leading "-": a turn backwards
+    w = '{"ring":"Zmod:5","leading":1,"pseudoroots":[1,2,3]}'
+    back = invoke("rotate", "--witness", w, "--k", "-1", "--format", "json")
+    assert back == invoke("rotate", "--witness", w, "--k", "2", "--format", "json")
+    assert back[0] == 0 and json.loads(back[1])["pseudoroots"] == [2, 3, 1]
+
+
+# a string where a list belongs: a polynomial's coefficients, a matrix
+# payload and a witness's pseudoroots
+HOSTILE_POLY = {"ring": "Q", "coeffs": "12"}
+HOSTILE_ELEMENT = "5"
+HOSTILE_WITNESS = {"ring": "Q", "leading": 1, "pseudoroots": "12"}
+
+
+def test_a_string_is_never_read_as_a_list(tmp_path, capsys):
+    with pytest.raises(ValueError):
+        poly_from_json(HOSTILE_POLY)
+    with pytest.raises(ValueError):
+        parse_ring_spec("Mat:1:Q").element_from_json(HOSTILE_ELEMENT)
+    with pytest.raises(ValueError):
+        example1_algebra(parse_ring_spec("Q")).element_from_json("123")
+    with pytest.raises(ValueError):
+        witness_from_json(HOSTILE_WITNESS)
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(HOSTILE_POLY))
+    for argv in (
+        ("eval", "--poly", f"@{path}", "--element", "1"),
+        ("eval", "--ring", "Mat:1:Q", "--poly", "X", "--element", json.dumps(HOSTILE_ELEMENT)),
+        ("verify", "--witness", json.dumps(HOSTILE_WITNESS)),
+        ("centralizer", "--ring", "Mat:2:Zmod:3", "--elements", '"12"'),
+    ):
+        code, out = invoke(*argv)
+        assert (code, out) == (2, ""), argv
+        err = capsys.readouterr().err
+        assert err.startswith("parse error:") and err.count("\n") == 1, argv
 
 
 def test_parse_poly_rejects_products():
@@ -626,6 +675,7 @@ FUZZ_JSON = (
     "[1,0,1]", '{"ring":"Zmod:3","leading":1,"pseudoroots":[1,2]}',
     '{"ring":"UT:2:Zmod:4","leading":[[1,0],[0,1]],"pseudoroots":[[[1,0],[0,0]],[[0,1],[0,1]]]}',
     '{"ring":"Nope","leading":1,"pseudoroots":[1]}', "[" * 5000 + "]" * 5000, "[[1,0]", "nan",
+    json.dumps(HOSTILE_ELEMENT), json.dumps(HOSTILE_POLY), json.dumps(HOSTILE_WITNESS),
 )
 
 

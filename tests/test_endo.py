@@ -9,7 +9,7 @@ from cyclesplit.endo import (
     CycleFamily,
     EndoFamily,
     RootFamily,
-    action_on_root,
+    RootRecord,
     automorphisms,
     classify_cycles,
     classify_element_as_root,
@@ -268,18 +268,24 @@ def test_action_spec_cells():
     p = 3
     endos = {e.family: e for e in enumerate_endos(p)}
     records = {r.family: r for r in classify_roots(p)}
+
+
+    def image(e, rec):
+        # the image is a root again, reclassified and relabelled canonically
+        img = e.apply_vec(rec.element)
+        return RootRecord(img, classify_element_as_root(img, p), minpoly_label(img, p))
+
     eps = endos[EndoFamily("eps")]
     # eps sends the family r_t to the unit root r
-    img = action_on_root(eps, records[RootFamily("r_t", (2,))])
-    assert img.family == RootFamily("r")
-    # the identity fixes every root
+    assert image(eps, records[RootFamily("r_t", (2,))]).family == RootFamily("r")
+    # the identity fixes every root and its minimal polynomial
     ident = endos[EndoFamily("eps_sigma_s", (1, 0))]
     for rec in records.values():
-        assert action_on_root(ident, rec).element == rec.element
+        img = image(ident, rec)
+        assert (img.element, img.minpoly) == (rec.element, rec.minpoly)
     # eps_s sends any r^tau_t to r_s
     eps_s = endos[EndoFamily("eps_s", (2,))]
-    img = action_on_root(eps_s, records[RootFamily("r_tau_t", (1, 1))])
-    assert img.family == RootFamily("r_t", (2,))
+    assert image(eps_s, records[RootFamily("r_tau_t", (1, 1))]).family == RootFamily("r_t", (2,))
 
 
 def test_classify_element_rejects_non_roots():

@@ -5,7 +5,7 @@ from math import gcd
 import pytest
 
 from cyclesplit import linalg
-from helpers import det_permutation_oracle
+from helpers import det_permutation_oracle, solve_rational
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -75,11 +75,15 @@ def test_nullspace_mod_prime_matches_brute_force():
 
 
 def test_solve_rational():
+    # the test oracle of the matrix-unit re-derivation in test_acceptance
     rows = [[1, 2], [3, 4]]
-    sol = linalg.solve_rational(rows, [5, 6])
+    sol = solve_rational(rows, [5, 6])
     assert sol is not None
     assert [sum(Fraction(a) * b for a, b in zip(r, sol)) for r in rows] == [5, 6]
-    assert linalg.solve_rational([[1, 1], [1, 1]], [0, 1]) is None
+    assert solve_rational([[1, 1], [1, 1]], [0, 1]) is None
+    # a row swap, and a free variable set to 0
+    assert solve_rational([[0, 1], [1, 0]], [3, 4]) == (4, 3)
+    assert solve_rational([[1, 1, 0], [0, 0, 2]], [2, 1]) == (2, 0, Fraction(1, 2))
 
 
 def test_smith_diagonalize_properties():

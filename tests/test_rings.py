@@ -525,6 +525,51 @@ def test_rational_literals_are_strict(text):
         parse_ring_spec("Q").element_from_json(text)
 
 
+@pytest.mark.parametrize("spec, payload, shape", [
+    ("Mat:2:Z", "12", "2x2 matrix"),
+    ("Mat:2:Z", ("12", (0, 1)), "2x2 matrix"),
+    ("Mat:1:Z", {(5,): 0}, "1x1 matrix"),
+    ("Mat:2:Z", ((1, 0), {0: 0, 1: 1}), "2x2 matrix"),
+    ("UT:2:Z", ({1: 0, 0: 0}, (0, 1)), "2x2 matrix"),
+    ("UT:2:Q", ("10", "01"), "2x2 matrix"),
+    ("Mat:1:Mat:1:Z", (({(1,): 0},),), "1x1 matrix"),
+    ("example1", "123", "vector of length 3"),
+    ("example1", {1: 0, 0: 0, 2: 0}, "vector of length 3"),
+])
+def test_element_refuses_a_string_or_a_dict_for_a_list(spec, payload, shape):
+    ring = example1_algebra(Z) if spec == "example1" else parse_ring_spec(spec)
+    with pytest.raises(ValueError, match=shape):
+        ring.element(payload)
+
+
+# the scalar embedding, ``from_int`` and ``from_base_scalar``, on each kind of
+# ring: scalar rings, a triangular ring over a composite modulus, a tower and
+# a table algebra
+EMBED_RINGS = {
+    "Z": lambda: Z,
+    "Q": lambda: Q,
+    "Zmod:6": lambda: parse_ring_spec("Zmod:6"),
+    "UT:2:Zmod:4": lambda: parse_ring_spec("UT:2:Zmod:4"),
+    "Mat:2:Mat:2:Q": lambda: parse_ring_spec("Mat:2:Mat:2:Q"),
+    "example1 over Zmod:5": lambda: example1_algebra(ResidueRing(5)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EMBED_RINGS))
+def test_from_int_is_the_repeated_sum_of_one(name):
+    ring = EMBED_RINGS[name]()
+    for n in range(-3, 4):
+        total = ring.zero()
+        for _ in range(abs(n)):
+            total = total + ring.one()
+        assert ring.from_int(n) == (total if n >= 0 else -total), n
+    if ring.scalar_ring == Q:
+        assert ring.from_base_scalar(Fraction(1, 2)) * ring.from_int(2) == ring.one()
+    else:
+        with pytest.raises(ValueError):
+            ring.from_base_scalar(Fraction(1, 2))
+
+
 def test_upper_triangular_validation():
     ut = parse_ring_spec("UT:2:Z")
     with pytest.raises(ValueError):

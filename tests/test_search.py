@@ -5,7 +5,6 @@ import pytest
 
 from cyclesplit.examples import (
     example1_algebra,
-    example1_algebra_witness,
     example1_cubic,
     example2_cubic,
     example2_matrices,
@@ -75,7 +74,7 @@ def test_enumerate_splittings_example1_commuting_mode():
     )
     # scalar coefficients commute with everything, so the commuting filter
     # keeps every splitting
-    base = example1_algebra_witness(algebra)
+    base = SplittingWitness(algebra, algebra.one(), algebra.basis_elements())
     witnesses = set(outcome.witnesses)
     assert base in witnesses
     ids = {

@@ -191,10 +191,10 @@ def test_vandermonde_trivial_and_table_algebra():
     report = vandermonde(w)
     assert report.size == 2 and report.invertible and report.det == 1
 
-    from cyclesplit.examples import example1_algebra, example1_algebra_witness
+    from cyclesplit.examples import example1_algebra
 
     algebra = example1_algebra(Z)
-    wt = example1_algebra_witness(algebra)
+    wt = SplittingWitness(algebra, algebra.one(), algebra.basis_elements())
     rt = vandermonde(wt)
     # the left-regular flattening must agree with the matrix picture:
     # singular there, singular here
