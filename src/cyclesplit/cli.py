@@ -8,16 +8,19 @@ flag or argument, an example ring of the wrong shape, a file argument that
 cannot be opened or written, an ``--n``, ``--p`` or ``--k`` that is no ASCII
 decimal numeral (``rings._decimal``; ``--k`` alone may carry a leading "-"),
 an out-of-range ``--n`` or ``--p``, a matrix spec above
-``rings.MAX_SCALAR_RANK`` scalars, or a search target that is zero (or
-constant, for ``counterexample_hunt``), all refused while the command line
-parses or before any work. The output is written once, when the command
-ends, so a refused invocation writes nothing, not even to ``--out``.
+``rings.MAX_SCALAR_RANK`` scalars, a polynomial file whose ``"ring"`` is
+not ``--ring``, ``search --task`` with ``--ring``, ``--poly``, ``--n`` or
+``--mode``, or a search target that is zero (or constant, for
+``counterexample_hunt``), all refused while the command line parses or
+before any work. The output is written once, when the command ends, so a
+refused invocation writes nothing, not even to ``--out``.
 
-Polynomial surface grammar: a sum of signed monomials ``c``, ``c*X^k``,
-``X^k``, ``X`` with integer or rational (``p/q``) scalar coefficients in
-ASCII digits; scalars embed as c times the unit of the coefficient ring.
-Matrix-valued coefficients enter through the JSON schema instead
-(``--poly @file``).
+Polynomial text is a sum of terms, each an optional sign (required between
+terms), an optional integer or rational (``p/q``) coefficient with an
+optional ``*``, then ``X`` or ``X^k``: ``c``, ``c*X^k``, ``cX``, ``X^k``.
+Digits are ASCII, and only ASCII whitespace (space, tab, LF, CR, FF, VT)
+may separate tokens. Scalars embed as c times the unit of the coefficient
+ring; other coefficients enter through the JSON schema (``--poly @file``).
 
 Identical invocations produce byte-identical output.
 """
@@ -29,6 +32,7 @@ import csv
 import io
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -98,92 +102,63 @@ class CheckFailure(Exception):
 # ---------------------------------------------------------------------------
 
 
+# One term: an optional sign, an optional coefficient p or p/q with an
+# optional "*" after it, then an optional X or X^k. Under re.ASCII, \d is
+# [0-9] and \s is [ \t\n\r\f\v]. q and k may match empty, so that a "/" or
+# "^" without digits is refused where its digits belong.
+_TERM = re.compile(
+    r"\s*(?P<sign>[+-]?)\s*"
+    r"(?:(?P<num>\d+)(?:/(?P<den>\d*))?\s*(?P<star>\*\s*)?)?"
+    r"(?P<x>X(?:\^(?P<exp>\d*))?)?",
+    re.ASCII,
+)
+
+
 def parse_poly(text: str, ring: Ring) -> NCPoly:
-    """Parse the plain scalar-coefficient syntax, e.g. ``X^3 - 4``."""
+    """Parse the plain scalar-coefficient syntax, e.g. ``X^3 - 4``, one
+    ``_TERM`` match at a time."""
+
+    def numeral(m, group):
+        value = _decimal(m[group])
+        if value is None:  # no digits, or more than int() converts
+            raise ParseError("numeral too long" if m[group] else "expected a digit", m.start(group) + 1)
+        return value
+
     coeffs: dict[int, Fraction] = {}
-    i = 0
-    n = len(text)
-
-    def skip_ws(j):
-        while j < n and text[j].isspace():
-            j += 1
-        return j
-
-    def read_int(j):
-        start = j
-        while j < n and _is_digit(text[j]):
-            j += 1
-        if j == start:
-            raise ParseError("expected a digit", start + 1)
-        value = _decimal(text[start:j])
-        if value is None:  # more digits than int() converts
-            raise ParseError("numeral too long", start + 1)
-        return value, j
-
-    i = skip_ws(i)
-    first = True
-    while i < n:
-        sign = 1
-        if not first or text[i] in "+-":
-            if i >= n or text[i] not in "+-":
-                raise ParseError("expected '+' or '-' between terms", i + 1)
-            sign = -1 if text[i] == "-" else 1
-            i = skip_ws(i + 1)
-        first = False
-        if i >= n:
-            raise ParseError("dangling sign", i)
-        coeff = Fraction(1)
-        have_coeff = False
-        if _is_digit(text[i]):
-            num, i = read_int(i)
-            coeff = Fraction(num)
-            have_coeff = True
-            if i < n and text[i] == "/":
-                den, i = read_int(i + 1)
-                if den == 0:
-                    raise ParseError("zero denominator", i)
-                coeff = Fraction(num, den)
-            i = skip_ws(i)
-            if i < n and text[i] == "*":
-                i = skip_ws(i + 1)
-                if i >= n or text[i] != "X":
-                    raise ParseError("expected 'X' after '*'", i + 1)
-        power = 0
-        if i < n and text[i] == "X":
-            power = 1
-            i += 1
-            if i < n and text[i] == "^":
-                start = i + 1
-                power, i = read_int(start)
-                if power > MAX_DEGREE:
-                    raise ParseError(f"exponent {power} is above the cap of {MAX_DEGREE}", start + 1)
-        elif not have_coeff:
-            raise ParseError(f"unexpected character {text[i]!r}", i + 1)
-        coeffs[power] = coeffs.get(power, Fraction(0)) + sign * coeff
-        i = skip_ws(i)
-        if i < n and text[i] not in "+-":
-            raise ParseError(f"unexpected character {text[i]!r}", i + 1)
+    pos = 0
+    while True:
+        m = _TERM.match(text, pos)
+        pos = m.end()
+        if not (m["num"] or m["x"]):
+            if pos < len(text):
+                raise ParseError(f"unexpected character {text[pos]!r}", pos + 1)
+            if m["sign"]:
+                raise ParseError("dangling sign", pos)
+            break
+        if coeffs and not m["sign"]:
+            at = m.start("sign")
+            raise ParseError(f"unexpected character {text[at]!r}", at + 1)
+        num = numeral(m, "num") if m["num"] else 1
+        den = numeral(m, "den") if m["den"] is not None else 1
+        if den == 0:
+            raise ParseError("zero denominator", m.end("den"))
+        if m["star"] and not m["x"]:
+            raise ParseError("expected 'X' after '*'", pos + 1)
+        power = numeral(m, "exp") if m["exp"] is not None else 1 if m["x"] else 0
+        if power > MAX_DEGREE:
+            raise ParseError(f"exponent {power} is above the cap of {MAX_DEGREE}", m.start("exp") + 1)
+        coeffs[power] = coeffs.get(power, 0) + Fraction(-num if m["sign"] == "-" else num, den)
     if not coeffs:
         raise ParseError("empty polynomial", 1)
 
-    top = max(coeffs)
     out = []
-    for k in range(top + 1):
-        c = coeffs.get(k, Fraction(0))
-        if c.denominator == 1:
-            out.append(ring.from_int(int(c)))
-        else:
-            try:
-                out.append(ring.from_base_scalar(c))
-            except ValueError as exc:
-                raise ParseError(
-                    f"coefficient {c} is not representable over {ring.spec_string()}"
-                ) from exc
+    for k in range(max(coeffs) + 1):
+        c = coeffs.get(k, 0)
+        try:  # an integer embeds in every ring, a fraction only over Q scalars
+            out.append(ring.from_base_scalar(int(c) if c.denominator == 1 else c))
+        except ValueError as exc:
+            raise ParseError(f"coefficient {c} is not representable over {ring.spec_string()}") from exc
     return poly(ring, out)
-
-
-def _is_digit(ch: str) -> bool:
-    return "0" <= ch <= "9"
 
 
 # ---------------------------------------------------------------------------
@@ -383,25 +358,25 @@ def _cmd_roots(ns, out):
 
 def _cmd_search(ns, out):
     if ns.task is not None:
-        ring, f = ns.task.ring, ns.task.target
-        ns.mode, ns.n = ns.task.mode, ns.task.n
+        if (ns.ring, ns.poly, ns.n, ns.mode) != (None, None, None, None):
+            raise ParseError("--task takes none of --ring, --poly, --n and --mode")
+        ring, f, n, mode = ns.task.ring, ns.task.target, ns.task.n, ns.task.mode
     elif ns.ring is not None and ns.poly is not None:
-        ring, f = ns.ring, _poly_from_arg(ns.poly, ns.ring)
+        ring, f, n, mode = ns.ring, _poly_from_arg(ns.poly, ns.ring), ns.n, ns.mode or "all_splittings"
     else:
         raise ParseError("search needs --task or both --ring and --poly")
     if f.is_zero:
         raise ParseError("the target polynomial must be nonzero")
-    if ns.mode == "roots_only":
+    if mode == "roots_only":
         _emit(_roots_payload(f, ring), "text", out)
         return 0
-    if ns.mode == "counterexample_hunt":
+    if mode == "counterexample_hunt":
         if f.degree < 1:
             raise ParseError("counterexample_hunt needs a target of degree at least 1")
         w = counterexample_hunt(f, ring)
         out.write(json.dumps(json_value({"counterexample": w}), sort_keys=True) + "\n")
         return 0
-    n = ns.n if ns.n is not None else _factor_count(f.degree or 0)
-    task = SearchTask(ring, f, n, ns.mode)
+    task = SearchTask(ring, f, n if n is not None else _factor_count(f.degree or 0), mode)
     outcome = enumerate_splittings(task)
     for line in outcome.to_json_lines():
         out.write(json.dumps(line, sort_keys=True) + "\n")
@@ -618,7 +593,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="@file with a search task JSON")
     p.add_argument("--n", type=lambda text: _factor_count(_numeral("--n", text)), default=None,
                    help="factor count (default: degree)")
-    p.add_argument("--mode", choices=MODES, default="all_splittings")
+    p.add_argument("--mode", choices=MODES, default=None, help="default: all_splittings")
 
     p = add("centralizer", _cmd_centralizer, help="centralizer of a set of elements")
     p.add_argument("--ring", type=parse_ring_spec, required=True)

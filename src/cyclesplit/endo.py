@@ -853,10 +853,7 @@ def minpoly_and_poset(modulus: int) -> PosetReport:
                 failing_kinds.add(e.family.kind)
                 if id(e) in autos:
                     automorphisms_preserve_ok = False
-                top = "r" if x.family.kind == "r" else (
-                    "r^0" if x.family.kind == "r_tau" and x.family.params[0] % p == 0 else x.family.label()
-                )
-                patterns.add((e.family.kind, top, y.family.kind))
+                patterns.add((e.family.kind, x.family.label(), y.family.kind))
 
     exception_pattern_ok = patterns == set(EXPECTED_EXCEPTION_PATTERNS)
 

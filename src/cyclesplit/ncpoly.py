@@ -146,10 +146,17 @@ def constant(a: Element) -> NCPoly:
 
 
 def poly_from_json(obj, ring: Ring | None = None) -> NCPoly:
+    """The polynomial of a JSON object, over ``ring`` or, when that is None,
+    over the ring its ``"ring"`` key names. A ``"ring"`` key that names
+    another ring than ``ring`` is a ValueError."""
     from .rings import parse_ring_spec
 
-    r = ring if ring is not None else parse_ring_spec(obj["ring"])
-    return poly(r, [r.element_from_json(c) for c in json_list(obj["coeffs"], "coeffs")])
+    if ring is None or "ring" in obj:
+        named = parse_ring_spec(obj["ring"])
+        if ring is not None and named != ring:
+            raise ValueError(f"the polynomial's ring {obj['ring']!r} is not {ring.spec_string()}")
+        ring = named
+    return poly(ring, [ring.element_from_json(c) for c in json_list(obj["coeffs"], "coeffs")])
 
 
 def _divide_linear(ring: Ring, coeffs, a, right: bool):

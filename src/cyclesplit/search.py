@@ -96,11 +96,7 @@ def task_from_json(obj) -> SearchTask:
     from .ncpoly import poly_from_json
 
     ring = parse_ring_spec(obj["ring"])
-    target = obj["target"]
-    # a target that names its own ring must name the task's
-    if "ring" in target and parse_ring_spec(target["ring"]) != ring:
-        raise ValueError(f"target ring {target['ring']!r} is not the task ring {obj['ring']!r}")
-    return SearchTask(ring, poly_from_json(target, ring=ring), _require_int(obj["n"]), obj["mode"])
+    return SearchTask(ring, poly_from_json(obj["target"], ring=ring), _require_int(obj["n"]), obj["mode"])
 
 
 @dataclass(frozen=True)

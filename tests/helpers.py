@@ -20,7 +20,7 @@ BAD_RATIONAL_LITERALS = (
 # command lines whose numbers are no ASCII decimal numeral, the rule that
 # ring specs and rational literals follow too: non-ASCII digits, "_", a
 # space or a "+" in --n, --p or --k (a "-" only on --k), and non-ASCII
-# digits in polynomial text
+# digits or whitespace in polynomial text
 BAD_NUMERAL_ARGVS = (
     ("endos", "--p", "\uff13"),
     ("endos", "--p", "1_1"),
@@ -33,6 +33,9 @@ BAD_NUMERAL_ARGVS = (
     ("rotate", "--witness", '{"ring":"Zmod:3","leading":1,"pseudoroots":[1,2]}', "--k", "1_0"),
     ("roots", "--ring", "Q", "--poly", "\uff13*X"),
     ("roots", "--ring", "Zmod:5", "--poly", "X^\uff12 - 1"),
+    ("roots", "--ring", "Zmod:5", "--poly", "X\u3000+ 1"),
+    ("roots", "--ring", "Zmod:5", "--poly", "X\u00a0+ 1"),
+    ("roots", "--ring", "Zmod:5", "--poly", "X +\u2003 1"),
 )
 
 

@@ -19,7 +19,7 @@ from cyclesplit.examples import (
     example1_matrix_ring,
     example1_witness,
 )
-from cyclesplit.ncpoly import MAX_DEGREE, from_int_coeffs, poly_from_json, x_power
+from cyclesplit.ncpoly import MAX_DEGREE, from_int_coeffs, poly, poly_from_json, x_power
 from cyclesplit.rings import parse_ring_spec
 from cyclesplit.search import SearchSpaceTooLargeError, find_roots
 from cyclesplit.splitting import witness_from_json
@@ -39,6 +39,45 @@ def test_parse_poly_basic():
     assert parse_poly("X^0", ring) == from_int_coeffs(ring, [1])
     assert parse_poly("2*X^2 - X + 1", ring) == from_int_coeffs(ring, [1, -1, 2])
     assert parse_poly("-X", ring) == from_int_coeffs(ring, [0, -1])
+
+
+SURFACE_FORMS = ("c*X^k", "cX^k", "c X^k", "X^k", "c")
+
+
+@st.composite
+def rendered_polys(draw):
+    """Polynomial text in every accepted surface form, ASCII whitespace
+    between its tokens, and the coefficients it stands for, low to high."""
+
+    def ws(min_size=0):
+        return draw(st.text(" \t\n\r\f\v", min_size=min_size, max_size=2))
+
+    text, coeffs = ws(), {}
+    for i in range(draw(st.integers(1, 5))):
+        sign = draw(st.sampled_from(("+", "-") if i else ("", "+", "-")))
+        num, den = draw(st.integers(0, 40)), draw(st.sampled_from((None, 1, 2, 3, 7)))
+        k, form = draw(st.integers(0, 6)), draw(st.sampled_from(SURFACE_FORMS))
+        c = str(num) + (f"/{den}" if den else "")
+        x = "X" if k == 1 and draw(st.booleans()) else f"X^{k}"
+        if form == "c*X^k":
+            term = c + ws() + "*" + ws() + x
+        elif form == "c X^k":
+            term = c + ws(1) + x
+        else:
+            term = {"cX^k": c + x, "X^k": x, "c": c}[form]
+        value = Fraction(1) if form == "X^k" else Fraction(num, den or 1)
+        k = 0 if form == "c" else k
+        text += sign + ws() + term + ws()
+        coeffs[k] = coeffs.get(k, 0) + (-value if sign == "-" else value)
+    return text, [coeffs.get(k, 0) for k in range(max(coeffs) + 1)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(rendered_polys())
+def test_parse_poly_reads_every_surface_form(case):
+    text, coeffs = case
+    ring = parse_ring_spec("Mat:2:Q")
+    assert parse_poly(text, ring) == poly(ring, [ring.from_base_scalar(c) for c in coeffs])
 
 
 def test_parse_poly_rational_coefficients():
@@ -557,6 +596,39 @@ def test_cli_expand_rotate_round_trip(tmp_path):
     assert code == 0
     rotated = json.loads(text)
     assert rotated["pseudoroots"][0] == w.to_json()["pseudoroots"][2]
+
+
+def test_a_polynomial_input_has_one_ring(tmp_path, capsys):
+    ring = parse_ring_spec("Zmod:5")
+    # a file's "ring" must be the ring it is read over; without one it reads
+    # over that ring
+    with pytest.raises(ValueError):
+        poly_from_json({"ring": "Zmod:7", "coeffs": [6, 1]}, ring)
+    for obj in ({"coeffs": [6, 1]}, {"ring": "Zmod:5", "coeffs": [6, 1]}):
+        assert poly_from_json(obj, ring) == from_int_coeffs(ring, [1, 1])
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"ring": "Zmod:7", "coeffs": [6, 1]}))
+    # a search task is the search's one source: no flag may override it
+    task = json.dumps({"ring": "Zmod:3", "target": {"coeffs": [0, 0, 1]}, "n": 2, "mode": "all_splittings"})
+    out = tmp_path / "out.txt"
+    out.write_text("kept\n")
+    for argv in (
+        ("eval", "--ring", "Zmod:5", "--poly", f"@{path}", "--element", "1"),
+        ("roots", "--ring", "Zmod:5", "--poly", f"@{path}"),
+        ("search", "--task", task, "--n", "1", "--ring", "Zmod:5", "--poly", "X", "--mode", "roots_only"),
+        ("search", "--task", task, "--ring", "Zmod:3"),
+        ("search", "--task", task, "--poly", "X^2"),
+        ("search", "--task", task, "--n", "2"),
+        ("search", "--task", task, "--mode", "all_splittings"),
+    ):
+        assert invoke(*argv, "--out", str(out)) == (2, ""), argv
+        err = capsys.readouterr().err
+        assert err.startswith("parse error:") and err.count("\n") == 1, argv
+        assert out.read_text() == "kept\n", argv
+    code, text = invoke("search", "--task", task)
+    assert code == 0 and json.loads(text.splitlines()[-1])["summary"]["mode"] == "all_splittings"
+    code, text = invoke("eval", "--ring", "Zmod:7", "--poly", f"@{path}", "--element", "1")
+    assert (code, text) == (0, "value: 0\nmode: right\n")
 
 
 def test_cli_search_task_file(tmp_path):
