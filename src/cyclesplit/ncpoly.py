@@ -15,8 +15,11 @@ Division by X - a, on either side, is one synthetic-division kernel
 (``_divide_linear``), and evaluation is its remainder: right_eval(f, a) =
 sum f_i a^i is the remainder of right division by X - a and left_eval the
 remainder of left division, so a is a root exactly when X - a divides f on
-that side. Whether a coefficient commutes with a point is one payload test,
-``_noncommuting``.
+that side. The kernel skips identities on canonical payloads: a partial
+sum that is 0 or 1 takes no product and a zero summand takes no sum, so a
+division of the monic, sparse X^3 - X takes two products and one sum, not
+three of each. Whether a coefficient commutes with a point is one payload
+test, ``_noncommuting``.
 """
 
 from __future__ import annotations
@@ -148,7 +151,8 @@ def constant(a: Element) -> NCPoly:
 def poly_from_json(obj, ring: Ring | None = None) -> NCPoly:
     """The polynomial of a JSON object, over ``ring`` or, when that is None,
     over the ring its ``"ring"`` key names. A ``"ring"`` key that names
-    another ring than ``ring`` is a ValueError."""
+    another ring than ``ring`` is a ValueError, and so are more than
+    ``MAX_DEGREE + 1`` coefficients, the cap polynomial text has too."""
     from .rings import parse_ring_spec
 
     if ring is None or "ring" in obj:
@@ -156,7 +160,10 @@ def poly_from_json(obj, ring: Ring | None = None) -> NCPoly:
         if ring is not None and named != ring:
             raise ValueError(f"the polynomial's ring {obj['ring']!r} is not {ring.spec_string()}")
         ring = named
-    return poly(ring, [ring.element_from_json(c) for c in json_list(obj["coeffs"], "coeffs")])
+    coeffs = json_list(obj["coeffs"], "coeffs")
+    if len(coeffs) > MAX_DEGREE + 1:
+        raise ValueError(f"{len(coeffs)} coefficients are above the cap of {MAX_DEGREE + 1}")
+    return poly(ring, [ring.element_from_json(c) for c in coeffs])
 
 
 def _divide_linear(ring: Ring, coeffs, a, right: bool):
@@ -169,14 +176,24 @@ def _divide_linear(ring: Ring, coeffs, a, right: bool):
     puts a on the right of each partial sum (f = q (X - a) + r); otherwise
     on the left (f = (X - a) q + r). Returns (quotient payloads low to high,
     remainder payload); the quotient's top is f_n, so it stays normalized.
+
+    Identities on canonical payloads cost nothing: a partial sum that is 0
+    or 1 takes no product, and a summand that is 0 takes no sum.
     """
-    add, mul = ring._add, ring._mul
-    times = mul if right else (lambda p, b: mul(b, p))
-    acc = coeffs[-1] if coeffs else ring._zero
+    add, mul, zero, one = ring._add, ring._mul, ring._zero, ring._one
+    acc = coeffs[-1] if coeffs else zero
     partial = []
     for j in range(len(coeffs) - 2, -1, -1):
         partial.append(acc)
-        acc = add(coeffs[j], times(acc, a))
+        if acc == zero:
+            acc = coeffs[j]
+            continue
+        if acc == one:
+            t = a
+        else:
+            t = mul(acc, a) if right else mul(a, acc)
+        c = coeffs[j]
+        acc = t if c == zero else c if t == zero else add(c, t)
     partial.reverse()
     return partial, acc
 

@@ -209,7 +209,11 @@ class Ring:
     def _mul(self, a, b):
         raise NotImplementedError
 
-    # every ring defines ``_zero`` and ``_one``, its zero and one payloads
+    # every ring defines ``_zero`` and ``_one``, its zero and one payloads,
+    # and ``_generators``: payloads that generate it as a ring together with
+    # the image of its scalar ring, which is central. So an element is
+    # central exactly when it commutes with each generator, a test of
+    # O(rank) products instead of one per element.
 
     def _embed(self, scalar):
         """The payload of a value of the innermost scalar ring (Z, Q or Z/n):
@@ -353,6 +357,7 @@ class IntegerRing(Ring):
 
     _zero = 0
     _one = 1
+    _generators = ()
 
     @property
     def cardinality(self):
@@ -404,6 +409,7 @@ class RationalRing(Ring):
 
     _zero = Fraction(0)
     _one = Fraction(1)
+    _generators = ()
 
     @property
     def cardinality(self):
@@ -477,6 +483,7 @@ class ResidueRing(Ring):
 
     _zero = 0
     _one = 1  # the modulus is at least 2
+    _generators = ()
 
     @property
     def cardinality(self):
@@ -602,9 +609,19 @@ class FreeModuleRing(Ring):
     def payload_from_json(self, obj):
         return self._shaped(obj, self.base.payload_from_json)
 
+    def _lift(self, b):
+        """The base payload b times one."""
+        bmul = self.base._mul
+        return self.from_coords([bmul(b, c) for c in self.coords(self._one)])
+
     def _embed(self, scalar):
-        s, bmul = self.base._embed(scalar), self.base._mul
-        return self.from_coords([bmul(s, c) for c in self.coords(self._one)])
+        return self._lift(self.base._embed(scalar))
+
+    @cached_property
+    def _generators(self):
+        # every element is a sum of base payloads times basis payloads, and
+        # b e_i = (b * 1) e_i; the base is generated by its own generators
+        return self.module_basis() + tuple(map(self._lift, self.base._generators))
 
     @cached_property
     def _zero(self):
@@ -715,6 +732,17 @@ class MatrixRing(FreeModuleRing):
         for (r, c), v in zip(self._positions, vec):
             grid[r][c] = v
         return tuple(tuple(row) for row in grid)
+
+    def payloads(self):
+        # coordinates are row-major, so their lexicographic order is the
+        # product of each row's payloads in lexicographic order
+        base_payloads = list(self.base.payloads())
+        k, zero = self.size, self.base._zero
+        rows = []
+        for r in range(k):
+            pad = (zero,) * r if self.upper_triangular else ()
+            rows.append([pad + t for t in itertools.product(base_payloads, repeat=k - len(pad))])
+        return itertools.product(*rows)
 
     def base_matrix(self, payload):
         return [list(row) for row in payload]

@@ -6,8 +6,9 @@ survives only if right division by (X - a_n) leaves remainder zero, and the
 search recurses on the quotient. That turns the naive |A|^n sweep into
 iterated root finding. Every quotient keeps the target's leading coefficient
 f_n, because X - a is monic, so the last dividend is f_n X + c_0. When f_n is
-a unit the last factor is solved in closed form, a_1 = -f_n^{-1} c_0; when it
-is not, the last factor is swept over the ring like the others. Results are
+a unit the last factor is solved in closed form, a_1 = -f_n^{-1} c_0 (a
+monic target needs no inversion: f_n = 1 is its own inverse); when it is
+not, the last factor is swept over the ring like the others. Results are
 canonically ordered and therefore identical across runs regardless of how
 the work is partitioned.
 
@@ -18,16 +19,21 @@ are payloads, and a ``SplittingWitness`` is built only for tuples that reach
 depth 0, where ``expand`` re-checks them end to end. Root finding sweeps
 payloads too: both evaluations are remainders of the division kernel
 ``ncpoly._divide_linear``, and only roots become elements. In mode
-``commuting_splittings_only`` the candidates are narrowed once, before the
-sweep, to the payloads that commute with every coefficient of the target;
-the closed-form candidate is held to the same membership test.
+``commuting_splittings_only`` with a non-central coefficient the candidates
+are narrowed once, before the sweep, to the payloads that commute with every
+coefficient of the target; the closed-form candidate is held to the same
+membership test.
+
+Whether every coefficient is central is decided once per search, on the
+ring's ``_generators`` (its module basis and its base's generators times
+one, none for Z, Q and Z/n): an element that commutes with each of them
+commutes with the whole ring. The test costs O(rank) products, not O(|A|).
 
 The paper's theorem prunes the search where it applies: in mode
 ``commuting_splittings_only`` always, and in ``all_splittings`` when every
-coefficient of the target is central, that is, when the centralizer filter
-would keep every payload (the check stops at the first it drops). A
-splitting whose factors all commute with the coefficients has every factor a
-root of f, and each of its rotations is a splitting again. So:
+coefficient of the target is central. A splitting whose factors all commute
+with the coefficients has every factor a root of f, and each of its
+rotations is a splitting again. So:
 
 - roots first: the top-level sweep is the plain one, and its survivors are
   exactly the roots R of f among the candidates, because right and left
@@ -57,8 +63,6 @@ from .rings import (
     Ring,
     RingError,
     RingMismatchError,
-    inverse,
-    is_unit,
 )
 from .splitting import SplittingWitness, expand
 
@@ -250,8 +254,12 @@ def enumerate_splittings(task: SearchTask) -> SearchOutcome:
     ring = task.ring
     _require_desk_scale(ring)
     f = task.target
-    leading = Element(ring, f.payloads[-1])
-    lead_inv = inverse(leading).payload if is_unit(leading) else None
+    lead = f.payloads[-1]
+    if lead == ring._one:
+        lead_inv = lead
+    else:
+        lead_inv = ring._inverse(lead) if ring._is_unit(lead) else None
+    leading = Element(ring, lead)
     counter = _NodeCounter()
     # 0 and 1 commute with everything, and a repeated coefficient needs one test
     coeffs = set(f.payloads) - {ring._zero, ring._one}
@@ -259,13 +267,15 @@ def enumerate_splittings(task: SearchTask) -> SearchOutcome:
     def commutes(a):  # with every coefficient
         return next(_noncommuting(ring, coeffs, a), None) is None
 
-    if task.mode == "commuting_splittings_only":
-        candidates = {a: Element(ring, a) for a in ring.payloads() if commutes(a)}
-        pruned = True
-    else:
-        candidates = {a: Element(ring, a) for a in ring.payloads()}
-        # central coefficients: every splitting meets the hypothesis
-        pruned = all(map(commutes, candidates))
+    # a coefficient that commutes with the ring's generators is central
+    central = all(map(commutes, ring._generators))
+    commuting = task.mode == "commuting_splittings_only"
+    sweep = ring.payloads()
+    if commuting and not central:
+        sweep = filter(commutes, sweep)
+    candidates = {a: Element(ring, a) for a in sweep}
+    # central coefficients: every splitting meets the hypothesis
+    pruned = central or commuting
     search = _rotation_closed_tuples if pruned else _splitting_tuples
 
     found = []

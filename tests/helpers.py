@@ -291,8 +291,8 @@ class CayleyTables:
     """Addition and multiplication tables of a small finite ring on element
     indices (positions in ``ring.elements()``), for exhaustive sweeps.
 
-    ``_add`` and ``_mul`` take and return indices with the signature of the
-    rings' payload ops, so ``ncpoly._divide_linear`` runs on indices.
+    ``_add``, ``_mul``, ``_zero`` and ``_one`` are the rings' payload
+    protocol names on indices, so ``ncpoly._divide_linear`` runs on indices.
     """
 
     def __init__(self, ring):
@@ -302,8 +302,8 @@ class CayleyTables:
         self.add = [[index[ring._add(x, y)] for y in payloads] for x in payloads]
         self.mul = [[index[ring._mul(x, y)] for y in payloads] for x in payloads]
         self.neg = [index[ring._neg(x)] for x in payloads]
-        self.zero = index[ring._zero]
-        self.one = index[ring._one]
+        self._zero = index[ring._zero]
+        self._one = index[ring._one]
 
     def __len__(self):
         return len(self.elements)
@@ -322,10 +322,10 @@ class CayleyTables:
 
     def linear_factor_product(self, roots):
         """Coefficient indices (low to high) of (X - a_1)...(X - a_k)."""
-        coeffs = [self.one]
+        coeffs = [self._one]
         for a in roots:
             na = self.neg[a]
-            new = [self.zero] * (len(coeffs) + 1)
+            new = [self._zero] * (len(coeffs) + 1)
             for i, c in enumerate(coeffs):
                 new[i + 1] = self.add[new[i + 1]][c]
                 new[i] = self.add[new[i]][self.mul[c][na]]

@@ -221,9 +221,9 @@ def test_criterion_06_cyclic_law_exhaustive(modulus):
                         violations += 1
                         continue
                     for r in (i, j, k):
-                        if _divide_linear(cache, coeffs, r, True)[1] != cache.zero:
+                        if _divide_linear(cache, coeffs, r, True)[1] != cache._zero:
                             violations += 1
-                        if _divide_linear(cache, coeffs, r, False)[1] != cache.zero:
+                        if _divide_linear(cache, coeffs, r, False)[1] != cache._zero:
                             violations += 1
                     if len(spot) < 20:
                         spot.append((i, j, k))
@@ -254,7 +254,7 @@ def test_criterion_07_quotient_commutation_exhaustive():
             commuting = cache.centralizer_indices(a)
             for coeffs in itertools.product(commuting, repeat=4):
                 q, r = _divide_linear(cache, coeffs, a, True)
-                if r != cache.zero:
+                if r != cache._zero:
                     continue
                 checked += 1
                 if not all(cache.commutes(c, a) for c in q):

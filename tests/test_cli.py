@@ -182,6 +182,26 @@ def test_parse_poly_degree_cap():
     assert code == 2
 
 
+def test_poly_file_degree_cap(tmp_path, capsys):
+    # a polynomial file or task target has the cap polynomial text has:
+    # MAX_DEGREE + 1 coefficients
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"ring": "Zmod:5", "coeffs": [1] * (MAX_DEGREE + 1)}))
+    code, text = invoke("eval", "--ring", "Zmod:5", "--poly", f"@{path}", "--element", "1")
+    assert (code, text) == (0, "value: 2\nmode: right\n")
+    for count in (MAX_DEGREE + 2, 1001):
+        path.write_text(json.dumps({"ring": "Zmod:5", "coeffs": [1] * count}))
+        task = {"ring": "Zmod:5", "target": {"coeffs": [1] * count}, "n": 1, "mode": "roots_only"}
+        for argv in (
+            ("eval", "--ring", "Zmod:5", "--poly", f"@{path}", "--element", "1"),
+            ("divide", "--poly", f"@{path}", "--element", "1"),
+            ("search", "--task", json.dumps(task)),
+        ):
+            assert invoke(*argv) == (2, ""), (count, argv)
+            err = capsys.readouterr().err
+            assert err.startswith("parse error:") and err.count("\n") == 1, (count, argv)
+
+
 def test_cli_example_suites_pass():
     code, text = invoke("example1", "--ring", "UT:2:Z")
     assert code == 0

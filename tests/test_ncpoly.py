@@ -13,6 +13,7 @@ from cyclesplit.examples import (
     example1_matrix_ring,
 )
 from cyclesplit.ncpoly import (
+    MAX_DEGREE,
     CommutationError,
     NCPoly,
     _divide_linear,
@@ -135,25 +136,50 @@ DUALITY_RINGS = ["Z", "Q", "Zmod:6", "UT:2:Zmod:3", "Mat:2:Z", "Mat:3:Zmod:5"]
 def test_division_kernel_matches_element_recurrence(spec):
     """The payload kernel, and both Element-level wrappers around it, agree
     with the plain recurrence on each side, over commutative rings, a
-    matrix ring over a noncommutative base and the example-1 algebra."""
+    matrix ring over a noncommutative base and the example-1 algebra.
+
+    Sparse and monic targets (X^k, X^3 - X, coefficients 1) and the points
+    0, 1 and -1 reach the kernel's identity skips: a partial sum that is 0
+    or 1 takes no product and a zero summand no sum. On a small ring the
+    kernel also runs on Cayley-table indices, which must give the indices
+    of the payload results."""
     if spec == "example1:Zmod:2":
         ring = example1_algebra(ResidueRing(2))
     else:
         ring = parse_ring_spec(spec)
     rng = random.Random(11)
+    cases = []
     for _ in range(60):
         f = random_poly(ring, rng, 5)
-        a = random_element(ring, rng)
+        cases.append((f, random_element(ring, rng)))
+    one = ring.one()
+    sparse = [x_power(ring, k) for k in range(5)]
+    sparse += [from_int_coeffs(ring, ints) for ints in ([0, -1, 0, 1], [1, 1, 0, 1], [1, 0, 1], [0, 1, 1, 1])]
+    # coefficients 0 and 1 around a random one: partial sums that are 1
+    # between ones that are not
+    sparse += [
+        poly(ring, [rng.choice([ring.zero(), one, random_element(ring, rng)]) for _ in range(5)] + [one])
+        for _ in range(6)
+    ]
+    points = [ring.zero(), one, -one] + [random_element(ring, rng) for _ in range(3)]
+    cases += [(f, a) for f in sparse for a in points]
+    tables = CayleyTables(ring) if ring.cardinality is not None and ring.cardinality <= 64 else None
+    if tables is not None:
+        index = {e.payload: i for i, e in enumerate(tables.elements)}
+    for f, a in cases:
         for side, divide in (("right", right_divide_linear), ("left", left_divide_linear)):
             q_ref, r_ref = divide_linear_reference(f, a, side)
             q, r = divide(f, a)
             assert list(q.coeffs) == q_ref and r == r_ref, (spec, side)
             if f.is_zero:
                 continue
-            q_pay, r_pay = _divide_linear(
-                ring, [c.payload for c in f.coeffs], a.payload, side == "right"
-            )
+            q_pay, r_pay = _divide_linear(ring, list(f.payloads), a.payload, side == "right")
             assert q_pay == [c.payload for c in q_ref] and r_pay == r_ref.payload, (spec, side)
+            if tables is not None:
+                q_idx, r_idx = _divide_linear(
+                    tables, [index[c] for c in f.payloads], index[a.payload], side == "right"
+                )
+                assert q_idx == [index[c] for c in q_pay] and r_idx == index[r_pay], (spec, side)
 
 
 @pytest.mark.parametrize("spec", DUALITY_RINGS)
@@ -256,7 +282,7 @@ def test_quotient_inherits_commutation_exhaustive(spec):
         cz = cache.centralizer_indices(a)
         for coeffs in itertools.product(cz, repeat=4):
             q, r = _divide_linear(cache, coeffs, a, True)
-            if r != cache.zero:
+            if r != cache._zero:
                 continue
             checked += 1
             assert all(cache.commutes(qi, a) for qi in q)
@@ -310,3 +336,16 @@ def test_poly_json_round_trip():
             f = random_poly(ring, rng, 5)
             blob = f.to_json()
             assert poly_from_json(blob) == f
+
+
+def test_poly_json_degree_cap():
+    """A JSON polynomial takes at most MAX_DEGREE + 1 coefficients, the
+    cap polynomial text has; trailing zeros count, since the cap is on input."""
+    ring = parse_ring_spec("Zmod:5")
+    top = {"ring": "Zmod:5", "coeffs": [0] * MAX_DEGREE + [1]}
+    assert poly_from_json(top) == x_power(ring, MAX_DEGREE)
+    for coeffs in ([0] * (MAX_DEGREE + 1) + [1], [1] * 1001, [1] + [0] * (MAX_DEGREE + 1)):
+        with pytest.raises(ValueError, match="above the cap"):
+            poly_from_json({"ring": "Zmod:5", "coeffs": coeffs})
+        with pytest.raises(ValueError, match="above the cap"):
+            poly_from_json({"coeffs": coeffs}, ring)

@@ -211,6 +211,41 @@ def test_enumeration_is_deterministic():
     assert first == second
 
 
+@pytest.mark.parametrize(
+    "spec", ["Mat:2:Zmod:3", "UT:2:Zmod:4", "UT:3:Zmod:2", "Mat:2:UT:2:Zmod:2", "UT:2:Mat:2:Zmod:2"]
+)
+def test_matrix_enumeration_is_the_coordinate_product(spec):
+    """A matrix ring lists its payloads row by row; that is the order of
+    ``from_coords`` over the product of the coordinates."""
+    ring = parse_ring_spec(spec)
+    base = list(ring.base.payloads())
+    expected = [ring.from_coords(c) for c in itertools.product(base, repeat=ring.rank)]
+    assert list(ring.payloads()) == expected
+
+
+def test_generators_decide_centrality(tmp_path):
+    """An element is central exactly when it commutes with the ring's
+    ``_generators``: checked against every element of each ring, among
+    them a matrix ring over a noncommutative base, whose generators must
+    include the base's own."""
+    path = tmp_path / "cubic.json"
+    path.write_text(json.dumps(EXAMPLE1_DESCRIPTOR.to_json("Zmod:3")))
+    specs = ["Zmod:6", "UT:2:Zmod:4", "Mat:2:Zmod:3", "UT:3:Zmod:2", f"Table:{path}", "UT:2:Mat:2:Zmod:2"]
+    rings = [parse_ring_spec(s) for s in specs] + [MatrixRing(1, example1_algebra(ResidueRing(2)))]
+    for ring in rings:
+        elems = list(ring.payloads())
+        # the exhaustive test in a seeded order, so a non-central element
+        # fails after a few products
+        others = random.Random(3).sample(elems, len(elems))
+        mul = ring._mul
+        centre = {x for x in elems if all(mul(x, y) == mul(y, x) for y in others)}
+        for x in elems:
+            by_gens = all(mul(x, g) == mul(g, x) for g in ring._generators)
+            assert by_gens == (x in centre), (ring.describe(), x)
+        assert ring._one in centre
+        assert (len(centre) == len(elems)) == ring.is_commutative, ring.describe()
+
+
 def test_units_and_inverses():
     assert is_unit(Z.one()) and inverse(Z.one()) == Z.one()
     assert is_unit(Z.from_int(-1))

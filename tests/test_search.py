@@ -151,17 +151,29 @@ def _noncentral_closed_form_target(ring):
     return poly(ring, [ring.zero(), ring.element(((1, 2), (0, 1))), ring.element(((1, 0), (0, 2)))])
 
 
+# SearchOutcome.nodes of each _differential_cases() target, in order, per
+# mode: the divisions the search makes, pinned so that a cheaper centrality
+# test or division kernel cannot change which divisions run
+DIFFERENTIAL_NODES = {
+    "all_splittings": [31, 28, 28, 98, 6, 1240, 90, 16, 4, 10, 10, 11, 33, 21, 33],
+    "commuting_splittings_only": [31, 3, 3, 98, 6, 1240, 90, 16, 4, 10, 10, 11, 3, 21, 11],
+}
+
+
 @pytest.mark.parametrize("mode", ["all_splittings", "commuting_splittings_only"])
 def test_search_matches_brute_force_census(mode):
     """The search, with its closed-form last factor where the leading
     coefficient is a unit and its sweep elsewhere, equals the plain
-    |A|^n product sweep."""
-    for label, ring, f, n in _differential_cases():
+    |A|^n product sweep, with the pinned number of divisions."""
+    cases = _differential_cases()
+    assert len(cases) == len(DIFFERENTIAL_NODES[mode])
+    for (label, ring, f, n), nodes in zip(cases, DIFFERENTIAL_NODES[mode]):
         outcome = enumerate_splittings(SearchTask(ring, f, n, mode))
         witnesses, cycle_ids, cycle_count = brute_force_census(ring, f, n, mode)
         assert outcome.witnesses == witnesses, label
         assert outcome.cycle_ids == cycle_ids, label
         assert outcome.cycle_count == cycle_count, label
+        assert outcome.nodes == nodes, label
 
 
 @pytest.mark.parametrize("mode", ["all_splittings", "commuting_splittings_only"])
