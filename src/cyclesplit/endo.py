@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .examples import EXAMPLE1_DESCRIPTOR, example1_algebra, example1_cubic
-from .rings import Element, Record, ResidueRing, TableAlgebra
+from .rings import Record, ResidueRing, TableAlgebra
 from .search import SearchOutcome, SearchTask, canonical_rotation, enumerate_splittings
 
 COMPOSITION_ORDER = "left-operand-first"
@@ -144,11 +144,6 @@ class EndoMap:
         return tuple(
             (x[0] * u[k] + x[1] * v[k] + x[2] * w[k]) % p for k in range(3)
         )
-
-    def apply(self, x: Element) -> Element:
-        if x.ring != self.algebra:
-            raise ValueError("element does not belong to this algebra")
-        return Element(self.algebra, self.apply_vec(x.payload))
 
     def label(self) -> str:
         return self.family.label()

@@ -18,8 +18,8 @@ remainder of left division, so a is a root exactly when X - a divides f on
 that side. The kernel skips identities on canonical payloads: a partial
 sum that is 0 or 1 takes no product and a zero summand takes no sum, so a
 division of the monic, sparse X^3 - X takes two products and one sum, not
-three of each. Whether a coefficient commutes with a point is one payload
-test, ``_noncommuting``.
+three of each. Whether a coefficient commutes with a point is the ring
+layer's one payload test, ``rings._noncommuting``.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import zip_longest
 
-from .rings import Element, Ring, RingMismatchError, json_list
+from .rings import Element, Ring, RingMismatchError, _noncommuting, json_list
 
 # The largest exponent the polynomial parser accepts and the largest factor
 # count a splitting search takes (the search recurses once per factor).
@@ -203,14 +203,6 @@ def _point(f: NCPoly, a: Element, what: str):
     if a.ring is not f.ring and a.ring != f.ring:
         raise RingMismatchError(f"{what} belongs to a different ring")
     return a.payload
-
-
-def _noncommuting(ring: Ring, coeffs, a):
-    """The positions i, in order, at which the payload ``coeffs[i]`` does not
-    commute with the payload a (c a and a c differ), lazily: the first one
-    is found without testing the rest."""
-    mul = ring._mul
-    return (i for i, c in enumerate(coeffs) if mul(c, a) != mul(a, c))
 
 
 def right_divide_linear(f: NCPoly, a: Element) -> tuple[NCPoly, Element]:

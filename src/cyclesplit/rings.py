@@ -16,6 +16,11 @@ centralizers hand their linear algebra to that ring in one call: an element
 is a unit exactly when the determinant of its scalar matrix is a unit, and
 the adjugate gives its inverse.
 
+Commutativity and centrality are one rule on a ring's ``_generators``:
+``_central`` tests payloads against each of them with the one predicate
+``_noncommuting``, and ``is_commutative`` is ``_central(_generators)``, so a
+ring over a noncommutative base is never commutative, even at rank 1.
+
 Ring spec grammar (exact, case sensitive):
 
     Z | Q | Zmod:<n> | Mat:<k>:<base> | UT:<k>:<base> | Table:<path>
@@ -214,6 +219,10 @@ class Ring:
     # the image of its scalar ring, which is central. So an element is
     # central exactly when it commutes with each generator, a test of
     # O(rank) products instead of one per element.
+    def _central(self, payloads) -> bool:
+        """Whether every payload in the collection commutes with each of
+        ``_generators``, that is, with the whole ring."""
+        return all(next(_noncommuting(self, payloads, g), None) is None for g in self._generators)
 
     def _embed(self, scalar):
         """The payload of a value of the innermost scalar ring (Z, Q or Z/n):
@@ -250,7 +259,12 @@ class Ring:
 
     @property
     def is_commutative(self) -> bool:
-        raise NotImplementedError
+        return self._central(self._generators)
+
+    def module_basis(self):
+        """Payloads of a basis of the ring as a module over its base; Z, Q
+        and Z/n are their own base, with the unit as basis."""
+        return (self._one,)
 
     def payloads(self):
         """Every payload exactly once, lexicographically. Finite rings only."""
@@ -323,6 +337,14 @@ class Ring:
         return self.element(self.payload_from_json(obj))
 
 
+def _noncommuting(ring: Ring, coeffs, a):
+    """The positions i, in order, at which the payload ``coeffs[i]`` does not
+    commute with the payload a (c a and a c differ), lazily: the first one
+    is found without testing the rest."""
+    mul = ring._mul
+    return (i for i, c in enumerate(coeffs) if mul(c, a) != mul(a, c))
+
+
 def _require_int(value) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"expected an integer, got {value!r}")
@@ -362,10 +384,6 @@ class IntegerRing(Ring):
     @property
     def cardinality(self):
         return None
-
-    @property
-    def is_commutative(self):
-        return True
 
     def _is_unit(self, payload):
         return payload in (1, -1)
@@ -414,10 +432,6 @@ class RationalRing(Ring):
     @property
     def cardinality(self):
         return None
-
-    @property
-    def is_commutative(self):
-        return True
 
     def _is_unit(self, payload):
         return payload != 0
@@ -488,10 +502,6 @@ class ResidueRing(Ring):
     @property
     def cardinality(self):
         return self.modulus
-
-    @property
-    def is_commutative(self):
-        return True
 
     @property
     def is_prime(self) -> bool:
@@ -707,7 +717,7 @@ class MatrixRing(FreeModuleRing):
     upper_triangular: bool = False
 
     def __post_init__(self):
-        if not isinstance(self.size, int) or self.size < 1:
+        if _require_int(self.size) < 1:
             raise ValueError("matrix size must be an integer >= 1")
 
     @cached_property
@@ -791,10 +801,6 @@ class MatrixRing(FreeModuleRing):
         return tuple(
             tuple(one if r == c else z for c in range(self.size)) for r in range(self.size)
         )
-
-    @property
-    def is_commutative(self):
-        return self.size == 1 and self.base.is_commutative
 
     def spec_string(self):
         prefix = "UT" if self.upper_triangular else "Mat"
@@ -923,16 +929,6 @@ class TableAlgebra(FreeModuleRing):
     def _one(self):
         return tuple(self.base._from_int(c) for c in self.descriptor.unit_vector)
 
-    @cached_property
-    def is_commutative(self):
-        m = self.descriptor.basis_size
-        basis = self.module_basis()
-        return all(
-            self._mul(basis[i], basis[j]) == self._mul(basis[j], basis[i])
-            for i in range(m)
-            for j in range(i + 1, m)
-        )
-
     @property
     def rank(self):
         return self.descriptor.basis_size
@@ -1022,9 +1018,6 @@ class CentralizerDescription:
     basis: tuple[Element, ...] | None
     count: int | None
 
-    def contains(self, x: Element) -> bool:
-        return all(commutator(x, g).is_zero for g in self.gens)
-
 
 def _commutation_system(ring: FreeModuleRing, gens):
     """The system x*g - g*x = 0 for all gens, in coordinates over the
@@ -1065,10 +1058,7 @@ def centralizer_of_set(ring: Ring, gens) -> CentralizerDescription:
     if ring.is_commutative or not gens:
         card = ring.cardinality
         elems = tuple(ring.elements()) if card is not None and card <= ENUM_LIMIT else None
-        if isinstance(ring, FreeModuleRing):
-            basis = tuple(Element(ring, b) for b in ring.module_basis())
-        else:
-            basis = (ring.one(),)
+        basis = tuple(Element(ring, b) for b in ring.module_basis())
         return CentralizerDescription(ring, gens, elems, basis, card)
 
     # every noncommutative ring here is a FreeModuleRing

@@ -24,10 +24,10 @@ are narrowed once, before the sweep, to the payloads that commute with every
 coefficient of the target; the closed-form candidate is held to the same
 membership test.
 
-Whether every coefficient is central is decided once per search, on the
-ring's ``_generators`` (its module basis and its base's generators times
-one, none for Z, Q and Z/n): an element that commutes with each of them
-commutes with the whole ring. The test costs O(rank) products, not O(|A|).
+Whether every coefficient is central is decided once per search by the
+ring's centrality test ``Ring._central``, the rule behind ``is_commutative``:
+an element that commutes with each of the ring's ``_generators`` commutes
+with the whole ring. The test costs O(rank) products, not O(|A|).
 
 The paper's theorem prunes the search where it applies: in mode
 ``commuting_splittings_only`` always, and in ``all_splittings`` when every
@@ -55,7 +55,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .ncpoly import MAX_DEGREE, NCPoly, _divide_linear, _noncommuting, right_divide_linear, right_eval
+from .ncpoly import MAX_DEGREE, NCPoly, _divide_linear, right_divide_linear, right_eval
 from .rings import (
     Element,
     InfiniteRingError,
@@ -63,6 +63,7 @@ from .rings import (
     Ring,
     RingError,
     RingMismatchError,
+    _noncommuting,
 )
 from .splitting import SplittingWitness, expand
 
@@ -134,8 +135,8 @@ class _NodeCounter:
     def __init__(self):
         self.count = 0
 
-    def tick(self, amount=1):
-        self.count += amount
+    def tick(self):
+        self.count += 1
         if self.count > NODE_BUDGET:
             raise SearchSpaceTooLargeError(
                 f"search exceeded the {NODE_BUDGET} candidate budget"
@@ -150,7 +151,6 @@ def _require_desk_scale(ring: Ring):
         raise SearchSpaceTooLargeError(
             f"{ring.describe()} has more than {NODE_BUDGET} elements, the search budget"
         )
-    return card
 
 
 def find_roots(f: NCPoly, ring: Ring | None = None) -> list[Element]:
@@ -267,8 +267,7 @@ def enumerate_splittings(task: SearchTask) -> SearchOutcome:
     def commutes(a):  # with every coefficient
         return next(_noncommuting(ring, coeffs, a), None) is None
 
-    # a coefficient that commutes with the ring's generators is central
-    central = all(map(commutes, ring._generators))
+    central = ring._central(coeffs)
     commuting = task.mode == "commuting_splittings_only"
     sweep = ring.payloads()
     if commuting and not central:

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from .ncpoly import (
     CommutationError,
     NCPoly,
-    _noncommuting,
     _point,
     constant,
     eval_commuting,
@@ -34,6 +33,7 @@ from .rings import (
     Ring,
     RingMismatchError,
     UnsupportedOperationError,
+    _noncommuting,
     commutator,
     json_list,
     parse_ring_spec,

@@ -7,7 +7,7 @@ import random
 from fractions import Fraction
 
 from cyclesplit.ncpoly import poly
-from cyclesplit.rings import Ring
+from cyclesplit.rings import Ring, TableAlgebra, TableAlgebraDescriptor, parse_ring_spec
 
 
 # strings that are no rational literal: the grammar is an optional "-", ASCII
@@ -37,6 +37,28 @@ BAD_NUMERAL_ARGVS = (
     ("roots", "--ring", "Zmod:5", "--poly", "X\u00a0+ 1"),
     ("roots", "--ring", "Zmod:5", "--poly", "X +\u2003 1"),
 )
+
+# table algebras over a noncommutative base, as descriptor JSON: Mat:2:Zmod:2
+# presented as a rank-1 table, and the group algebra of C2 over UT:2:Zmod:2
+RANK1_OVER_MAT2 = {
+    "basis_size": 1,
+    "structure_constants": [[[1]]],
+    "unit_vector": [1],
+    "base": "Mat:2:Zmod:2",
+}
+C2_OVER_UT2 = {
+    "basis_size": 2,
+    "structure_constants": [[[1, 0], [0, 1]], [[0, 1], [1, 0]]],
+    "unit_vector": [1, 0],
+    "base": "UT:2:Zmod:2",
+}
+
+
+def table_algebra(descriptor_json) -> TableAlgebra:
+    """The table algebra of descriptor JSON, built without a file."""
+    d = descriptor_json
+    descriptor = TableAlgebraDescriptor(d["basis_size"], d["structure_constants"], d["unit_vector"])
+    return TableAlgebra(descriptor, parse_ring_spec(d["base"]))
 
 
 def solve_rational(rows, rhs):

@@ -11,13 +11,21 @@ import pytest
 from cyclesplit.examples import example1_algebra
 from cyclesplit.rings import (
     PRIMALITY_BOUND,
+    MatrixRing,
     ResidueRing,
     UnsupportedOperationError,
     centralizer_of_set,
     commutator,
     parse_ring_spec,
 )
-from helpers import det_permutation_oracle, flatten_blocks, random_element
+from helpers import (
+    C2_OVER_UT2,
+    RANK1_OVER_MAT2,
+    det_permutation_oracle,
+    flatten_blocks,
+    random_element,
+    table_algebra,
+)
 
 SCALAR_SPECS = ("Z", "Q", "Zmod:5", "Zmod:6")
 
@@ -168,6 +176,10 @@ CENTRALIZER_RINGS = {
     "UT:2:UT:2:Zmod:2": lambda: parse_ring_spec("UT:2:UT:2:Zmod:2"),
     "example1 over Zmod:5": lambda: example1_algebra(ResidueRing(5)),
     "example1 over Zmod:6": lambda: example1_algebra(ResidueRing(6)),
+    # over a noncommutative base, even where the table's own basis commutes
+    "Table over Mat:2:Zmod:2": lambda: table_algebra(RANK1_OVER_MAT2),
+    "Mat:1 of Table over Mat:2:Zmod:2": lambda: MatrixRing(1, table_algebra(RANK1_OVER_MAT2)),
+    "C2 over UT:2:Zmod:2": lambda: table_algebra(C2_OVER_UT2),
 }
 
 
@@ -176,7 +188,7 @@ def test_centralizer_matches_commutator_scan(name):
     ring = CENTRALIZER_RINGS[name]()
     rng = random.Random(16)
     elements = list(ring.elements())
-    gen_sets = [[ring.one()]]
+    gen_sets = [[], [ring.one()]]
     gen_sets += [[random_element(ring, rng)] for _ in range(3)]
     gen_sets += [[random_element(ring, rng), random_element(ring, rng)] for _ in range(2)]
     for gens in gen_sets:
@@ -185,7 +197,7 @@ def test_centralizer_matches_commutator_scan(name):
         assert desc.count == len(scan)
         assert [e.payload for e in desc.elements] == scan  # both in payload order
         if desc.basis is not None:
-            assert all(desc.contains(b) for b in desc.basis)
+            assert all(commutator(b, g).is_zero for b in desc.basis for g in gens)
 
 
 def test_centralizer_over_a_matrix_base_matches_the_flat_ring():
@@ -201,7 +213,7 @@ def test_centralizer_over_a_matrix_base_matches_the_flat_ring():
     ]
     # a basis over Z/2 whose span is the centralizer
     assert 2 ** len(desc.basis) == desc.count
-    assert all(desc.contains(b) for b in desc.basis)
+    assert all(commutator(b, x).is_zero for b in desc.basis)
     # the module basis is built from the base's own one and zero
     desc = centralizer_of_set(ring, [])
     assert len(desc.basis) == 4 and desc.elements is None
