@@ -7,14 +7,15 @@ the algorithms favour exactness and clarity over asymptotics. There is no
 floating point anywhere.
 
 Over the fields Q and Z/p one Gauss-Jordan elimination (``_rref``) serves
-both nullspaces; a field is only its canonical-value map and its inversion. Composite moduli go through the Smith form instead.
+both nullspaces; a field is only its canonical-value map and its inversion.
+A composite modulus n eliminates on least residues mod n (``kernel_mod``).
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 
 def det_int(rows: list[list[int]]) -> int:
@@ -132,36 +133,45 @@ def nullspace_mod_prime(rows: list[list[int]], ncols: int, p: int) -> list[tuple
     return _nullspace(rows, ncols, _prime_field(p))
 
 
-def smith_diagonalize(rows: list[list[int]], ncols: int):
-    """Diagonalize an integer matrix by unimodular row and column operations.
+def span_mod(vectors, ncols: int, modulus: int):
+    """Every sum c_1 v_1 + ... + c_k v_k over Z/modulus with each c_j below
+    the additive order of v_j, as tuples of least residues in a fixed order:
+    the whole span, each member once, when it is the direct sum of the
+    cyclic groups the v_j generate."""
+    orders = [modulus // gcd(modulus, *v) for v in vectors]
+    cols = [[v[i] for v in vectors] for i in range(ncols)]
+    for combo in itertools.product(*map(range, orders)):
+        yield tuple(sum(c * x for c, x in zip(combo, col)) % modulus for col in cols)
 
-    Returns ``(diag, colv)``. Row operations are not tracked; ``colv`` is the
-    accumulated column transform as a list of rows, so that if y satisfies the
-    diagonal system then x = colv . y satisfies the original one.
-    """
-    a = [[int(e) for e in r] for r in rows]
+
+def kernel_mod(rows: list[list[int]], ncols: int, modulus: int):
+    """Solutions of rows . x = 0 over Z/modulus, for any modulus, as
+    ``(count, solutions)``: each solution once, as least residues.
+
+    Euclidean row and column steps diagonalize the system, reducing every
+    entry and the column transform mod ``modulus`` after each step, so no
+    integer outgrows it; a diagonal entry d leaves gcd(d, modulus) values
+    for its unknown."""
+    n = modulus
+    a = [[e % n for e in r] for r in rows]
     nrows = len(a)
-    colv = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
+    # the column transform by columns: x = sum of y_j * cols[j]
+    cols = [[int(i == j) for i in range(ncols)] for j in range(ncols)]
 
     def swap_cols(j, k):
         for row in a:
             row[j], row[k] = row[k], row[j]
-        for row in colv:
-            row[j], row[k] = row[k], row[j]
+        cols[j], cols[k] = cols[k], cols[j]
 
     def add_col(dst, src, q):
         # column dst  -=  q * column src
         for row in a:
-            row[dst] -= q * row[src]
-        for row in colv:
-            row[dst] -= q * row[src]
+            row[dst] = (row[dst] - q * row[src]) % n
+        cols[dst] = [(x - q * y) % n for x, y in zip(cols[dst], cols[src])]
 
     t = 0
     while t < min(nrows, ncols):
-        pivot = next(
-            ((i, j) for i in range(t, nrows) for j in range(t, ncols) if a[i][j] != 0),
-            None,
-        )
+        pivot = next(((i, j) for i in range(t, nrows) for j in range(t, ncols) if a[i][j]), None)
         if pivot is None:
             break
         pi, pj = pivot
@@ -173,7 +183,7 @@ def smith_diagonalize(rows: list[list[int]], ncols: int):
             for i in range(t + 1, nrows):
                 if a[i][t] != 0:
                     q = a[i][t] // a[t][t]
-                    a[i] = [x - q * y for x, y in zip(a[i], a[t])]
+                    a[i] = [(x - q * y) % n for x, y in zip(a[i], a[t])]
                     if a[i][t] != 0:
                         a[t], a[i] = a[i], a[t]
                         dirty = True
@@ -187,34 +197,10 @@ def smith_diagonalize(rows: list[list[int]], ncols: int):
             if not dirty:
                 break
         t += 1
-    diag = [a[i][i] for i in range(t)]
-    return diag, colv
-
-
-def kernel_mod(rows: list[list[int]], ncols: int, modulus: int):
-    """Solutions of rows . x = 0 over Z/modulus, for arbitrary modulus.
-
-    Returns ``(count, make_iter)`` where ``make_iter()`` yields every solution
-    exactly once as a tuple of least nonnegative residues, in a fixed order.
-    """
-    diag, colv = smith_diagonalize(rows, ncols)
-    gs = []
-    for j in range(ncols):
-        d = diag[j] if j < len(diag) else 0
-        gs.append(gcd(abs(d), modulus))
-    count = 1
-    for g in gs:
-        count *= g
-
-    def make_iter():
-        for combo in itertools.product(*(range(g) for g in gs)):
-            y = [c * (modulus // g) for c, g in zip(combo, gs)]
-            yield tuple(
-                sum(colv[i][j] * y[j] for j in range(ncols)) % modulus
-                for i in range(ncols)
-            )
-
-    return count, make_iter
+    gs = [gcd(a[j][j] if j < t else 0, n) for j in range(ncols)]
+    # the transform is invertible mod n, so column j times n / g_j has order g_j
+    gens = [[n // g * x % n for x in col] for g, col in zip(gs, cols)]
+    return prod(gs), span_mod(gens, ncols, n)
 
 
 def primitive_integer_vector(vec) -> tuple[int, ...]:

@@ -310,9 +310,12 @@ class Ring:
 
     def kernel(self, rows, ncols):
         """The solutions of rows . x = 0 in ``ncols`` unknowns, as
-        ``(basis, count, solutions)``: a module basis or None, the number of
+        ``(basis, count, solutions)``: a basis or None, the number of
         solutions or None when infinite, and an iterable of every solution
-        once or None when they are not enumerable."""
+        once or None when they are not enumerable. Over Q and Z/p the basis
+        spans the solutions; over Z it is primitive integer vectors that
+        form a basis over Q, and their integer combinations need not reach
+        every integer solution."""
         raise UnsupportedOperationError(f"kernel over {self.describe()} is not supported")
 
     # -- serialization ------------------------------------------------------------
@@ -552,18 +555,9 @@ class ResidueRing(Ring):
     def kernel(self, rows, ncols):
         n = self.modulus
         if not self.is_prime:
-            # Smith form of the integer lift: a count and an enumeration
-            count, make_iter = linalg.kernel_mod(rows, ncols, n)
-            return None, count, make_iter()
+            return (None, *linalg.kernel_mod(rows, ncols, n))
         basis = linalg.nullspace_mod_prime(rows, ncols, n)
-
-        def solutions():
-            for combo in itertools.product(range(n), repeat=len(basis)):
-                yield tuple(
-                    sum(c * v[i] for c, v in zip(combo, basis)) % n for i in range(ncols)
-                )
-
-        return basis, n ** len(basis), solutions()
+        return basis, n ** len(basis), linalg.span_mod(basis, ncols, n)
 
     def spec_string(self):
         return f"Zmod:{self.modulus}"
@@ -719,6 +713,8 @@ class MatrixRing(FreeModuleRing):
     def __post_init__(self):
         if _require_int(self.size) < 1:
             raise ValueError("matrix size must be an integer >= 1")
+        if not isinstance(self.upper_triangular, bool):
+            raise ValueError(f"upper_triangular must be a bool, got {self.upper_triangular!r}")
 
     @cached_property
     def _positions(self):
@@ -1007,9 +1003,10 @@ class CentralizerDescription:
     """The subring of elements commuting with the given generators.
 
     ``elements`` is the explicit list when the centralizer is finite and
-    small enough to enumerate; ``basis`` is a module basis, over the base for
-    a commutative ring or no generators, else over the innermost scalar ring
-    (Q, Z or Z/p). Both may be present. ``count`` is None when infinite.
+    small enough to enumerate; ``basis`` is a module basis over the base for
+    a commutative ring or no generators, else the scalar ring's ``kernel``
+    basis, which over Z spans over Q but need not generate the integer
+    centralizer. Both may be present. ``count`` is None when infinite.
     """
 
     ring: Ring
@@ -1043,12 +1040,13 @@ def centralizer_of_set(ring: Ring, gens) -> CentralizerDescription:
     A commutative ring, or an empty set, is its own centralizer. Otherwise
     the ring is a matrix ring or table algebra, over any tower of bases, and
     the centralizer is the kernel of the linear system x*g = g*x, which the
-    innermost scalar ring decides with its own ``kernel``: a rational basis
-    over Q, a primitive integer basis over Z, a basis and its span over Z/p,
-    and a Smith-form count and enumeration over composite Z/n. The explicit
-    element list is also
-    produced whenever the kernel is enumerable with at most ``ENUM_LIMIT``
-    members; a larger one is refused when it has no basis either.
+    innermost scalar ring decides with its own ``kernel``: over Q a rational
+    basis; over Z primitive integer vectors that are a basis over Q, though
+    not always over Z; over Z/p a basis and its span; over composite Z/n a
+    count and an enumeration by elimination mod n. The explicit element list
+    is also produced whenever the kernel is enumerable with at most
+    ``ENUM_LIMIT`` members; a larger one is refused when it has no basis
+    either.
     """
     gens = tuple(gens)
     for g in gens:

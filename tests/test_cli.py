@@ -19,7 +19,7 @@ from cyclesplit.examples import (
     example1_matrix_ring,
     example1_witness,
 )
-from cyclesplit.ncpoly import MAX_DEGREE, from_int_coeffs, poly, poly_from_json, x_power
+from cyclesplit.ncpoly import MAX_DEGREE, from_int_coeffs, poly, poly_from_json, x_minus, x_power
 from cyclesplit.rings import parse_ring_spec
 from cyclesplit.search import SearchSpaceTooLargeError, find_roots
 from cyclesplit.splitting import witness_from_json
@@ -664,6 +664,23 @@ def test_cli_search_task_file(tmp_path):
     assert json.loads(text.splitlines()[-1])["summary"]["witness_count"] == 2
     code, _ = invoke("search", "--poly", "X^2")
     assert code == 2  # needs --task or --ring/--poly
+
+
+def test_cli_counterexample_hunt_reports_either_outcome(tmp_path):
+    code, text = invoke("search", "--ring", "Zmod:4", "--poly", "X^2", "--mode", "counterexample_hunt")
+    assert (code, text) == (0, '{"counterexample": null}\n')
+    ring = parse_ring_spec("Mat:2:Zmod:2")
+    e12, e21 = ring.element(((0, 1), (0, 0))), ring.element(((0, 0), (1, 0)))
+    f = x_minus(e12) * x_minus(e21)
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(f.to_json()))
+    code, text = invoke("search", "--ring", "Mat:2:Zmod:2", "--poly", f"@{path}", "--mode", "counterexample_hunt")
+    assert code == 0
+    # E12 is no right root of (X - E12)(X - E21); only the rightmost factor is
+    assert json.loads(text) == {"counterexample": {
+        "ring": "Mat:2:Zmod:2", "leading": [[1, 0], [0, 1]],
+        "pseudoroots": [[[0, 1], [0, 0]], [[0, 0], [1, 0]]],
+    }}
 
 
 def test_cli_centralizer():

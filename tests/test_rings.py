@@ -498,6 +498,36 @@ def test_centralizer_example2_z6_shape_and_crt_oracle():
     assert counts[2] * counts[3] == desc.count
 
 
+@pytest.mark.parametrize("n", (6, 10))
+def test_centralizer_mod_n_is_the_crt_product_of_prime_fields(n):
+    # Z/n eliminates on least residues; an integer Smith form of these
+    # 9 x 9 commutation systems grows without bound and did not finish
+    ring = parse_ring_spec(f"Mat:3:Zmod:{n}")
+    primes = [p for p in (2, 3, 5) if n % p == 0]
+    rng = random.Random(20)
+
+    def matrix():
+        return tuple(tuple(rng.randrange(n) for _ in range(3)) for _ in range(3))
+
+    cases = [[((1, 2, 3), (4, 5, 6), (7, 8, 10))]]
+    cases += [[matrix() for _ in range(1 + k % 2)] for k in range(6)]
+    counts = []
+    for payloads in cases:
+        gens = [ring.element(g) for g in payloads]
+        start = time.perf_counter()
+        desc = centralizer_of_set(ring, gens)
+        assert time.perf_counter() - start < 2
+        assert len(set(desc.elements)) == desc.count
+        assert all(commutator(x, g).is_zero for x in desc.elements for g in gens)
+        expected = 1
+        for p in primes:
+            rp = parse_ring_spec(f"Mat:3:Zmod:{p}")
+            expected *= centralizer_of_set(rp, [rp.element(g) for g in payloads]).count
+        assert desc.count == expected
+        counts.append(desc.count)
+    assert n != 6 or counts[0] == 216 == 8 * 27
+
+
 def test_centralizer_example2_q_and_z():
     rq = example2_matrix_ring(Q)
     desc = centralizer_of_set(rq, example2_matrices(rq))
@@ -532,6 +562,15 @@ def test_matrix_size_is_an_integer_not_a_bool():
         with pytest.raises(ValueError):
             MatrixRing(size, Z)
     assert MatrixRing(1, Z).spec_string() == "Mat:1:Z"
+
+
+def test_upper_triangular_flag_is_a_bool():
+    # "no" is truthy: it would build a ring that prints as UT:2:Z yet is
+    # not equal to UT:2:Z, so their elements could not be combined
+    for flag in ("no", 1, 0, None):
+        with pytest.raises(ValueError):
+            MatrixRing(2, Z, upper_triangular=flag)
+    assert MatrixRing(2, Z, upper_triangular=True) == parse_ring_spec("UT:2:Z")
 
 
 def test_table_spec_file_round_trip(tmp_path):
