@@ -12,17 +12,25 @@ not, the last factor is swept over the ring like the others. Results are
 canonically ordered and therefore identical across runs regardless of how
 the work is partitioned.
 
+A splitting f_n (X - a_1) ... (X - a_n) has degree exactly n, so a search
+with n != deg f returns no witnesses before it divides anything. When
+n = deg f each division lowers the degree by one, and the quotient chain
+f = q_1 (X - a_n), q_1 = q_2 (X - a_{n-1}), ... ends in the constant f_n:
+every tuple that reaches depth 0 is a splitting by construction, and no
+product re-checks it. ``test_every_witness_expands_to_its_target`` in
+``tests/test_search.py`` expands every witness of its differential targets
+and of the census grid, and compares it with f.
+
 Each candidate division is one ``right_divide_linear`` call, on elements
 built once per candidate before the sweep; only its remainder is an element.
 The closed form, the membership test, the quotients and the canonical order
 are payloads, and a ``SplittingWitness`` is built only for tuples that reach
-depth 0, where ``expand`` re-checks them end to end. Root finding sweeps
-payloads too: both evaluations are remainders of the division kernel
-``ncpoly._divide_linear``, and only roots become elements. In mode
-``commuting_splittings_only`` with a non-central coefficient the candidates
-are narrowed once, before the sweep, to the payloads that commute with every
-coefficient of the target; the closed-form candidate is held to the same
-membership test.
+depth 0. Root finding sweeps payloads too: both evaluations are remainders
+of the division kernel ``ncpoly._divide_linear``, and only roots become
+elements. In mode ``commuting_splittings_only`` with a non-central
+coefficient the candidates are narrowed once, before the sweep, to the
+payloads that commute with every coefficient of the target; the
+closed-form candidate is held to the same membership test.
 
 Whether every coefficient is central is decided once per search by the
 ring's centrality test ``Ring._central``, the rule behind ``is_commutative``:
@@ -44,16 +52,15 @@ rotations is a splitting again. So:
   rightmost factor is its least element. Each tuple found contributes all
   of its rotations, as a set, so a periodic tuple appears once.
 
-Every emitted tuple, rotations included, still passes the depth-0
-``expand`` check, and the witnesses are sorted as before, so the output does
-not depend on the pruning. In ``all_splittings`` with a non-central
+The rotations are splittings by the theorem, whose hypothesis both pruned
+cases meet, and the witnesses are sorted as before, so the output does not
+depend on the pruning. In ``all_splittings`` with a non-central
 coefficient the factors need not be roots, and the full sweep stays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
 
 from .ncpoly import MAX_DEGREE, NCPoly, _divide_linear, right_divide_linear, right_eval
 from .rings import (
@@ -65,7 +72,7 @@ from .rings import (
     RingMismatchError,
     _noncommuting,
 )
-from .splitting import SplittingWitness, expand
+from .splitting import SplittingWitness
 
 NODE_BUDGET = 10**8
 
@@ -202,8 +209,9 @@ def _splitting_tuples(
     f: NCPoly, depth: int, candidates: dict, counter: _NodeCounter, lead_inv
 ):
     """All payload tuples (a_1, ..., a_depth) drawn from ``candidates`` with
-    f = leading * (X-a_1)...(X-a_depth), up to the constant ``leading`` which
-    the caller peels off at depth 0."""
+    f = q * (X-a_1)...(X-a_depth), where q has degree deg f - depth. The
+    caller passes depth = deg f, so q is the leading coefficient of f and
+    every tuple is a splitting."""
     if depth == 0:
         yield ()
         return
@@ -241,11 +249,16 @@ def enumerate_splittings(task: SearchTask) -> SearchOutcome:
     """Every ordered pseudoroot tuple whose expansion equals the target.
 
     The leading coefficient is pinned to the target's own leading
-    coefficient. In mode ``commuting_splittings_only`` every pseudoroot must
-    also commute with every coefficient of the target (the commutation
-    hypothesis), so only the centralizer of the coefficients is swept, and
-    below the top level only its roots, one rotation per class (see the
-    module docstring); ``all_splittings`` prunes the same way when every
+    coefficient. A task whose n is not the degree of the target has no
+    splitting and returns an empty outcome at 0 nodes, after the same size
+    check as any other search. Otherwise each tuple of the quotient chain is
+    a splitting as it stands and is not expanded (see the module docstring).
+
+    In mode ``commuting_splittings_only`` every pseudoroot must also commute
+    with every coefficient of the target (the commutation hypothesis), so
+    only the centralizer of the coefficients is swept, and below the top
+    level only its roots, one rotation per class (see the module
+    docstring); ``all_splittings`` prunes the same way when every
     coefficient is central. Witnesses related by rotation share a cycle id
     (lexicographically minimal rotation is the class representative).
     """
@@ -254,6 +267,9 @@ def enumerate_splittings(task: SearchTask) -> SearchOutcome:
     ring = task.ring
     _require_desk_scale(ring)
     f = task.target
+    if task.n != f.degree:
+        # f_n (X - a_1) ... (X - a_n) has degree n, since f_n is nonzero
+        return SearchOutcome(task, (), (), 0)
     lead = f.payloads[-1]
     if lead == ring._one:
         lead_inv = lead
@@ -277,24 +293,17 @@ def enumerate_splittings(task: SearchTask) -> SearchOutcome:
     pruned = central or commuting
     search = _rotation_closed_tuples if pruned else _splitting_tuples
 
-    found = []
-    for tup in search(f, task.n, candidates, counter, lead_inv):
-        w = SplittingWitness(ring, leading, tuple(candidates[a] for a in tup))
-        if expand(w) != f:
-            # depth-0 check: the final quotient must have been the constant
-            # leading coefficient; expand re-checks end to end
-            continue
-        found.append((tup, w))
-
-    found.sort(key=itemgetter(0))
+    found = sorted(search(f, task.n, candidates, counter, lead_inv))
     class_of: dict[tuple, int] = {}
     cycle_ids = []
-    for tup, _ in found:
+    for tup in found:
         key = canonical_rotation(tup)
         if key not in class_of:
             class_of[key] = len(class_of)
         cycle_ids.append(class_of[key])
-    witnesses = tuple(w for _, w in found)
+    witnesses = tuple(
+        SplittingWitness(ring, leading, tuple(candidates[a] for a in tup)) for tup in found
+    )
     return SearchOutcome(task, witnesses, tuple(cycle_ids), len(class_of), counter.count)
 
 

@@ -1,3 +1,5 @@
+import importlib.util
+import os
 import random
 import zlib
 
@@ -153,10 +155,11 @@ def _noncentral_closed_form_target(ring):
 
 # SearchOutcome.nodes of each _differential_cases() target, in order, per
 # mode: the divisions the search makes, pinned so that a cheaper centrality
-# test or division kernel cannot change which divisions run
+# test or division kernel cannot change which divisions run. The three
+# n != deg f cases make none: they have no splitting.
 DIFFERENTIAL_NODES = {
-    "all_splittings": [31, 28, 28, 98, 6, 1240, 90, 16, 4, 10, 10, 11, 33, 21, 33],
-    "commuting_splittings_only": [31, 3, 3, 98, 6, 1240, 90, 16, 4, 10, 10, 11, 3, 21, 11],
+    "all_splittings": [31, 28, 28, 98, 6, 1240, 90, 16, 0, 0, 0, 11, 33, 21, 33],
+    "commuting_splittings_only": [31, 3, 3, 98, 6, 1240, 90, 16, 0, 0, 0, 11, 3, 21, 11],
 }
 
 
@@ -174,6 +177,81 @@ def test_search_matches_brute_force_census(mode):
         assert outcome.cycle_ids == cycle_ids, label
         assert outcome.cycle_count == cycle_count, label
         assert outcome.nodes == nodes, label
+
+
+def _census_grid():
+    """The (ring, polynomial) pairs that scripts/splitting_census.py
+    tabulates by default, each with n = deg f."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "splitting_census.py")
+    spec = importlib.util.spec_from_file_location("splitting_census", path)
+    census = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(census)
+    cases = []
+    for ring_spec in census.DEFAULT_RINGS:
+        ring = parse_ring_spec(ring_spec)
+        for text in census.DEFAULT_POLYS:
+            f = census.parse_poly(text, ring)
+            cases.append((f"{text}, {ring_spec}", ring, f, f.degree))
+    return cases
+
+
+def _recheck_failures(outcome):
+    """What the search no longer checks itself: each witness has n factors
+    and expands to the target, and where the theorem prunes the search
+    (commuting mode, or every coefficient central, decided here by brute
+    force) every rotation of a witness is a witness. Returns one line per
+    failure."""
+    task = outcome.task
+    f, ring = task.target, task.ring
+    central = all(x * c == c * x for c in f.coeffs for x in ring.elements())
+    pruned = central or task.mode == "commuting_splittings_only"
+    found = {w.pseudoroots for w in outcome.witnesses}
+    failures = []
+    for w in outcome.witnesses:
+        if len(w.pseudoroots) != task.n or expand(w) != f:
+            failures.append(f"expand: {w.to_json()}")
+        if pruned:
+            rotations = (w.pseudoroots[k:] + w.pseudoroots[:k] for k in range(task.n))
+            if not all(r in found for r in rotations):
+                failures.append(f"rotation: {w.to_json()}")
+    return failures
+
+
+@pytest.mark.parametrize("mode", ["all_splittings", "commuting_splittings_only"])
+def test_every_witness_expands_to_its_target(mode):
+    """The search emits the tuples of its quotient chain without expanding
+    them; this checks end to end that each one is a splitting of f."""
+    for label, ring, f, n in _differential_cases() + _census_grid():
+        outcome = enumerate_splittings(SearchTask(ring, f, n, mode))
+        assert _recheck_failures(outcome) == [], label
+
+
+def test_recheck_rejects_a_non_rotation(monkeypatch):
+    """A pruned search that also emits each tuple with its first two entries
+    swapped, which is not a rotation of it, fails the re-check."""
+    rotation_closed = search_mod._rotation_closed_tuples
+
+    def with_swaps(*args):
+        found = rotation_closed(*args)
+        return found | {(t[1], t[0]) + t[2:] for t in found}
+
+    monkeypatch.setattr(search_mod, "_rotation_closed_tuples", with_swaps)
+    ring = parse_ring_spec("Mat:2:Zmod:2")
+    f = from_int_coeffs(ring, [0, -1, 0, 1])
+    outcome = enumerate_splittings(SearchTask(ring, f, 3, "all_splittings"))
+    assert any(line.startswith("expand:") for line in _recheck_failures(outcome))
+
+
+@pytest.mark.parametrize("mode", ["all_splittings", "commuting_splittings_only"])
+def test_factor_count_other_than_the_degree_is_answered_at_zero_nodes(mode):
+    """f_n (X - a_1) ... (X - a_n) has degree n, so no other n can split f,
+    and the search answers without a division."""
+    ring = parse_ring_spec("Mat:2:Zmod:5")
+    f = from_int_coeffs(ring, [0, -1, 0, 1])
+    for n in (2, 4):
+        outcome = enumerate_splittings(SearchTask(ring, f, n, mode))
+        assert outcome.witnesses == () and outcome.cycle_count == 0
+        assert outcome.nodes == 0
 
 
 @pytest.mark.parametrize("mode", ["all_splittings", "commuting_splittings_only"])
@@ -376,6 +454,9 @@ def test_size_guards():
     f = from_int_coeffs(big, [0, 0, 1])
     with pytest.raises(SearchSpaceTooLargeError):
         find_roots(f, big)
+    # the size check comes before the answer for n != deg f
+    with pytest.raises(SearchSpaceTooLargeError):
+        enumerate_splittings(SearchTask(big, f, 3, "all_splittings"))
 
 
 def test_finite_ring_cache_matches_element_arithmetic():
