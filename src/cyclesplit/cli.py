@@ -10,10 +10,14 @@ decimal numeral (``rings._decimal``; ``--k`` alone may carry a leading "-"),
 an out-of-range ``--n`` or ``--p``, a matrix spec above
 ``rings.MAX_SCALAR_RANK`` scalars, a polynomial file whose ``"ring"`` is
 not ``--ring``, ``search --task`` with ``--ring``, ``--poly``, ``--n`` or
-``--mode``, or a search target that is zero (or constant, for
-``counterexample_hunt``), all refused while the command line parses or
-before any work. The output is written once, when the command ends, so a
-refused invocation writes nothing, not even to ``--out``.
+``--mode``, a search target that is zero (or constant, for
+``counterexample_hunt``), or an ``export --table`` that names no table, all
+refused while the command line parses or before any work. The output is
+written once, when the command ends, so a refused invocation writes nothing,
+not even to ``--out``.
+
+``endo`` and ``examples`` are imported only by the commands that use them,
+so the other commands start without them.
 
 Polynomial text is a sum of terms, each an optional sign (required between
 terms), an optional integer or rational (``p/q``) coefficient with an
@@ -28,7 +32,6 @@ Identical invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
@@ -36,8 +39,6 @@ import re
 import sys
 from fractions import Fraction
 
-from . import endo as endo_mod
-from . import examples as ex
 from .ncpoly import (
     MAX_DEGREE,
     CommutationError,
@@ -206,9 +207,11 @@ def _numeral(flag: str, text: str, signed: bool = False) -> int:
 
 
 def _prime(text: str) -> int:
+    from . import endo
+
     p = _numeral("--p", text)
     try:
-        return endo_mod._require_prime(p)
+        return endo._require_prime(p)
     except (ValueError, UnsupportedOperationError) as exc:
         raise ParseError(f"--p must be a prime: {exc}") from exc
 
@@ -393,7 +396,9 @@ def _cmd_centralizer(ns, out):
 
 
 def _cmd_endos(ns, out):
-    report = endo_mod.full_suite(ns.p)
+    from . import endo
+
+    report = endo.full_suite(ns.p)
     evidence = report.monoid.evidence()
     _emit({**report.to_json(), "composition_order_evidence": evidence}, ns.format, out)
     return 0 if report.passed else 1
@@ -404,21 +409,35 @@ def _cmd_export(ns, out):
         if ns.format == "csv":
             raise ParseError("the descriptor exports as JSON; csv is for the endomorphism tables")
         parse_ring_spec(ns.base)  # refuse a base no reader could parse back
+        from . import examples as ex
+
         _emit(ex.EXAMPLE1_DESCRIPTOR.to_json(ns.base), "json", out)
         return 0
-    headers, rows = endo_mod.TABLE_BUILDERS[ns.table](ns.p)
+    from . import endo
+
+    if ns.table not in endo.TABLE_BUILDERS:
+        names = ", ".join(sorted(endo.TABLE_BUILDERS))
+        raise ParseError(
+            f"--table must be descriptor or an endomorphism table ({names}), got {ns.table!r}"
+        )
+    headers, rows = endo.TABLE_BUILDERS[ns.table](ns.p)
     if ns.format == "csv":
+        import csv
+
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(headers)
         writer.writerows(rows)
     elif ns.format == "json":
         _emit({"headers": headers, "rows": rows}, "json", out)
     else:
-        out.write(endo_mod.format_table(headers, rows) + "\n")
+        out.write(endo.format_table(headers, rows) + "\n")
     return 0
 
 
 def _cmd_example1(ns, out):
+    from . import endo
+    from . import examples as ex
+
     ring = ns.ring
     w = ex.example1_witness(ring)
     f = expand(w)
@@ -452,12 +471,12 @@ def _cmd_example1(ns, out):
     for name, x in (("a1", e1), ("a2", e2), ("a3", e3)):
         rows.append(
             [name]
-            + [endo_mod.render_vec((x * y).payload) for y in (e1, e2, e3)]
+            + [endo.render_vec((x * y).payload) for y in (e1, e2, e3)]
         )
-    out.write(endo_mod.format_table(headers, rows) + "\n")
+    out.write(endo.format_table(headers, rows) + "\n")
 
     if ns.p is not None:
-        suite = endo_mod.full_suite(ns.p)
+        suite = endo.full_suite(ns.p)
         _check(out, f"endomorphism count over Z/{ns.p}", suite.monoid.endo_count == ns.p**2 + ns.p + 2)
         _check(out, "monoid table matches the matrix model", suite.monoid.passed)
         _check(out, "root and cycle classification", suite.cycles.passed)
@@ -473,6 +492,8 @@ def _swap_first_two(w):
 
 
 def _cmd_example2(ns, out):
+    from . import examples as ex
+
     ring = ns.ring
     w = ex.example2_witness(ring)
     f = expand(w)
@@ -612,7 +633,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--table",
         required=True,
-        choices=sorted(endo_mod.TABLE_BUILDERS) + ["descriptor"],
+        help="descriptor, or an endomorphism table: a key of cyclesplit.endo.TABLE_BUILDERS",
     )
     p.add_argument("--base", default="Z", help="base ring spec for descriptor export")
 

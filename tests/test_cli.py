@@ -401,6 +401,7 @@ def test_cli_file_errors_exit_2_and_write_errors_exit_1(tmp_path, capsys):
     ("endos", "--p", "4"),
     ("roots", "--ring", "Zmod:3", "--poly", "X^2 +"),
     ("search", "--ring", "Zmod:3", "--poly", "0"),
+    ("export", "--table", "nope"),
 ])
 def test_cli_refusal_leaves_out_file_untouched(tmp_path, capsys, argv):
     kept = tmp_path / "kept.txt"
@@ -442,6 +443,7 @@ def test_parse_error_carries_a_column_only_for_polynomial_text():
         ("verify", "--witness", "{}"),
         ("search", "--task", "{"),
         ("export", "--table", "descriptor", "--format", "csv"),
+        ("export", "--table", "nope"),
     ):
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
@@ -472,6 +474,58 @@ def test_cli_closed_stdout_exits_1_without_traceback():
         os.close(write_end)
     assert proc.returncode == 1
     assert proc.stderr.decode() == "error: cannot write the output: Broken pipe\n"
+
+
+# Runs each argv of a JSON list through cli.run and prints the exit codes,
+# the joint output and the modules that were not loaded at start-up.
+_FOOTPRINT = """
+import io, json, sys
+at_start = set(sys.modules)
+from cyclesplit.cli import run
+out = io.StringIO()
+codes = [run(argv, out=out) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"codes": codes, "out": out.getvalue(), "loaded": sorted(set(sys.modules) - at_start)}))
+"""
+
+
+def _in_fresh_interpreter(*argvs):
+    src = os.path.dirname(os.path.dirname(cyclesplit.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", _FOOTPRINT, json.dumps(argvs)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+        check=True,
+    )
+    return json.loads(proc.stdout)
+
+
+def test_cli_commands_import_only_what_they_run():
+    witness = json.dumps(
+        {"ring": "UT:2:Z", "leading": [[1, 0], [0, 1]],
+         "pseudoroots": [[[0, 0], [0, 1]], [[0, -1], [0, 0]], [[1, 1], [0, 0]]]}
+    )
+    result = _in_fresh_interpreter(
+        ["roots", "--ring", "Zmod:6", "--poly", "X^2 - X"],
+        ["search", "--ring", "UT:2:Zmod:3", "--poly", "X^2"],
+        ["verify", "--witness", witness],
+        ["rotate", "--witness", witness, "--k", "1"],
+        ["divide", "--ring", "Zmod:5", "--poly", "X^3 - 4", "--element", "2"],
+        ["eval", "--ring", "Mat:2:Zmod:3", "--poly", "X^2 - X", "--element", "[[1,1],[0,1]]"],
+        ["centralizer", "--ring", "Mat:2:Zmod:2", "--elements", "[[[1,1],[0,1]]]"],
+        ["roots", "--ring", "Nope", "--poly", "X"],
+    )
+    assert result["codes"] == [0] * 7 + [2]
+    assert "cyclesplit.search" in result["loaded"]
+    for name in ("cyclesplit.endo", "cyclesplit.examples", "csv"):
+        assert name not in result["loaded"], name
+    # a table export loads what it needs, and prints what it prints in-process
+    argv = ["export", "--p", "3", "--table", "monoid", "--format", "csv"]
+    result = _in_fresh_interpreter(argv)
+    assert {"cyclesplit.endo", "csv"} <= set(result["loaded"])
+    assert (result["codes"][0], result["out"]) == invoke(*argv)
 
 
 def test_cli_search_budget_refusal_is_fast(capsys):
