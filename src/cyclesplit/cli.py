@@ -438,6 +438,8 @@ def _cmd_example1(ns, out):
     from . import endo
     from . import examples as ex
 
+    # the battery first: a --p over its budget is refused before any output
+    suite = endo.full_suite(ns.p) if ns.p is not None else None
     ring = ns.ring
     w = ex.example1_witness(ring)
     f = expand(w)
@@ -475,8 +477,7 @@ def _cmd_example1(ns, out):
         )
     out.write(endo.format_table(headers, rows) + "\n")
 
-    if ns.p is not None:
-        suite = endo.full_suite(ns.p)
+    if suite is not None:
         _check(out, f"endomorphism count over Z/{ns.p}", suite.monoid.endo_count == ns.p**2 + ns.p + 2)
         _check(out, "monoid table matches the matrix model", suite.monoid.passed)
         _check(out, "root and cycle classification", suite.cycles.passed)

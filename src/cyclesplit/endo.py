@@ -24,10 +24,29 @@ and the minimal polynomials multiply with the payload operations of the
 uses too. An endomorphism is the payload triple of its basis images;
 ``EndoMap.apply_vec`` is that linear map, written out mod p. It is an
 automorphism exactly when the base determinant of the triple is a unit
-(``FreeModuleRing``'s unit rule). Each table of compositions, root images
-or cycle images is one loop that streams a row per endomorphism, and the
-table's check and its export both read it; the monoid check composes each
-ordered pair once.
+(``FreeModuleRing``'s unit rule).
+
+Every public entry point builds one private context, ``_Battery(p)``, and
+``full_suite`` hands its one context to all five phases. Each field of the
+context is computed on first read, once, and dies with the call:
+
+* one sweep of A squares each element once and yields the idempotents, the
+  square-zero elements and the roots (x^3 = x^2) in payload order;
+* the endomorphisms, enumerated from that sweep;
+* an image map per endomorphism, ``{x: e(x)}`` over the 3p+1 roots, which
+  hold every basis image; each entry is one ``apply_vec``;
+* the root records, with one minimal polynomial per distinct root;
+* the splitting census of X^3 - X^2 and its rotation classes.
+
+A composite ``compose_endos(r, c)`` is r's basis images read off c's map,
+and the root and cycle action tables, the poset and the translation checks
+read the maps too, so each endomorphism is applied once per root. Each
+table of compositions, root images or cycle images is one loop that
+streams a row per endomorphism, and the table's check and its export both
+read it; the monoid check composes each ordered pair once. The context
+refuses a prime whose monoid table has more than ``search.NODE_BUDGET``
+ordered pairs (p > 97) with ``SearchSpaceTooLargeError``, before any
+enumeration.
 
 Composition order (frozen): ``compose_endos(e1, e2)`` applies e1 first and
 e2 second. Under this order the matrix model is a monoid homomorphism:
@@ -42,11 +61,18 @@ by the one ``rings.Record`` rule: fields in order, then ``passed``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .examples import EXAMPLE1_DESCRIPTOR, example1_algebra, example1_cubic
 from .rings import Record, ResidueRing, TableAlgebra
-from .search import SearchOutcome, SearchTask, canonical_rotation, enumerate_splittings
+from .search import (
+    NODE_BUDGET,
+    SearchOutcome,
+    SearchSpaceTooLargeError,
+    SearchTask,
+    canonical_rotation,
+    enumerate_splittings,
+)
 
 COMPOSITION_ORDER = "left-operand-first"
 
@@ -134,15 +160,14 @@ class EndoMap:
     images: tuple[Vec, Vec, Vec]
     family: EndoFamily
 
-    @property
-    def p(self) -> int:
-        return self.algebra.base.modulus
-
     def apply_vec(self, x: Vec) -> Vec:
-        p = self.p
-        u, v, w = self.images
-        return tuple(
-            (x[0] * u[k] + x[1] * v[k] + x[2] * w[k]) % p for k in range(3)
+        (u0, u1, u2), (v0, v1, v2), (w0, w1, w2) = self.images
+        p = self.algebra.base.modulus
+        a, b, c = x
+        return (
+            (a * u0 + b * v0 + c * w0) % p,
+            (a * u1 + b * v1 + c * w1) % p,
+            (a * u2 + b * v2 + c * w2) % p,
         )
 
     def label(self) -> str:
@@ -154,33 +179,9 @@ def _mk_endo(algebra: TableAlgebra, vecs: tuple[Vec, Vec, Vec]) -> EndoMap:
 
 
 def enumerate_endos(modulus: int) -> list[EndoMap]:
-    """All unital algebra endomorphisms by brute force over image pairs.
-
-    The image of a_3 is forced by unitality (the unit is a_1 + a_2 + a_3),
-    so only the images of a_1 and a_2 are searched, with multiplicativity
-    pruning as early as possible.
-    """
-    algebra = _algebra_for(modulus)
-    mul, add, neg = algebra._mul, algebra._add, algebra._neg
-    one, zero = algebra._one, algebra._zero
-    vecs = list(algebra.payloads())
-    idempotents = [u for u in vecs if mul(u, u) == u]
-    nilpotents = [v for v in vecs if mul(v, v) == zero]
-    found = []
-    for u in idempotents:
-        for v in nilpotents:
-            if mul(u, v) != zero or mul(v, u) != v:
-                continue
-            w = add(one, neg(add(u, v)))
-            if mul(u, w) != zero or mul(v, w) != zero:
-                continue
-            if mul(w, u) != neg(v) or mul(w, v) != v:
-                continue
-            if mul(w, w) != w:
-                continue
-            found.append((u, v, w))
-    found.sort()
-    return [_mk_endo(algebra, vecs_) for vecs_ in found]
+    """All unital algebra endomorphisms by brute force over image pairs
+    (``_Battery.endos``)."""
+    return _Battery(modulus).endos
 
 
 def compose_endos(e1: EndoMap, e2: EndoMap) -> EndoMap:
@@ -225,12 +226,6 @@ def predicted_composition(f1: EndoFamily, f2: EndoFamily, p: int) -> EndoFamily:
 def identity_endo(modulus: int) -> EndoMap:
     algebra = _algebra_for(modulus)
     return _mk_endo(algebra, algebra.module_basis())
-
-
-def _composite_rows(endos: list[EndoMap]):
-    """Stream one row per endomorphism r: r and compose(r, c) for each c."""
-    for r in endos:
-        yield r, [compose_endos(r, c) for c in endos]
 
 
 def automorphisms(endos: list[EndoMap]) -> list[EndoMap]:
@@ -284,15 +279,18 @@ def verify_monoid_table(modulus: int) -> MonoidTableReport:
     against the prediction for (r, c) counts as compose(r, c) against the
     prediction for (c, r), so the reversed order needs no second composite.
     """
-    p = _require_prime(modulus)
-    endos = enumerate_endos(p)
+    return _monoid_report(_Battery(modulus))
+
+
+def _monoid_report(battery: _Battery) -> MonoidTableReport:
+    p, endos = battery.p, battery.endos
     unclassified = tuple(str(e.images) for e in endos if e.family.kind == "unclassified")
-    ident = identity_endo(p).images
+    ident = battery.algebra.module_basis()
     mismatches = []
     frozen_hits = 0
     reversed_hits = 0
     neutral_ok = any(e.images == ident for e in endos)
-    for r, row in _composite_rows(endos):
+    for r, row in battery.composite_rows():
         for c, composite in zip(endos, row):
             predicted = predicted_composition(r.family, c.family, p)
             actual = composite.family
@@ -309,7 +307,7 @@ def verify_monoid_table(modulus: int) -> MonoidTableReport:
             ):
                 neutral_ok = False
 
-    autos = automorphisms(endos)
+    autos = battery.automorphisms
     expected_autos = {
         EndoFamily("eps_sigma_s", (s, v)) for s in range(1, p) for v in range(p)
     }
@@ -417,9 +415,7 @@ def minpoly_label(x: Vec, p: int) -> str:
 
 def root_elements(modulus: int) -> list[Vec]:
     """Exhaustive scan: every x in A with x^3 = x^2, in lexicographic order."""
-    algebra = _algebra_for(modulus)
-    mul = algebra._mul
-    return [x for x in algebra.payloads() if mul(x2 := mul(x, x), x) == x2]
+    return _Battery(modulus).roots
 
 
 def _all_root_families(p: int) -> list[RootFamily]:
@@ -452,21 +448,7 @@ def classify_roots(modulus: int) -> list[RootRecord]:
     root must classify into exactly one family kind (hard failure
     otherwise).
     """
-    p = _require_prime(modulus)
-    scan = root_elements(p)
-    scan_set = set(scan)
-    records = []
-    for fam in _all_root_families(p):
-        vec = fam.element_vec(p)
-        if vec not in scan_set:
-            raise ClassificationError(f"family instance {fam.label()} is not a root")
-        records.append(RootRecord(vec, fam, minpoly_label(vec, p)))
-    covered = {r.element for r in records}
-    for x in scan:
-        if x not in covered:
-            raise ClassificationError(f"root {x} matched no family")
-        classify_element_as_root(x, p)  # raises if shape-ambiguous
-    return records
+    return _Battery(modulus).root_records
 
 
 def distinct_root_elements(records: list[RootRecord]) -> list[Vec]:
@@ -537,35 +519,7 @@ def classify_cycles(modulus: int) -> list[CycleRecord]:
     Hard failure when a found class matches no family or a predicted family
     instance is not found: either falsifies the classification for this p.
     """
-    p = _require_prime(modulus)
-    return _classify_census(p, _cubic_census(p))
-
-
-def _cubic_census(p: int) -> SearchOutcome:
-    """Every splitting of X^3 - X^2 with leading 1 over the algebra mod p."""
-    algebra = _algebra_for(p)
-    f = example1_cubic(algebra)
-    return enumerate_splittings(SearchTask(algebra, f, 3, "all_splittings"))
-
-
-def _classify_census(p: int, outcome: SearchOutcome) -> list[CycleRecord]:
-    algebra = outcome.task.ring
-    found_keys = {
-        canonical_rotation(tuple(a.payload for a in w.pseudoroots))
-        for w in outcome.witnesses
-    }
-    predicted = predicted_cycle_classes(p)
-    for key in found_keys:
-        if key not in predicted:
-            raise ClassificationError(f"splitting class {key} matched no family")
-    records = []
-    for key, fam in predicted.items():
-        if key not in found_keys:
-            raise ClassificationError(
-                f"family instance {fam.label()} was not found by the search"
-            )
-        records.append(CycleRecord(algebra, key, fam))
-    return records
+    return _Battery(modulus).cycle_records
 
 
 def cycle_is_basis(record: CycleRecord) -> bool:
@@ -592,11 +546,11 @@ def verify_cycle_suite(modulus: int) -> CycleSuiteReport:
     """Classification plus the two structural facts: the roots are exactly
     the union of cycle supports, and the classes whose roots form a module
     basis are exactly c_tau_t with invertible first parameter."""
-    p = _require_prime(modulus)
-    roots = classify_roots(p)
-    outcome = _cubic_census(p)
-    cycles = _classify_census(p, outcome)
+    return _cycle_report(_Battery(modulus))
 
+
+def _cycle_report(battery: _Battery) -> CycleSuiteReport:
+    p, roots, cycles = battery.p, battery.root_records, battery.cycle_records
     distinct = distinct_root_elements(roots)
     support = {v for rec in cycles for v in rec.roots}
     union_ok = support == set(distinct)
@@ -611,10 +565,183 @@ def verify_cycle_suite(modulus: int) -> CycleSuiteReport:
         root_record_count=len(roots),
         distinct_root_count=len(distinct),
         cycle_class_count=len(cycles),
-        splitting_count=len(outcome.witnesses),
+        splitting_count=len(battery.census.witnesses),
         roots_are_union_of_supports=union_ok,
         basis_classes_ok=basis_ok,
     )
+
+
+# ---------------------------------------------------------------------------
+# the per-call context
+# ---------------------------------------------------------------------------
+
+
+class _Battery:
+    """What the phases share over Z/p, each field computed on first read.
+
+    One context serves one call: nothing here is cached beyond the object,
+    so every call still does all of its own work, once.
+    """
+
+    def __init__(self, modulus: int):
+        p = _require_prime(modulus)
+        pairs = (p * p + p + 2) ** 2
+        if pairs > NODE_BUDGET:
+            raise SearchSpaceTooLargeError(
+                f"the monoid table over Z/{p} has {pairs} ordered pairs, "
+                f"more than the {NODE_BUDGET} search budget"
+            )
+        self.p = p
+        self.algebra = _cubic_algebra(p)
+
+    @cached_property
+    def _sweep(self) -> tuple[list[Vec], list[Vec], list[Vec]]:
+        """The idempotents, the square-zero elements and the roots
+        (x^3 = x^2), each in payload order, from one square per element.
+        0 is all three; an idempotent or square-zero x is a root without a
+        cube, since x^3 = x^2 x is then x^2."""
+        mul, zero = self.algebra._mul, self.algebra._zero
+        idempotents, square_zero, roots = [], [], []
+        for x in self.algebra.payloads():
+            x2 = mul(x, x)
+            idempotent, nil = x2 == x, x2 == zero
+            if idempotent:
+                idempotents.append(x)
+            if nil:
+                square_zero.append(x)
+            if idempotent or nil or mul(x2, x) == x2:
+                roots.append(x)
+        return idempotents, square_zero, roots
+
+    @property
+    def roots(self) -> list[Vec]:
+        return self._sweep[2]
+
+    @cached_property
+    def endos(self) -> list[EndoMap]:
+        """The image of a_3 is forced by unitality (the unit is a_1 + a_2 +
+        a_3), so only the images of a_1 (an idempotent) and a_2 (square
+        zero) are searched, with multiplicativity pruning as early as
+        possible."""
+        algebra = self.algebra
+        mul, add, neg = algebra._mul, algebra._add, algebra._neg
+        one, zero = algebra._one, algebra._zero
+        idempotents, square_zero, _ = self._sweep
+        found = []
+        for u in idempotents:
+            for v in square_zero:
+                if mul(u, v) != zero or mul(v, u) != v:
+                    continue
+                w = add(one, neg(add(u, v)))
+                if mul(u, w) != zero or mul(v, w) != zero:
+                    continue
+                if mul(w, u) != neg(v) or mul(w, v) != v:
+                    continue
+                if mul(w, w) != w:
+                    continue
+                found.append((u, v, w))
+        found.sort()
+        return [_mk_endo(algebra, vecs) for vecs in found]
+
+    @cached_property
+    def maps(self) -> dict[tuple[Vec, Vec, Vec], dict[Vec, Vec]]:
+        """Per endomorphism, by its basis images, its value on every root.
+        The roots hold every basis image (a_1 and a_3 go to idempotents,
+        a_2 to a square-zero element), and an endomorphism maps roots to
+        roots, so these maps are all the phases apply."""
+        roots = self.roots
+        return {e.images: {x: e.apply_vec(x) for x in roots} for e in self.endos}
+
+    @cached_property
+    def _endo_at(self) -> dict[tuple[Vec, Vec, Vec], EndoMap]:
+        return {e.images: e for e in self.endos}
+
+    def compose(self, r: EndoMap, c: EndoMap) -> EndoMap:
+        """``compose_endos(r, c)``: r's basis images read off c's map."""
+        if r.family.kind == "unclassified" or c.family.kind == "unclassified":
+            raise ClassificationError("cannot compose unclassified endomorphisms")
+        m = self.maps[c.images]
+        u, v, w = r.images
+        images = (m[u], m[v], m[w])
+        composite = self._endo_at.get(images)
+        return composite if composite is not None else _mk_endo(self.algebra, images)
+
+    def composite_rows(self):
+        """Stream one row per endomorphism r: r and compose(r, c) for each c."""
+        endos = self.endos
+        for r in endos:
+            yield r, [self.compose(r, c) for c in endos]
+
+    def root_image_rows(self, vecs: list[Vec]):
+        """Stream one row per endomorphism e: e and its image of each root
+        in ``vecs``."""
+        for e in self.endos:
+            m = self.maps[e.images]
+            yield e, [m[v] for v in vecs]
+
+    def cycle_image_rows(self, supports: list[tuple[Vec, Vec, Vec]]):
+        """Stream one row per endomorphism e: e and, for each support of
+        three roots, the canonical rotation of its image under e."""
+        for e in self.endos:
+            m = self.maps[e.images]
+            yield e, [canonical_rotation((m[a], m[b], m[c])) for a, b, c in supports]
+
+    @cached_property
+    def automorphisms(self) -> list[EndoMap]:
+        return automorphisms(self.endos)
+
+    @cached_property
+    def root_records(self) -> list[RootRecord]:
+        """One record per family parameter instance, checked against the
+        root scan (see ``classify_roots``); each distinct root's minimal
+        polynomial is computed once."""
+        p, scan = self.p, self.roots
+        scan_set = set(scan)
+        minpolys = {}
+        records = []
+        for fam in _all_root_families(p):
+            vec = fam.element_vec(p)
+            if vec not in scan_set:
+                raise ClassificationError(f"family instance {fam.label()} is not a root")
+            if vec not in minpolys:
+                minpolys[vec] = minpoly_label(vec, p)
+            records.append(RootRecord(vec, fam, minpolys[vec]))
+        for x in scan:
+            if x not in minpolys:
+                raise ClassificationError(f"root {x} matched no family")
+            classify_element_as_root(x, p)  # raises if shape-ambiguous
+        return records
+
+    @cached_property
+    def cycle_classes(self) -> dict[tuple[Vec, ...], CycleFamily]:
+        return predicted_cycle_classes(self.p)
+
+    @cached_property
+    def census(self) -> SearchOutcome:
+        """Every splitting of X^3 - X^2 with leading 1 over the algebra."""
+        f = example1_cubic(self.algebra)
+        return enumerate_splittings(SearchTask(self.algebra, f, 3, "all_splittings"))
+
+    @cached_property
+    def cycle_records(self) -> list[CycleRecord]:
+        """The census's rotation classes, each matched to its family (see
+        ``classify_cycles``)."""
+        found_keys = {
+            canonical_rotation(tuple(a.payload for a in w.pseudoroots))
+            for w in self.census.witnesses
+        }
+        predicted = self.cycle_classes
+        for key in found_keys:
+            if key not in predicted:
+                raise ClassificationError(f"splitting class {key} matched no family")
+        records = []
+        for key, fam in predicted.items():
+            if key not in found_keys:
+                raise ClassificationError(
+                    f"family instance {fam.label()} was not found by the search"
+                )
+            records.append(CycleRecord(self.algebra, key, fam))
+        return records
 
 
 # ---------------------------------------------------------------------------
@@ -675,22 +802,6 @@ def predicted_cycle_action(e: EndoFamily, c: CycleFamily, p: int) -> CycleFamily
     raise ClassificationError(f"no action rule for {e!r}")
 
 
-def _root_image_rows(endos: list[EndoMap], fams: list[RootFamily], p: int):
-    """Stream one row per endomorphism e: e and the image under e of each
-    root-family instance in ``fams``."""
-    vecs = [f.element_vec(p) for f in fams]
-    for e in endos:
-        yield e, [e.apply_vec(v) for v in vecs]
-
-
-def _cycle_image_rows(endos: list[EndoMap], fams: list[CycleFamily], p: int):
-    """Stream one row per endomorphism e: e and, for each cycle family in
-    ``fams``, the canonical rotation of the image under e of its support."""
-    supports = [f.support_vecs(p) for f in fams]
-    for e in endos:
-        yield e, [canonical_rotation(tuple(map(e.apply_vec, s))) for s in supports]
-
-
 @dataclass(frozen=True)
 class ActionTablesReport(Record):
     p: int
@@ -711,14 +822,18 @@ class ActionTablesReport(Record):
 
 def verify_action_tables(modulus: int) -> ActionTablesReport:
     """Entrywise check of both action tables over all parameter values."""
-    p = _require_prime(modulus)
-    endos = enumerate_endos(p)
-    roots = set(root_elements(p))
+    return _action_report(_Battery(modulus))
+
+
+def _action_report(battery: _Battery) -> ActionTablesReport:
+    p, endos = battery.p, battery.endos
+    roots = set(battery.roots)
     root_fams = _all_root_families(p)
     root_mismatches = []
     cycle_mismatches = []
     images_are_roots = True
-    for e, images in _root_image_rows(endos, root_fams, p):
+    vecs = [fam.element_vec(p) for fam in root_fams]
+    for e, images in battery.root_image_rows(vecs):
         for fam, img in zip(root_fams, images):
             if img not in roots:
                 images_are_roots = False
@@ -728,8 +843,9 @@ def verify_action_tables(modulus: int) -> ActionTablesReport:
                     (e.label(), fam.label(), str(expected), str(img))
                 )
     # family -> canonical rotation of its support
-    cycle_keys = {fam: key for key, fam in predicted_cycle_classes(p).items()}
-    for e, got_keys in _cycle_image_rows(endos, list(cycle_keys), p):
+    cycle_keys = {fam: key for key, fam in battery.cycle_classes.items()}
+    supports = [fam.support_vecs(p) for fam in cycle_keys]
+    for e, got_keys in battery.cycle_image_rows(supports):
         for fam, got in zip(cycle_keys, got_keys):
             expected = cycle_keys[predicted_cycle_action(e.family, fam, p)]
             if got != expected:
@@ -806,10 +922,12 @@ def minpoly_and_poset(modulus: int) -> PosetReport:
     automorphisms preserve the order, that exactly eps and eps' break
     order preservation (in the four known patterns), and that the weaker
     degree-level order is always preserved."""
-    p = _require_prime(modulus)
-    endos = enumerate_endos(p)
-    records = classify_roots(p)
-    autos = {id(e) for e in automorphisms(endos)}
+    return _poset_report(_Battery(modulus))
+
+
+def _poset_report(battery: _Battery) -> PosetReport:
+    p, records = battery.p, battery.root_records
+    autos = {id(e) for e in battery.automorphisms}
 
     minpoly_table_ok = all(
         rec.minpoly == _expected_minpoly(rec.family, p) for rec in records
@@ -821,19 +939,17 @@ def minpoly_and_poset(modulus: int) -> PosetReport:
         for j, y in enumerate(records)
         if _strictly_above(x.minpoly, y.minpoly)
     ]
-    # every image is a root, so at most 3p+1 distinct payloads need a label
-    labels = {}
+    # every image is a root, and the records label each root once
+    labels = {rec.element: rec.minpoly for rec in records}
     monotone_ok = True
     level_order_ok = True
     failing_kinds = set()
     patterns = set()
     failing_pair_count = 0
     automorphisms_preserve_ok = True
-    for e, images in _root_image_rows(endos, [rec.family for rec in records], p):
+    for e, images in battery.root_image_rows([rec.element for rec in records]):
         image_mps = []
         for rec, img in zip(records, images):
-            if img not in labels:
-                labels[img] = minpoly_label(img, p)
             mp_img = labels[img]
             image_mps.append(mp_img)
             if not minpoly_divides(mp_img, rec.minpoly):
@@ -898,36 +1014,37 @@ def verify_translate_properties(modulus: int) -> TranslateReport:
     every cycle class maps to the c^0 class. "Image" means a single
     endomorphism application; the reachability closure is also computed to
     confirm single application already suffices."""
-    p = _require_prime(modulus)
-    endos = enumerate_endos(p)
-    roots = root_elements(p)
+    return _translate_report(_Battery(modulus))
+
+
+def _translate_report(battery: _Battery) -> TranslateReport:
+    p, roots = battery.p, battery.roots
+    maps = battery.maps.values()
 
     seed_roots = [
         RootFamily("r_tau", (1,)).element_vec(p),
         RootFamily("r_tau_t", (1, 0)).element_vec(p),
     ]
-    one_step_images = {e.apply_vec(v) for e in endos for v in seed_roots}
+    one_step_images = {m[v] for m in maps for v in seed_roots}
     roots_from_seeds = set(roots) <= one_step_images
 
     sinks = {RootFamily("r_tau", (0,)).element_vec(p), RootFamily("r").element_vec(p)}
-    roots_to_sinks = all(
-        any(e.apply_vec(v) in sinks for e in endos) for v in roots
-    )
+    roots_to_sinks = all(any(m[v] in sinks for m in maps) for v in roots)
 
-    cycle_keys = set(predicted_cycle_classes(p))
-    seed_cycles = [CycleFamily("c_tau", (1,)), CycleFamily("c_tau_t", (1, 0))]
+    cycle_keys = set(battery.cycle_classes)
+    seed_supports = [
+        CycleFamily("c_tau", (1,)).support_vecs(p),
+        CycleFamily("c_tau_t", (1, 0)).support_vecs(p),
+    ]
     one_step_cycle_images = {
-        key for _, keys in _cycle_image_rows(endos, seed_cycles, p) for key in keys
+        key for _, keys in battery.cycle_image_rows(seed_supports) for key in keys
     }
     cycles_from_seeds = cycle_keys <= one_step_cycle_images
 
     sink_key = canonical_rotation(CycleFamily("c_tau", (0,)).support_vecs(p))
     cycles_to_sink = all(
-        any(
-            canonical_rotation(tuple(e.apply_vec(v) for v in key)) == sink_key
-            for e in endos
-        )
-        for key in cycle_keys
+        any(canonical_rotation((m[a], m[b], m[c])) == sink_key for m in maps)
+        for a, b, c in cycle_keys
     )
 
     # reachability closure of the seeds; single application must already
@@ -936,8 +1053,8 @@ def verify_translate_properties(modulus: int) -> TranslateReport:
     frontier = list(closure)
     while frontier:
         v = frontier.pop()
-        for e in endos:
-            img = e.apply_vec(v)
+        for m in maps:
+            img = m[v]
             if img not in closure:
                 closure.add(img)
                 frontier.append(img)
@@ -979,14 +1096,15 @@ class EndoSuiteReport(Record):
 
 
 def full_suite(modulus: int) -> EndoSuiteReport:
-    p = _require_prime(modulus)
+    """The five phase reports, all read off one context."""
+    battery = _Battery(modulus)
     return EndoSuiteReport(
-        p=p,
-        monoid=verify_monoid_table(p),
-        cycles=verify_cycle_suite(p),
-        actions=verify_action_tables(p),
-        poset=minpoly_and_poset(p),
-        translate=verify_translate_properties(p),
+        p=battery.p,
+        monoid=_monoid_report(battery),
+        cycles=_cycle_report(battery),
+        actions=_action_report(battery),
+        poset=_poset_report(battery),
+        translate=_translate_report(battery),
     )
 
 
@@ -1024,33 +1142,34 @@ def endo_images_rows(modulus: int) -> tuple[list[str], list[list[str]]]:
 
 
 def monoid_table_rows(modulus: int) -> tuple[list[str], list[list[str]]]:
-    endos = enumerate_endos(modulus)
-    headers = ["first, then:"] + [e.label() for e in endos]
+    battery = _Battery(modulus)
+    headers = ["first, then:"] + [e.label() for e in battery.endos]
     rows = [
-        [r.label()] + [x.label() for x in row] for r, row in _composite_rows(endos)
+        [r.label()] + [x.label() for x in row] for r, row in battery.composite_rows()
     ]
     return headers, rows
 
 
 def root_action_rows(modulus: int) -> tuple[list[str], list[list[str]]]:
-    p = _require_prime(modulus)
+    battery = _Battery(modulus)
+    p = battery.p
     fams = _all_root_families(p)
     headers = ["endo \\ root"] + [f.label() for f in fams]
     rows = [
         [e.label()] + [classify_element_as_root(img, p).label() for img in images]
-        for e, images in _root_image_rows(enumerate_endos(p), fams, p)
+        for e, images in battery.root_image_rows([f.element_vec(p) for f in fams])
     ]
     return headers, rows
 
 
 def cycle_action_rows(modulus: int) -> tuple[list[str], list[list[str]]]:
-    p = _require_prime(modulus)
-    predicted = predicted_cycle_classes(p)
+    battery = _Battery(modulus)
+    p, predicted = battery.p, battery.cycle_classes
     fams = list(predicted.values())
     headers = ["endo \\ cycle"] + [f.label() for f in fams]
     rows = [
         [e.label()] + [predicted[key].label() for key in keys]
-        for e, keys in _cycle_image_rows(enumerate_endos(p), fams, p)
+        for e, keys in battery.cycle_image_rows([f.support_vecs(p) for f in fams])
     ]
     return headers, rows
 

@@ -540,6 +540,34 @@ def test_cli_search_budget_refusal_is_fast(capsys):
     assert "elements, the search budget" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ["endos", "--p", "101"],
+        ["export", "--p", "1000003", "--table", "images"],
+        ["example1", "--p", "101"],
+    ),
+)
+def test_cli_endo_battery_budget_refusal_is_fast(argv):
+    # (p^2 + p + 2)^2 ordered pairs in the monoid table, over 10^8 from p = 101
+    src = os.path.dirname(os.path.dirname(cyclesplit.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    start = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "cyclesplit", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=60,
+    )
+    assert time.monotonic() - start < 2
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: the monoid table over Z/")
+    assert proc.stderr.endswith("search budget\n")
+    assert proc.stderr.count("\n") == 1
+
+
 def test_cli_deterministic_output():
     first = invoke("search", "--ring", "Zmod:4", "--poly", "X^2")
     second = invoke("search", "--ring", "Zmod:4", "--poly", "X^2")

@@ -32,7 +32,12 @@ from cyclesplit.endo import (
 from cyclesplit.examples import example1_algebra, example1_cubic
 from cyclesplit.ncpoly import from_int_coeffs, right_eval
 from cyclesplit.rings import ResidueRing
-from cyclesplit.search import find_roots
+from cyclesplit.search import (
+    NODE_BUDGET,
+    SearchSpaceTooLargeError,
+    canonical_rotation,
+    find_roots,
+)
 from helpers import monoid_report_reference
 
 PRIMES = (2, 3, 5)
@@ -109,17 +114,78 @@ def test_monoid_report_matches_two_order_reference(p):
 
 
 def test_monoid_table_composes_each_pair_once(monkeypatch):
+    # the monoid check composes through its context's image maps
     pairs = []
+    compose = endo._Battery.compose
 
-    def counting_compose(e1, e2):
-        pairs.append((e1.images, e2.images))
-        return compose_endos(e1, e2)
+    def counting_compose(battery, r, c):
+        pairs.append((r.images, c.images))
+        return compose(battery, r, c)
 
-    monkeypatch.setattr(endo, "compose_endos", counting_compose)
+    monkeypatch.setattr(endo._Battery, "compose", counting_compose)
     p = 3
-    verify_monoid_table(p)
+    report = verify_monoid_table(p)
     endo_count = p * p + p + 2
-    assert len(pairs) == len(set(pairs)) == endo_count**2
+    assert len(pairs) == len(set(pairs)) == report.total_pairs == endo_count**2
+
+
+def test_full_suite_applies_each_endomorphism_once_per_vector(monkeypatch):
+    calls = []
+    apply_vec = endo.EndoMap.apply_vec
+
+    def counting_apply(e, x):
+        calls.append((e.images, x))
+        return apply_vec(e, x)
+
+    monkeypatch.setattr(endo.EndoMap, "apply_vec", counting_apply)
+    assert endo.full_suite(5).passed
+    assert calls
+    assert len(calls) == len(set(calls))
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_full_suite_phases_equal_standalone_calls(p):
+    suite = endo.full_suite(p)
+    assert suite.monoid == verify_monoid_table(p)
+    assert suite.cycles == verify_cycle_suite(p)
+    assert suite.actions == verify_action_tables(p)
+    assert suite.poset == minpoly_and_poset(p)
+    assert suite.translate == verify_translate_properties(p)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_composites_through_image_maps_equal_compose_endos(p):
+    battery = endo._Battery(p)
+    rows = list(battery.composite_rows())
+    assert [r for r, _ in rows] == battery.endos
+    for r, row in rows:
+        assert row == [compose_endos(r, c) for c in battery.endos]
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_image_rows_equal_apply_vec_cell_by_cell(p):
+    # every root, so every entry of every image map, and every cycle support
+    battery = endo._Battery(p)
+    roots = battery.roots
+    supports = [fam.support_vecs(p) for fam in battery.cycle_classes.values()]
+    root_rows = list(battery.root_image_rows(roots))
+    cycle_rows = list(battery.cycle_image_rows(supports))
+    assert [e for e, _ in root_rows] == [e for e, _ in cycle_rows] == battery.endos
+    for e, row in root_rows:
+        assert row == [e.apply_vec(x) for x in roots]
+    for e, row in cycle_rows:
+        assert row == [canonical_rotation(tuple(e.apply_vec(v) for v in s)) for s in supports]
+
+
+def test_battery_refuses_a_monoid_table_over_the_budget():
+    # 97 is the largest prime whose (p^2 + p + 2)^2 ordered pairs fit
+    assert (97**2 + 97 + 2) ** 2 <= NODE_BUDGET < (101**2 + 101 + 2) ** 2
+    for call in (endo.full_suite, enumerate_endos, root_elements, endo.composition_order_evidence):
+        with pytest.raises(SearchSpaceTooLargeError, match="search budget"):
+            call(101)
+    for builder in endo.TABLE_BUILDERS.values():
+        with pytest.raises(SearchSpaceTooLargeError):
+            builder(1000003)
 
 
 def test_composition_spec_cells():
