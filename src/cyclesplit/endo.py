@@ -60,11 +60,10 @@ by the one ``rings.Record`` rule: fields in order, then ``passed``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .examples import EXAMPLE1_DESCRIPTOR, example1_algebra, example1_cubic
-from .rings import Record, ResidueRing, TableAlgebra
+from .rings import Record, ResidueRing, TableAlgebra, Value
 from .search import (
     NODE_BUDGET,
     SearchOutcome,
@@ -115,15 +114,21 @@ _LABELS = {
 }
 
 
-@dataclass(frozen=True)
-class _Family:
+class _Family(Value):
     """A family tag: its kind and parameters; ``_LABELS`` names it."""
 
-    kind: str
-    params: tuple[int, ...] = ()
+    # the battery builds tens of thousands of tags: slots and a plain __init__
+    __slots__ = _fields = ("kind", "params")
+
+    def __init__(self, kind: str, params: tuple[int, ...] = ()):
+        _set_kind(self, kind)
+        _set_params(self, params)
 
     def label(self) -> str:
         return _LABELS[self.kind] % self.params
+
+
+_set_kind, _set_params = _Family.kind.__set__, _Family.params.__set__
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +138,8 @@ class _Family:
 
 class EndoFamily(_Family):
     """Family tag: eps, eps_prime, eps_sigma_s(scale, shift) or eps_s(shift)."""
+
+    __slots__ = ()
 
 
 def classify_endo_images(images: tuple[Vec, Vec, Vec], p: int) -> EndoFamily:
@@ -152,13 +159,10 @@ def classify_endo_images(images: tuple[Vec, Vec, Vec], p: int) -> EndoFamily:
     return EndoFamily("unclassified")
 
 
-@dataclass(frozen=True)
-class EndoMap:
+class EndoMap(Value):
     """A unital algebra endomorphism of K c A, stored by basis image payloads."""
 
-    algebra: TableAlgebra
-    images: tuple[Vec, Vec, Vec]
-    family: EndoFamily
+    _fields = ("algebra", "images", "family")
 
     def apply_vec(self, x: Vec) -> Vec:
         (u0, u1, u2), (v0, v1, v2), (w0, w1, w2) = self.images
@@ -235,19 +239,13 @@ def automorphisms(endos: list[EndoMap]) -> list[EndoMap]:
     return [e for e in endos if e.algebra.base._is_unit(e.algebra.base.det(e.images))]
 
 
-@dataclass(frozen=True)
 class MonoidTableReport(Record):
-    p: int
-    endo_count: int
-    automorphism_count: int
-    unclassified: tuple[str, ...]
-    mismatches: tuple[tuple[str, str, str, str], ...]
-    total_pairs: int
-    frozen_order_agreement: int
-    reversed_order_agreement: int
-    neutral_ok: bool
-    invertibles_ok: bool
-    composition_order: str = COMPOSITION_ORDER
+    _fields = (
+        "p", "endo_count", "automorphism_count", "unclassified", "mismatches", "total_pairs",
+        "frozen_order_agreement", "reversed_order_agreement", "neutral_ok", "invertibles_ok",
+        "composition_order",
+    )
+    composition_order = COMPOSITION_ORDER
 
     @property
     def passed(self) -> bool:
@@ -340,6 +338,8 @@ def composition_order_evidence(modulus: int) -> dict:
 class RootFamily(_Family):
     """Tag: r_tau(t), r_tau_t(t, u), r_t(u) or r (the unit)."""
 
+    __slots__ = ()
+
     def element_vec(self, p: int) -> Vec:
         if self.kind == "r_tau":
             return (0, self.params[0] % p, 0)
@@ -353,11 +353,8 @@ class RootFamily(_Family):
         raise ValueError(f"no element for {self!r}")
 
 
-@dataclass(frozen=True)
-class RootRecord:
-    element: Vec
-    family: RootFamily
-    minpoly: str
+class RootRecord(Value):
+    _fields = ("element", "family", "minpoly")
 
 
 # the six monic divisors of X^2 (X - 1), as scalar coefficient tuples and a
@@ -463,6 +460,8 @@ def distinct_root_elements(records: list[RootRecord]) -> list[Vec]:
 class CycleFamily(_Family):
     """Tag: c_tau(t), c_tau_t(t, u) or c_t(u)."""
 
+    __slots__ = ()
+
     def support_vecs(self, p: int) -> tuple[Vec, Vec, Vec]:
         if self.kind == "c_tau":
             (t,) = self.params
@@ -486,11 +485,8 @@ class CycleFamily(_Family):
         )
 
 
-@dataclass(frozen=True)
-class CycleRecord:
-    algebra: TableAlgebra
-    roots: tuple[Vec, Vec, Vec]  # canonical rotation
-    family: CycleFamily
+class CycleRecord(Value):
+    _fields = ("algebra", "roots", "family")  # roots in canonical rotation
 
 
 def _all_cycle_families(p: int) -> list[CycleFamily]:
@@ -527,15 +523,11 @@ def cycle_is_basis(record: CycleRecord) -> bool:
     return base._is_unit(base.det(record.roots))
 
 
-@dataclass(frozen=True)
 class CycleSuiteReport(Record):
-    p: int
-    root_record_count: int
-    distinct_root_count: int
-    cycle_class_count: int
-    splitting_count: int
-    roots_are_union_of_supports: bool
-    basis_classes_ok: bool
+    _fields = (
+        "p", "root_record_count", "distinct_root_count", "cycle_class_count", "splitting_count",
+        "roots_are_union_of_supports", "basis_classes_ok",
+    )
 
     @property
     def passed(self) -> bool:
@@ -802,14 +794,11 @@ def predicted_cycle_action(e: EndoFamily, c: CycleFamily, p: int) -> CycleFamily
     raise ClassificationError(f"no action rule for {e!r}")
 
 
-@dataclass(frozen=True)
 class ActionTablesReport(Record):
-    p: int
-    root_action_checks: int
-    root_action_mismatches: tuple[tuple[str, str, str, str], ...]
-    cycle_action_checks: int
-    cycle_action_mismatches: tuple[tuple[str, str, str, str], ...]
-    images_are_roots: bool
+    _fields = (
+        "p", "root_action_checks", "root_action_mismatches", "cycle_action_checks",
+        "cycle_action_mismatches", "images_are_roots",
+    )
 
     @property
     def passed(self) -> bool:
@@ -881,17 +870,11 @@ def _strictly_above(mp_x: str, mp_y: str) -> bool:
     return mp_x != mp_y and minpoly_divides(mp_x, mp_y)
 
 
-@dataclass(frozen=True)
 class PosetReport(Record):
-    p: int
-    minpoly_table_ok: bool
-    monotone_ok: bool
-    automorphisms_preserve_ok: bool
-    level_order_ok: bool
-    failing_kinds: tuple[str, ...]
-    exception_patterns: tuple[tuple[str, str, str], ...]
-    exception_pattern_ok: bool
-    failing_pair_count: int
+    _fields = (
+        "p", "minpoly_table_ok", "monotone_ok", "automorphisms_preserve_ok", "level_order_ok",
+        "failing_kinds", "exception_patterns", "exception_pattern_ok", "failing_pair_count",
+    )
 
     @property
     def passed(self) -> bool:
@@ -986,17 +969,14 @@ def _poset_report(battery: _Battery) -> PosetReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class TranslateReport(Record):
     """Single-application translation checks, with the reachability-closure
     reading computed alongside (they agree on the checked primes)."""
 
-    p: int
-    roots_from_seeds: bool
-    roots_to_sinks: bool
-    cycles_from_seeds: bool
-    cycles_to_sink: bool
-    closure_needed: bool
+    _fields = (
+        "p", "roots_from_seeds", "roots_to_sinks", "cycles_from_seeds", "cycles_to_sink",
+        "closure_needed",
+    )
 
     @property
     def passed(self) -> bool:
@@ -1075,14 +1055,8 @@ def _translate_report(battery: _Battery) -> TranslateReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class EndoSuiteReport(Record):
-    p: int
-    monoid: MonoidTableReport
-    cycles: CycleSuiteReport
-    actions: ActionTablesReport
-    poset: PosetReport
-    translate: TranslateReport
+    _fields = ("p", "monoid", "cycles", "actions", "poset", "translate")
 
     @property
     def passed(self) -> bool:

@@ -24,10 +24,9 @@ layer's one payload test, ``rings._noncommuting``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import zip_longest
 
-from .rings import Element, Ring, RingMismatchError, _noncommuting, json_list
+from .rings import Element, Ring, RingMismatchError, Value, _noncommuting, json_list
 
 # The largest exponent the polynomial parser accepts and the largest factor
 # count a splitting search takes (the search recurses once per factor).
@@ -44,16 +43,16 @@ class CommutationError(Exception):
         )
 
 
-@dataclass(frozen=True)
-class NCPoly:
+class NCPoly(Value):
     """Unchecked like ``Element``: ``poly()`` is the checked builder."""
 
-    ring: Ring
-    payloads: tuple
+    __slots__ = _fields = ("ring", "payloads")
 
-    def __post_init__(self):
-        if self.payloads and self.payloads[-1] == self.ring._zero:
+    def __init__(self, ring: Ring, payloads: tuple):
+        if payloads and payloads[-1] == ring._zero:
             raise ValueError("coefficients must be normalized (use poly())")
+        _set_ring(self, ring)
+        _set_payloads(self, payloads)
 
     @property
     def coeffs(self) -> tuple[Element, ...]:
@@ -108,6 +107,9 @@ class NCPoly:
     def to_json(self) -> dict:
         payload_json = self.ring.payload_to_json
         return {"ring": self.ring.spec_string(), "coeffs": list(map(payload_json, self.payloads))}
+
+
+_set_ring, _set_payloads = NCPoly.ring.__set__, NCPoly.payloads.__set__
 
 
 def poly(ring: Ring, coeffs) -> NCPoly:

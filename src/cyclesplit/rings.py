@@ -36,20 +36,24 @@ dict is never read as a list (``json_list`` is the same rule for the lists
 of a witness or polynomial). A scalar embeds by one rule, ``_embed``: itself
 in a scalar ring, the scalar times the unit in every ring above it.
 
-Result records (witnesses, search tasks, reports) share one JSON rule,
-``Record.to_json``: the fields in declaration order, each through
-``json_value``, then ``passed`` when the class defines it. A polynomial
-writes its own, because its coefficients are stored as payloads.
+Elements, polynomials, rings and result records are ``Value``s: a class
+lists its fields once in ``_fields``, and that tuple drives equality (same
+class, equal fields), hashing, the ``repr``, the refusal of assignment and
+the keyword and default handling of the constructor. Result records
+(witnesses, search tasks, reports) share one JSON rule, ``Record.to_json``:
+the fields in ``_fields`` order, each through ``json_value``, then
+``passed`` when the class defines it. A polynomial writes its own, because
+its coefficients are stored as payloads.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cached_property
 from math import gcd
+from operator import attrgetter
 
 from . import linalg
 
@@ -82,13 +86,94 @@ class SpecParseError(RingError):
 ENUM_LIMIT = 1 << 14
 
 
-@dataclass(frozen=True)
-class Element:
+_setattr = object.__setattr__
+
+
+class Value:
+    """An immutable value with the fields ``_fields``, in order: equal to
+    another exactly when both have the same class and equal fields (those in
+    ``_compared``, by default all), hashed like the tuple of those fields,
+    and printed as ``Class(field=value, ...)``. The constructor takes the
+    fields positionally or by keyword, sets them and runs ``_validate``; a
+    class attribute named like a trailing field is its default. A class with
+    ``__slots__`` defines its own ``__init__``."""
+
+    __slots__ = ()
+    _fields = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        names = getattr(cls, "_compared", cls._fields)
+        if len(names) > 1:
+            key = attrgetter(*names)  # the tuple of the fields, in C
+        else:  # attrgetter of one name returns the bare value
+            key = lambda obj: tuple([getattr(obj, n) for n in names])
+        cls._key = staticmethod(key)
+        # the number of fields before the first one with a default
+        fields = cls._fields
+        cls._required = next((i for i, n in enumerate(fields) if hasattr(cls, n)), len(fields))
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        if kwargs or not self._required <= len(args) <= len(names):
+            _check_arguments(type(self), args, kwargs)
+        # object.__setattr__ keeps the attributes in the object's inline
+        # values; reading or writing ``__dict__`` would turn them into a
+        # dict and slow every later attribute read (the rings' ``_add``)
+        for name, value in zip(names, args):
+            _setattr(self, name, value)
+        for name, value in kwargs.items():
+            _setattr(self, name, value)
+        self._validate()
+
+    def _validate(self):
+        pass
+
+    def __eq__(self, other):
+        if other is self:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        key = self._key
+        return key(self) == key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _check_arguments(cls, args, kwargs):
+    """TypeError unless ``args`` and ``kwargs`` give each field of ``cls`` at
+    most once, name no other, and leave out only fields with a default."""
+    names = cls._fields
+    rest = names[len(args):]
+    unknown = sorted(kwargs.keys() - set(rest))
+    missing = [n for n in rest[:cls._required - len(args)] if n not in kwargs]
+    if len(args) > len(names) or unknown or missing:
+        raise TypeError(
+            f"{cls.__name__}() takes the fields {names}: got {len(args)} positional, "
+            f"unexpected {unknown}, missing {missing}"
+        )
+
+
+class Element(Value):
     """A value of a concrete ring. Arithmetic is exact and never commutative
     by assumption; ``a * b`` keeps the operand order."""
 
-    ring: "Ring"
-    payload: object
+    __slots__ = _fields = ("ring", "payload")
+
+    def __init__(self, ring: Ring, payload):
+        _set_ring(self, ring)
+        _set_payload(self, payload)
 
     def _coerce(self, other) -> "Element":
         if isinstance(other, Element):
@@ -137,7 +222,7 @@ class Element:
         return other * self
 
     def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
+        if isinstance(exponent, bool) or not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a nonnegative integer")
         result = self.ring.one()
         base = self
@@ -159,6 +244,9 @@ class Element:
     def to_json(self):
         return self.ring.payload_to_json(self.payload)
 
+
+# the slots' own setters: a construction skips the refusing __setattr__
+_set_ring, _set_payload = Element.ring.__set__, Element.payload.__set__
 
 # values that are their own JSON: most fields of a report, tested first
 _PLAIN_JSON = frozenset({bool, int, str, type(None)})
@@ -183,22 +271,16 @@ def json_value(value):
     return value if to_json is None else to_json()
 
 
-@cache
-def _record_keys(cls) -> tuple[str, ...]:
-    keys = tuple(f.name for f in fields(cls))
-    return keys + ("passed",) if hasattr(cls, "passed") else keys
-
-
-class Record:
-    """Mixin for result dataclasses. The JSON of a record is its fields in
-    declaration order, each through ``json_value``, followed by ``passed``
-    when the class defines it."""
+class Record(Value):
+    """A result value. Its JSON is its ``_fields`` in order, each through
+    ``json_value``, followed by ``passed`` when the class defines it."""
 
     def to_json(self) -> dict:
-        return {k: json_value(getattr(self, k)) for k in _record_keys(type(self))}
+        keys = self._fields + ("passed",) if hasattr(type(self), "passed") else self._fields
+        return {k: json_value(getattr(self, k)) for k in keys}
 
 
-class Ring:
+class Ring(Value):
     """Abstract base. Subclasses implement exact payload-level arithmetic."""
 
     # -- payload primitives -------------------------------------------------
@@ -366,7 +448,6 @@ def json_list(value, what: str):
     return value
 
 
-@dataclass(frozen=True)
 class IntegerRing(Ring):
     def _canon(self, payload):
         return _require_int(payload)
@@ -410,7 +491,6 @@ class IntegerRing(Ring):
         return "Z"
 
 
-@dataclass(frozen=True)
 class RationalRing(Ring):
     def _canon(self, payload):
         if isinstance(payload, bool):
@@ -476,13 +556,12 @@ _PRIMALITY_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 PRIMALITY_BOUND = 3317044064679887385961981
 
 
-@dataclass(frozen=True)
 class ResidueRing(Ring):
     """Z/n with least nonnegative representatives."""
 
-    modulus: int
+    _fields = ("modulus",)
 
-    def __post_init__(self):
+    def _validate(self):
         if not isinstance(self.modulus, int) or self.modulus < 2:
             raise ValueError("modulus must be an integer >= 2")
 
@@ -630,7 +709,7 @@ class FreeModuleRing(Ring):
     @cached_property
     def _zero(self):
         # built once per ring, like ``_one``; stored in the instance dict, so
-        # it is no dataclass field and takes no part in __eq__ or __hash__.
+        # it is not one of ``_fields`` and takes no part in __eq__ or __hash__.
         # The scalar rings keep class attributes instead: a write to their
         # instance dict would slow every later attribute read in their arithmetic.
         return self.from_coords([self.base._zero] * self.rank)
@@ -699,18 +778,16 @@ class FreeModuleRing(Ring):
         return self.from_scalar_matrix([[adjugate_entry(r, c) for c in range(k)] for r in range(k)])
 
 
-@dataclass(frozen=True)
 class MatrixRing(FreeModuleRing):
     """k x k matrices over a base ring; optionally upper triangular.
 
     Payloads are tuples of row tuples of base payloads.
     """
 
-    size: int
-    base: Ring
-    upper_triangular: bool = False
+    _fields = ("size", "base", "upper_triangular")
+    upper_triangular = False
 
-    def __post_init__(self):
+    def _validate(self):
         if _require_int(self.size) < 1:
             raise ValueError("matrix size must be an integer >= 1")
         if not isinstance(self.upper_triangular, bool):
@@ -806,19 +883,16 @@ class MatrixRing(FreeModuleRing):
         return [[self.base.payload_to_json(e) for e in row] for row in payload]
 
 
-@dataclass(frozen=True)
-class TableAlgebraDescriptor:
+class TableAlgebraDescriptor(Value):
     """A finite-rank free algebra presented by structure constants.
 
     ``structure_constants[i][j]`` is the coefficient vector of e_i * e_j over
     the distinguished basis; entries are integers, embedded into the base.
     """
 
-    basis_size: int
-    structure_constants: tuple[tuple[tuple[int, ...], ...], ...]
-    unit_vector: tuple[int, ...]
+    _fields = ("basis_size", "structure_constants", "unit_vector")
 
-    def __post_init__(self):
+    def _validate(self):
         m = _require_int(self.basis_size)
         sc = tuple(
             tuple(tuple(_require_int(c) for c in vec) for vec in row)
@@ -845,19 +919,20 @@ class TableAlgebraDescriptor:
         }
 
 
-@dataclass(frozen=True)
 class TableAlgebra(FreeModuleRing):
     """Free module of rank m over a base ring with table multiplication.
 
     Payloads are length-m tuples of base payloads. Associativity and the
     two-sided unit law are checked on all basis triples at construction.
+    The file it was read from, ``source_path``, names it but takes no part
+    in equality or hashing.
     """
 
-    descriptor: TableAlgebraDescriptor
-    base: Ring
-    source_path: str | None = field(default=None, compare=False)
+    _fields = ("descriptor", "base", "source_path")
+    _compared = ("descriptor", "base")
+    source_path = None
 
-    def __post_init__(self):
+    def _validate(self):
         self._check_table()
 
     @cached_property
@@ -998,8 +1073,7 @@ def inverse(x: Element) -> Element:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CentralizerDescription:
+class CentralizerDescription(Value):
     """The subring of elements commuting with the given generators.
 
     ``elements`` is the explicit list when the centralizer is finite and
@@ -1009,11 +1083,7 @@ class CentralizerDescription:
     centralizer. Both may be present. ``count`` is None when infinite.
     """
 
-    ring: Ring
-    gens: tuple[Element, ...]
-    elements: tuple[Element, ...] | None
-    basis: tuple[Element, ...] | None
-    count: int | None
+    _fields = ("ring", "gens", "elements", "basis", "count")
 
 
 def _commutation_system(ring: FreeModuleRing, gens):

@@ -60,8 +60,6 @@ coefficient the factors need not be roots, and the full sweep stays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .ncpoly import MAX_DEGREE, NCPoly, _divide_linear, right_divide_linear, right_eval
 from .rings import (
     Element,
@@ -70,7 +68,9 @@ from .rings import (
     Ring,
     RingError,
     RingMismatchError,
+    Value,
     _noncommuting,
+    _require_int,
 )
 from .splitting import SplittingWitness
 
@@ -83,14 +83,10 @@ class SearchSpaceTooLargeError(RingError):
     """The task would visit more than NODE_BUDGET candidates."""
 
 
-@dataclass(frozen=True)
 class SearchTask(Record):
-    ring: Ring
-    target: NCPoly
-    n: int
-    mode: str
+    _fields = ("ring", "target", "n", "mode")
 
-    def __post_init__(self):
+    def _validate(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
         if not self.ring.is_finite:
@@ -99,30 +95,26 @@ class SearchTask(Record):
             raise RingMismatchError("target polynomial is over a different ring")
         if self.target.is_zero:
             raise ValueError("target polynomial must be nonzero")
-        if not 1 <= self.n <= MAX_DEGREE:
+        if not 1 <= _require_int(self.n) <= MAX_DEGREE:
             raise ValueError(f"factor count must be between 1 and {MAX_DEGREE}, got {self.n}")
 
 
 def task_from_json(obj) -> SearchTask:
-    from .rings import _require_int, parse_ring_spec
+    from .rings import parse_ring_spec
     from .ncpoly import poly_from_json
 
     ring = parse_ring_spec(obj["ring"])
-    return SearchTask(ring, poly_from_json(obj["target"], ring=ring), _require_int(obj["n"]), obj["mode"])
+    return SearchTask(ring, poly_from_json(obj["target"], ring=ring), obj["n"], obj["mode"])
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
+class SearchOutcome(Value):
     """Witnesses in canonical (payload-lexicographic) order. ``cycle_ids[i]``
     is the cycle class of ``witnesses[i]``; classes are numbered in order of
     their canonical representatives. ``nodes`` counts the candidate
     divisions the search made."""
 
-    task: SearchTask
-    witnesses: tuple[SplittingWitness, ...]
-    cycle_ids: tuple[int, ...]
-    cycle_count: int
-    nodes: int = 0
+    _fields = ("task", "witnesses", "cycle_ids", "cycle_count", "nodes")
+    nodes = 0
 
     def to_json_lines(self):
         for w, cid in zip(self.witnesses, self.cycle_ids):

@@ -13,8 +13,6 @@ Witnesses and reports serialize by the one ``rings.Record`` rule, except
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .ncpoly import (
     CommutationError,
     NCPoly,
@@ -33,6 +31,7 @@ from .rings import (
     Ring,
     RingMismatchError,
     UnsupportedOperationError,
+    Value,
     _noncommuting,
     commutator,
     json_list,
@@ -49,13 +48,10 @@ class FactorCommutationError(Exception):
     error means the arithmetic itself is broken; it should never fire."""
 
 
-@dataclass(frozen=True)
 class SplittingWitness(Record):
-    ring: Ring
-    leading: Element
-    pseudoroots: tuple[Element, ...]
+    _fields = ("ring", "leading", "pseudoroots")
 
-    def __post_init__(self):
+    def _validate(self):
         if len(self.pseudoroots) < 1:
             raise ValueError("a witness needs at least one pseudoroot")
         if self.leading.ring != self.ring:
@@ -109,7 +105,6 @@ def commutation_hypothesis(f: NCPoly, pseudoroots) -> tuple[bool, tuple[tuple[in
     return not violations, tuple(violations)
 
 
-@dataclass(frozen=True)
 class CyclicSplittingReport(Record):
     """Everything the rotation/root check finds about one witness.
 
@@ -118,15 +113,10 @@ class CyclicSplittingReport(Record):
     is the commuting substitution, and "right" otherwise.
     """
 
-    witness: SplittingWitness
-    expanded: NCPoly
-    commutation_ok: bool
-    commutation_violations: tuple[tuple[int, int], ...]
-    rotations_equal: bool
-    first_differing_rotation: int | None
-    root_mode: str
-    roots_ok: tuple[tuple[int, Element], ...]
-    obstructions: tuple[Element, ...]
+    _fields = (
+        "witness", "expanded", "commutation_ok", "commutation_violations", "rotations_equal",
+        "first_differing_rotation", "root_mode", "roots_ok", "obstructions",
+    )
 
     @property
     def all_roots_zero(self) -> bool:
@@ -195,8 +185,7 @@ def factor_out_commuting_root(f: NCPoly, a: Element) -> NCPoly:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class VandermondeReport:
+class VandermondeReport(Value):
     """Flattened block Vandermonde matrix of a witness.
 
     Row block i holds the (n-1-i)-th powers of the pseudoroots, so the top
@@ -205,11 +194,7 @@ class VandermondeReport:
     and ``det`` and ``invertible`` refer to the flattened matrix over it.
     """
 
-    base: Ring
-    size: int
-    rows: tuple[tuple[object, ...], ...]
-    det: object
-    invertible: bool
+    _fields = ("base", "size", "rows", "det", "invertible")
 
     def to_json(self):
         return {
@@ -248,18 +233,15 @@ def vandermonde(w: SplittingWitness) -> VandermondeReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class EvaluationHomReport(Record):
     """Pointwise check that p -> (p(a_1), ..., p(a_n)) behaves like a ring
     homomorphism on the samples, kills the expanded polynomial, and commutes
     with cyclic rotation of the witness."""
 
-    witness: SplittingWitness
-    sample_values: tuple[tuple[Element, ...], ...]
-    additive_ok: bool
-    multiplicative_ok: bool
-    zero_tuple_ok: bool
-    rotation_permutes_ok: bool
+    _fields = (
+        "witness", "sample_values", "additive_ok", "multiplicative_ok", "zero_tuple_ok",
+        "rotation_permutes_ok",
+    )
 
     @property
     def passed(self) -> bool:

@@ -519,12 +519,14 @@ def test_cli_commands_import_only_what_they_run():
     )
     assert result["codes"] == [0] * 7 + [2]
     assert "cyclesplit.search" in result["loaded"]
-    for name in ("cyclesplit.endo", "cyclesplit.examples", "csv"):
+    for name in ("cyclesplit.endo", "cyclesplit.examples", "csv", "dataclasses", "inspect"):
         assert name not in result["loaded"], name
-    # a table export loads what it needs, and prints what it prints in-process
+    # a table export loads what it needs, and prints what it prints in-process;
+    # no command builds its value types with dataclasses
     argv = ["export", "--p", "3", "--table", "monoid", "--format", "csv"]
     result = _in_fresh_interpreter(argv)
     assert {"cyclesplit.endo", "csv"} <= set(result["loaded"])
+    assert not {"dataclasses", "inspect"} & set(result["loaded"])
     assert (result["codes"][0], result["out"]) == invoke(*argv)
 
 

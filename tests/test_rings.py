@@ -187,6 +187,15 @@ def test_pow_examples():
     assert (b1 ** 2).payload == ((0, 0, 4), (2, 0, 0), (0, 2, 0))
 
 
+def test_pow_refuses_a_bool_exponent():
+    # the rule of ``Element._coerce``: a bool is not an integer here
+    one = parse_ring_spec("Zmod:5").from_int(2)
+    assert one ** 1 == one
+    for exponent in (True, False, -1, 1.0):
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            one ** exponent
+
+
 def test_commutator_worked_example_values():
     ut = example1_matrix_ring(Z)
     a1, a2, a3 = example1_matrices(ut)

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import os
 import random
 import zlib
@@ -36,6 +37,7 @@ from cyclesplit.search import (
     counterexample_hunt,
     enumerate_splittings,
     find_roots,
+    task_from_json,
 )
 from cyclesplit.splitting import SplittingWitness, expand, verify_cyclic_splitting
 from helpers import CayleyTables, brute_force_census, eval_reference, random_element
@@ -318,6 +320,18 @@ def test_factor_count_cap():
     for n in (0, MAX_DEGREE + 1):
         with pytest.raises(ValueError):
             SearchTask(ring, f, n, "all_splittings")
+
+
+def test_factor_count_is_an_integer():
+    # True passed the range check as 1, was searched and serialized as
+    # "n": true, and task_from_json then refused that JSON
+    ring = parse_ring_spec("Zmod:3")
+    x = x_power(ring, 1)
+    for n in (True, 1.0, "1"):
+        with pytest.raises(ValueError, match="expected an integer"):
+            SearchTask(ring, x, n, "all_splittings")
+    task = SearchTask(ring, x, 1, "all_splittings")
+    assert task_from_json(json.loads(json.dumps(task.to_json()))) == task
 
 
 def test_commuting_mode_witnesses_satisfy_the_cyclic_law():

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import random
 
@@ -351,9 +350,32 @@ def test_report_json_shape():
         suite.translate,
     ]
     assert {type(r) for r in records} == set(Record.__subclasses__())
+    # the field names of each record, pinned: they are its JSON keys
+    fields = {
+        "SplittingWitness": "ring leading pseudoroots",
+        "CyclicSplittingReport": "witness expanded commutation_ok commutation_violations "
+        "rotations_equal first_differing_rotation root_mode roots_ok obstructions",
+        "EvaluationHomReport": "witness sample_values additive_ok multiplicative_ok "
+        "zero_tuple_ok rotation_permutes_ok",
+        "SearchTask": "ring target n mode",
+        "EndoSuiteReport": "p monoid cycles actions poset translate",
+        "MonoidTableReport": "p endo_count automorphism_count unclassified mismatches "
+        "total_pairs frozen_order_agreement reversed_order_agreement neutral_ok "
+        "invertibles_ok composition_order",
+        "CycleSuiteReport": "p root_record_count distinct_root_count cycle_class_count "
+        "splitting_count roots_are_union_of_supports basis_classes_ok",
+        "ActionTablesReport": "p root_action_checks root_action_mismatches "
+        "cycle_action_checks cycle_action_mismatches images_are_roots",
+        "PosetReport": "p minpoly_table_ok monotone_ok automorphisms_preserve_ok "
+        "level_order_ok failing_kinds exception_patterns exception_pattern_ok "
+        "failing_pair_count",
+        "TranslateReport": "p roots_from_seeds roots_to_sinks cycles_from_seeds "
+        "cycles_to_sink closure_needed",
+    }
     for record in records:
         cls = type(record)
-        keys = [f.name for f in dataclasses.fields(cls)]
+        assert cls._fields == tuple(fields[cls.__name__].split()), cls.__name__
+        keys = list(cls._fields)
         if hasattr(cls, "passed"):
             keys.append("passed")
         blob = record.to_json()
