@@ -36,11 +36,13 @@ context is computed on first read, once, and dies with the call:
 * an image map per endomorphism, ``{x: e(x)}`` over the 3p+1 roots, which
   hold every basis image; each entry is one ``apply_vec``;
 * the root records, with one minimal polynomial per distinct root;
+* each cycle family's key, the canonical rotation of its support;
 * the splitting census of X^3 - X^2 and its rotation classes.
 
 A composite ``compose_endos(r, c)`` is r's basis images read off c's map,
 and the root and cycle action tables, the poset and the translation checks
-read the maps too, so each endomorphism is applied once per root. Each
+read the maps too, so each endomorphism is applied once per root. The
+checks index roots by the root records and cycles by their keys. Each
 table of compositions, root images or cycle images is one loop that
 streams a row per endomorphism, and the table's check and its export both
 read it; the monoid check composes each ordered pair once. The context
@@ -410,11 +412,6 @@ def minpoly_label(x: Vec, p: int) -> str:
     return minimal[0]
 
 
-def root_elements(modulus: int) -> list[Vec]:
-    """Exhaustive scan: every x in A with x^3 = x^2, in lexicographic order."""
-    return _Battery(modulus).roots
-
-
 def _all_root_families(p: int) -> list[RootFamily]:
     fams = [RootFamily("r_tau", (t,)) for t in range(p)]
     fams += [RootFamily("r_tau_t", (t, u)) for t in range(p) for u in range(p)]
@@ -446,10 +443,6 @@ def classify_roots(modulus: int) -> list[RootRecord]:
     otherwise).
     """
     return _Battery(modulus).root_records
-
-
-def distinct_root_elements(records: list[RootRecord]) -> list[Vec]:
-    return sorted({r.element for r in records})
 
 
 # ---------------------------------------------------------------------------
@@ -496,18 +489,6 @@ def _all_cycle_families(p: int) -> list[CycleFamily]:
     return fams
 
 
-def predicted_cycle_classes(p: int) -> dict[tuple[Vec, ...], CycleFamily]:
-    table = {}
-    for fam in _all_cycle_families(p):
-        key = canonical_rotation(fam.support_vecs(p))
-        if key in table:
-            raise ClassificationError(
-                f"cycle families {table[key].label()} and {fam.label()} collide"
-            )
-        table[key] = fam
-    return table
-
-
 def classify_cycles(modulus: int) -> list[CycleRecord]:
     """Exhaustively enumerate splittings of X^3 - X^2 with leading 1, group
     them into rotation classes and match each class to a family.
@@ -542,10 +523,9 @@ def verify_cycle_suite(modulus: int) -> CycleSuiteReport:
 
 
 def _cycle_report(battery: _Battery) -> CycleSuiteReport:
-    p, roots, cycles = battery.p, battery.root_records, battery.cycle_records
-    distinct = distinct_root_elements(roots)
-    support = {v for rec in cycles for v in rec.roots}
-    union_ok = support == set(distinct)
+    p, records, cycles = battery.p, battery.root_records, battery.cycle_records
+    roots = battery.roots  # root_records has proved that its elements are these
+    union_ok = {v for rec in cycles for v in rec.roots} == set(roots)
 
     basis_ok = all(
         cycle_is_basis(rec)
@@ -554,8 +534,8 @@ def _cycle_report(battery: _Battery) -> CycleSuiteReport:
     )
     return CycleSuiteReport(
         p=p,
-        root_record_count=len(roots),
-        distinct_root_count=len(distinct),
+        root_record_count=len(records),
+        distinct_root_count=len(roots),
         cycle_class_count=len(cycles),
         splitting_count=len(battery.census.witnesses),
         roots_are_union_of_supports=union_ok,
@@ -705,8 +685,20 @@ class _Battery:
         return records
 
     @cached_property
-    def cycle_classes(self) -> dict[tuple[Vec, ...], CycleFamily]:
-        return predicted_cycle_classes(self.p)
+    def cycle_keys(self) -> dict[CycleFamily, tuple[Vec, Vec, Vec]]:
+        """Each cycle family's key, the canonical rotation of its support.
+        A rotation of a support has the key's canonical image under every
+        endomorphism, so ``cycle_image_rows`` takes the keys as supports."""
+        keys, family_at = {}, {}
+        for fam in _all_cycle_families(self.p):
+            key = canonical_rotation(fam.support_vecs(self.p))
+            if key in family_at:
+                raise ClassificationError(
+                    f"cycle families {family_at[key].label()} and {fam.label()} collide"
+                )
+            family_at[key] = fam
+            keys[fam] = key
+        return keys
 
     @cached_property
     def census(self) -> SearchOutcome:
@@ -722,12 +714,10 @@ class _Battery:
             canonical_rotation(tuple(a.payload for a in w.pseudoroots))
             for w in self.census.witnesses
         }
-        predicted = self.cycle_classes
-        for key in found_keys:
-            if key not in predicted:
-                raise ClassificationError(f"splitting class {key} matched no family")
+        for key in found_keys.difference(self.cycle_keys.values()):
+            raise ClassificationError(f"splitting class {key} matched no family")
         records = []
-        for key, fam in predicted.items():
+        for fam, key in self.cycle_keys.items():
             if key not in found_keys:
                 raise ClassificationError(
                     f"family instance {fam.label()} was not found by the search"
@@ -815,26 +805,22 @@ def verify_action_tables(modulus: int) -> ActionTablesReport:
 
 
 def _action_report(battery: _Battery) -> ActionTablesReport:
-    p, endos = battery.p, battery.endos
+    p, endos, records = battery.p, battery.endos, battery.root_records
+    cycle_keys = battery.cycle_keys
     roots = set(battery.roots)
-    root_fams = _all_root_families(p)
     root_mismatches = []
     cycle_mismatches = []
     images_are_roots = True
-    vecs = [fam.element_vec(p) for fam in root_fams]
-    for e, images in battery.root_image_rows(vecs):
-        for fam, img in zip(root_fams, images):
+    for e, images in battery.root_image_rows([rec.element for rec in records]):
+        for rec, img in zip(records, images):
             if img not in roots:
                 images_are_roots = False
-            expected = predicted_root_action(e.family, fam, p).element_vec(p)
+            expected = predicted_root_action(e.family, rec.family, p).element_vec(p)
             if img != expected:
                 root_mismatches.append(
-                    (e.label(), fam.label(), str(expected), str(img))
+                    (e.label(), rec.family.label(), str(expected), str(img))
                 )
-    # family -> canonical rotation of its support
-    cycle_keys = {fam: key for key, fam in battery.cycle_classes.items()}
-    supports = [fam.support_vecs(p) for fam in cycle_keys]
-    for e, got_keys in battery.cycle_image_rows(supports):
+    for e, got_keys in battery.cycle_image_rows(list(cycle_keys.values())):
         for fam, got in zip(cycle_keys, got_keys):
             expected = cycle_keys[predicted_cycle_action(e.family, fam, p)]
             if got != expected:
@@ -843,7 +829,7 @@ def _action_report(battery: _Battery) -> ActionTablesReport:
                 )
     return ActionTablesReport(
         p=p,
-        root_action_checks=len(endos) * len(root_fams),
+        root_action_checks=len(endos) * len(records),
         root_action_mismatches=tuple(root_mismatches),
         cycle_action_checks=len(endos) * len(cycle_keys),
         cycle_action_mismatches=tuple(cycle_mismatches),
@@ -1011,20 +997,15 @@ def _translate_report(battery: _Battery) -> TranslateReport:
     sinks = {RootFamily("r_tau", (0,)).element_vec(p), RootFamily("r").element_vec(p)}
     roots_to_sinks = all(any(m[v] in sinks for m in maps) for v in roots)
 
-    cycle_keys = set(battery.cycle_classes)
-    seed_supports = [
-        CycleFamily("c_tau", (1,)).support_vecs(p),
-        CycleFamily("c_tau_t", (1, 0)).support_vecs(p),
-    ]
-    one_step_cycle_images = {
-        key for _, keys in battery.cycle_image_rows(seed_supports) for key in keys
-    }
-    cycles_from_seeds = cycle_keys <= one_step_cycle_images
+    cycle_keys = battery.cycle_keys
+    seeds = [cycle_keys[CycleFamily("c_tau", (1,))], cycle_keys[CycleFamily("c_tau_t", (1, 0))]]
+    one_step_cycle_images = {key for _, keys in battery.cycle_image_rows(seeds) for key in keys}
+    cycles_from_seeds = one_step_cycle_images.issuperset(cycle_keys.values())
 
-    sink_key = canonical_rotation(CycleFamily("c_tau", (0,)).support_vecs(p))
+    sink_key = cycle_keys[CycleFamily("c_tau", (0,))]
     cycles_to_sink = all(
         any(canonical_rotation((m[a], m[b], m[c])) == sink_key for m in maps)
-        for a, b, c in cycle_keys
+        for a, b, c in cycle_keys.values()
     )
 
     # reachability closure of the seeds; single application must already
@@ -1138,12 +1119,12 @@ def root_action_rows(modulus: int) -> tuple[list[str], list[list[str]]]:
 
 def cycle_action_rows(modulus: int) -> tuple[list[str], list[list[str]]]:
     battery = _Battery(modulus)
-    p, predicted = battery.p, battery.cycle_classes
-    fams = list(predicted.values())
-    headers = ["endo \\ cycle"] + [f.label() for f in fams]
+    cycle_keys = battery.cycle_keys
+    family_at = {key: fam for fam, key in cycle_keys.items()}
+    headers = ["endo \\ cycle"] + [f.label() for f in cycle_keys]
     rows = [
-        [e.label()] + [predicted[key].label() for key in keys]
-        for e, keys in battery.cycle_image_rows([f.support_vecs(p) for f in fams])
+        [e.label()] + [family_at[key].label() for key in keys]
+        for e, keys in battery.cycle_image_rows(list(cycle_keys.values()))
     ]
     return headers, rows
 

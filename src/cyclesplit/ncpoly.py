@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from itertools import zip_longest
 
-from .rings import Element, Ring, RingMismatchError, Value, _noncommuting, json_list
+from .rings import Element, Ring, RingMismatchError, Value, _noncommuting, _require_int, json_list
 
 # The largest exponent the polynomial parser accepts and the largest factor
 # count a splitting search takes (the search recurses once per factor).
@@ -137,6 +137,8 @@ def from_int_coeffs(ring: Ring, ints) -> NCPoly:
 
 
 def x_power(ring: Ring, k: int) -> NCPoly:
+    if _require_int(k) < 0:
+        raise ValueError(f"exponent must be a nonnegative integer, got {k}")
     return _from_payloads(ring, [ring._zero] * k + [ring._one])
 
 

@@ -894,6 +894,8 @@ class TableAlgebraDescriptor(Value):
 
     def _validate(self):
         m = _require_int(self.basis_size)
+        if m < 1:
+            raise ValueError(f"basis size must be at least 1 (rank 0 is the zero ring), got {m}")
         sc = tuple(
             tuple(tuple(_require_int(c) for c in vec) for vec in row)
             for row in self.structure_constants

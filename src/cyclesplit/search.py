@@ -177,12 +177,13 @@ def _survivors(f: NCPoly, depth: int, candidates: dict, counter: _NodeCounter, l
     at once.
 
     ``lead_inv`` is the payload of the inverse of the target's leading
-    coefficient when it is a unit, else None. A linear last dividend
-    leading * X + c_0 then has the one candidate -lead_inv * c_0 in place of
-    the sweep, kept only if it is one of ``candidates``.
+    coefficient when it is a unit, else None. Since a search runs only with
+    n = deg f, f has degree ``depth``; at depth 1 it is leading * X + c_0,
+    and -lead_inv * c_0 is its one candidate in place of the sweep, kept
+    only if it is one of ``candidates``.
     """
     ring = f.ring
-    if depth == 1 and lead_inv is not None and f.degree == 1:
+    if depth == 1 and lead_inv is not None:
         a = ring._neg(ring._mul(lead_inv, f.payloads[0]))
         sweep = (candidates[a],) if a in candidates else ()
     else:

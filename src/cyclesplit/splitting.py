@@ -18,7 +18,6 @@ from .ncpoly import (
     NCPoly,
     _point,
     constant,
-    eval_commuting,
     right_divide_linear,
     right_eval,
     x_minus,
@@ -267,33 +266,22 @@ def check_evaluation_homomorphism(w: SplittingWitness, samples) -> EvaluationHom
         if not ok:
             raise CommutationError(violations[0][0], f"{what} violates the commutation hypothesis")
 
-    def ev(p):
-        return tuple(eval_commuting(p, a) for a in w.pseudoroots)
+    # sums and products of commuting coefficients commute too, so every
+    # polynomial below meets the hypothesis and evaluates on the right
+    def ev(p, points=w.pseudoroots):
+        return tuple(right_eval(p, a) for a in points)
 
-    values = tuple(ev(p) for p in samples)
-
-    additive_ok = all(
-        ev(p + q) == tuple(x + y for x, y in zip(ev(p), ev(q)))
-        for p in samples
-        for q in samples
-    )
-    multiplicative_ok = all(
-        ev(p * q) == tuple(x * y for x, y in zip(ev(p), ev(q)))
-        for p in samples
-        for q in samples
-    )
+    values = tuple(map(ev, samples))
+    pairs = [(p, q, x, y) for p, x in zip(samples, values) for q, y in zip(samples, values)]
+    additive_ok = all(ev(p + q) == tuple(a + b for a, b in zip(x, y)) for p, q, x, y in pairs)
+    multiplicative_ok = all(ev(p * q) == tuple(a * b for a, b in zip(x, y)) for p, q, x, y in pairs)
     zero_tuple_ok = all(v.is_zero for v in ev(f))
-
-    n = len(w.pseudoroots)
-    rotation_permutes_ok = True
-    for k in range(n):
-        rot = rotate(w, k)
-        for p in samples:
-            tup = ev(p)
-            expected = tup[-k:] + tup[:-k] if k else tup
-            got = tuple(eval_commuting(p, a) for a in rot.pseudoroots)
-            if got != expected:
-                rotation_permutes_ok = False
+    # rotation 0 is the witness itself
+    rotation_permutes_ok = all(
+        ev(p, rotate(w, k).pseudoroots) == x[-k:] + x[:-k]
+        for k in range(1, len(w.pseudoroots))
+        for p, x in zip(samples, values)
+    )
 
     return EvaluationHomReport(
         witness=w,

@@ -352,6 +352,10 @@ def test_cli_parse_errors_exit_2(tmp_path):
             "unit_vector": [1, 0, 0],
         },
         "self.json": {"base": f"Table:{tmp_path / 'self.json'}"},
+        # rank 0 is the zero ring, where 1 = 0 and X parses to 0
+        "zero.json": {
+            "basis_size": 0, "structure_constants": [], "unit_vector": [], "base": "Zmod:5"
+        },
     }
     for name, patch in tables.items():
         body = {"basis_size": 1, "structure_constants": [[[1]]], "unit_vector": [1], "base": "Z"}

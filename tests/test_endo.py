@@ -16,14 +16,12 @@ from cyclesplit.endo import (
     classify_roots,
     compose_endos,
     cycle_is_basis,
-    distinct_root_elements,
     enumerate_endos,
     identity_endo,
     minpoly_and_poset,
     minpoly_divides,
     minpoly_label,
     predicted_composition,
-    root_elements,
     verify_action_tables,
     verify_cycle_suite,
     verify_monoid_table,
@@ -167,7 +165,7 @@ def test_image_rows_equal_apply_vec_cell_by_cell(p):
     # every root, so every entry of every image map, and every cycle support
     battery = endo._Battery(p)
     roots = battery.roots
-    supports = [fam.support_vecs(p) for fam in battery.cycle_classes.values()]
+    supports = [fam.support_vecs(p) for fam in battery.cycle_keys]
     root_rows = list(battery.root_image_rows(roots))
     cycle_rows = list(battery.cycle_image_rows(supports))
     assert [e for e, _ in root_rows] == [e for e, _ in cycle_rows] == battery.endos
@@ -177,10 +175,17 @@ def test_image_rows_equal_apply_vec_cell_by_cell(p):
         assert row == [canonical_rotation(tuple(e.apply_vec(v) for v in s)) for s in supports]
 
 
+def test_cycle_keys_refuse_colliding_families(monkeypatch):
+    # two families with one support would be one rotation class
+    monkeypatch.setattr(CycleFamily, "support_vecs", lambda fam, p: ((0, 0, 0),) * 3)
+    with pytest.raises(endo.ClassificationError, match="collide"):
+        endo._Battery(2).cycle_keys
+
+
 def test_battery_refuses_a_monoid_table_over_the_budget():
     # 97 is the largest prime whose (p^2 + p + 2)^2 ordered pairs fit
     assert (97**2 + 97 + 2) ** 2 <= NODE_BUDGET < (101**2 + 101 + 2) ** 2
-    for call in (endo.full_suite, enumerate_endos, root_elements, endo.composition_order_evidence):
+    for call in (endo.full_suite, enumerate_endos, classify_roots, endo.composition_order_evidence):
         with pytest.raises(SearchSpaceTooLargeError, match="search budget"):
             call(101)
     for builder in endo.TABLE_BUILDERS.values():
@@ -211,9 +216,9 @@ def test_composition_spec_cells():
 def test_root_records_and_elements(p):
     records = classify_roots(p)
     assert len(records) == (p + 1) ** 2
-    elements = distinct_root_elements(records)
+    elements = sorted({rec.element for rec in records})
     assert len(elements) == 3 * p + 1
-    assert elements == root_elements(p)
+    assert elements == endo._Battery(p).roots
     # each element maps to exactly one family kind
     kind_by_element = {}
     for rec in records:
@@ -464,4 +469,4 @@ def test_endo_outputs_golden(p):
 def test_root_scan_matches_find_roots(p):
     # the direct x^3 = x^2 scan against the two-sided division sweep
     algebra = example1_algebra(ResidueRing(p))
-    assert root_elements(p) == [x.payload for x in find_roots(example1_cubic(algebra))]
+    assert endo._Battery(p).roots == [x.payload for x in find_roots(example1_cubic(algebra))]

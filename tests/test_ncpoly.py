@@ -84,6 +84,15 @@ def test_ring_mismatch():
             poly(z5, coeffs)
 
 
+def test_x_power_refuses_a_bad_exponent():
+    # -2 gave the constant 1 and True gave X
+    ring = parse_ring_spec("Zmod:5")
+    assert x_power(ring, 0) == from_int_coeffs(ring, [1])
+    for k in (-2, -1, True, False, 2.0, "2"):
+        with pytest.raises(ValueError):
+            x_power(ring, k)
+
+
 def test_division_example_x_squared_by_one():
     ring = parse_ring_spec("Mat:2:Z")
     f = x_power(ring, 2)

@@ -129,6 +129,12 @@ def test_table_algebra_reproduces_multiplication_table():
     assert algebra.one() == a1 + a2 + a3
 
 
+def test_table_descriptor_refuses_rank_zero():
+    # rank 0 is the zero ring, where 1 = 0, refused like Zmod:1
+    with pytest.raises(ValueError, match="at least 1"):
+        TableAlgebraDescriptor(0, (), ())
+
+
 def test_table_algebra_rejects_nonassociative_table():
     bad = TableAlgebraDescriptor(
         basis_size=2,

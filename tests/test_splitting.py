@@ -246,6 +246,20 @@ def test_evaluation_homomorphism_example1_z5():
     assert all(v == ring.one() for v in unit_tuple)
 
 
+def test_evaluation_homomorphism_catches_a_wrong_value(monkeypatch):
+    # an evaluation off by one at one pseudoroot breaks the sums and the
+    # products; a check that compared values with themselves would pass
+    ring = example1_matrix_ring(parse_ring_spec("Zmod:5"))
+    w = example1_witness(ring)
+    bad, right_eval = w.pseudoroots[1], splitting.right_eval
+    monkeypatch.setattr(
+        splitting, "right_eval", lambda f, a: right_eval(f, a) + (ring.one() if a == bad else 0)
+    )
+    samples = [from_int_coeffs(ring, [0, 1]), from_int_coeffs(ring, [-1, 1])]
+    report = check_evaluation_homomorphism(w, samples)
+    assert not report.additive_ok and not report.multiplicative_ok
+
+
 def test_evaluation_homomorphism_rejects_bad_samples():
     ring = example1_matrix_ring(Z)
     w = example1_witness(ring)
