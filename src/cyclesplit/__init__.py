@@ -22,6 +22,7 @@ from .rings import (
     centralizer_of_set,
     commutator,
     equals,
+    generated_subalgebra,
     inverse,
     is_unit,
     parse_ring_spec,

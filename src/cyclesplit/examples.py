@@ -9,13 +9,10 @@ isomorphic via a_1 -> E22, a_2 -> -E12, a_3 -> E11 + E12.
 Example 2 splits X^3 - 4 over 3x3 integer matrices. Reduced modulo 3 the
 three pseudoroots collapse to a single matrix and the cubic becomes a
 perfect cube, while over the rationals the pseudoroots generate the whole
-matrix algebra (nine matrix-unit identities, listed below with exact
-rational coefficients).
+matrix algebra, which ``rings.generated_subalgebra`` computes.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .ncpoly import NCPoly, from_int_coeffs
 from .rings import (
@@ -138,97 +135,3 @@ def example2_centralizer_element(ring: MatrixRing, alpha, beta, gamma) -> Elemen
             (b._neg(be), ga, al),
         )
     )
-
-
-# The matrix units of Mat(3) as exact rational combinations of words in the
-# pseudoroots; each entry is (unit position, ((coefficient, word), ...))
-# where a word is a tuple of pseudoroot indices (1-based) multiplied left to
-# right. Every coefficient vector is the unique exact solution of its word
-# system (the test suite re-derives each one by an independent linear solve),
-# so only 2 and 3 need to be invertible in the base for these to make sense.
-EXAMPLE2_MATRIX_UNIT_IDENTITIES = (
-    ((0, 0), ((Fraction(-1, 9), (1, 1, 2)), (Fraction(-1, 18), (2, 2, 3)))),
-    (
-        (0, 1),
-        (
-            (Fraction(-2, 9), (2,)),
-            (Fraction(1, 9), (1, 1, 2, 2)),
-            (Fraction(-1, 18), (2, 2, 3, 3)),
-        ),
-    ),
-    (
-        (0, 2),
-        (
-            (Fraction(1, 9), (1, 1)),
-            (Fraction(-1, 18), (2, 2)),
-            (Fraction(1, 9), (3, 3)),
-        ),
-    ),
-    (
-        (1, 0),
-        (
-            (Fraction(1, 18), (1, 1)),
-            (Fraction(-1, 9), (2, 2)),
-            (Fraction(-1, 9), (3, 3)),
-        ),
-    ),
-    (
-        (1, 1),
-        (
-            (Fraction(1, 3), (1, 2, 2)),
-            (Fraction(-5, 18), (1, 1, 2)),
-            (Fraction(-2, 9), (2, 2, 3)),
-        ),
-    ),
-    (
-        (1, 2),
-        (
-            (Fraction(2, 9), (1,)),
-            (Fraction(2, 9), (2,)),
-            (Fraction(-1, 36), (1, 1, 2, 2)),
-        ),
-    ),
-    (
-        (2, 0),
-        (
-            (Fraction(-5, 18), (2,)),
-            (Fraction(-1, 36), (1, 1, 2, 2)),
-            (Fraction(-1, 36), (2, 2, 3, 3)),
-        ),
-    ),
-    (
-        (2, 1),
-        (
-            (Fraction(2, 9), (1, 1)),
-            (Fraction(2, 9), (2, 2)),
-            (Fraction(-1, 9), (3, 3)),
-        ),
-    ),
-    (
-        (2, 2),
-        (
-            (Fraction(1, 6), (1, 2, 2)),
-            (Fraction(-1, 9), (1, 1, 2)),
-            (Fraction(-2, 9), (2, 2, 3)),
-        ),
-    ),
-)
-
-
-def example2_matrix_unit_check(ring: MatrixRing) -> list[tuple[tuple[int, int], bool]]:
-    """Evaluate each matrix-unit identity over ``ring`` (rational base).
-
-    Returns (unit position, holds exactly) per identity.
-    """
-    a = {i + 1: m for i, m in enumerate(example2_matrices(ring))}
-    results = []
-    for (r, c), terms in EXAMPLE2_MATRIX_UNIT_IDENTITIES:
-        acc = ring.zero()
-        for coeff, word in terms:
-            prod = ring.one()
-            for idx in word:
-                prod = prod * a[idx]
-            acc = acc + ring.from_base_scalar(coeff) * prod
-        unit = ring.element(ring.module_basis()[3 * r + c])  # the basis is row-major
-        results.append(((r, c), acc == unit))
-    return results

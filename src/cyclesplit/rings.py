@@ -400,6 +400,11 @@ class Ring(Value):
         every integer solution."""
         raise UnsupportedOperationError(f"kernel over {self.describe()} is not supported")
 
+    def _field(self):
+        """The ``linalg`` field pair (normal, inverse) of this scalar ring,
+        for spans that need a basis."""
+        raise UnsupportedOperationError(f"{self.describe()} is not a field")
+
     # -- serialization ------------------------------------------------------------
     def spec_string(self) -> str:
         raise NotImplementedError
@@ -530,6 +535,9 @@ class RationalRing(Ring):
     def kernel(self, rows, ncols):
         return linalg.nullspace_rational(rows, ncols), None, None
 
+    def _field(self):
+        return linalg._RATIONALS
+
     def spec_string(self):
         return "Q"
 
@@ -637,6 +645,12 @@ class ResidueRing(Ring):
             return (None, *linalg.kernel_mod(rows, ncols, n))
         basis = linalg.nullspace_mod_prime(rows, ncols, n)
         return basis, n ** len(basis), linalg.span_mod(basis, ncols, n)
+
+    def _field(self):
+        if self.is_prime:
+            return linalg._prime_field(self.modulus)
+        # a span over a composite Z/n is a module that may have no basis
+        return super()._field()
 
     def spec_string(self):
         return f"Zmod:{self.modulus}"
@@ -1145,6 +1159,33 @@ def centralizer_of_set(ring: Ring, gens) -> CentralizerDescription:
                 f"centralizer has more than {ENUM_LIMIT} elements, above the enumeration limit"
             )
     return CentralizerDescription(ring, gens, elems, basis, count)
+
+
+def generated_subalgebra(ring: Ring, elements) -> tuple[Element, ...]:
+    """A basis of the unital subalgebra that ``elements`` generate: the span
+    of every word in them, 1 included, over the innermost scalar ring.
+
+    The span of 1 is closed under right multiplication by the elements,
+    one level of products at a time, until a level adds nothing or the span
+    is the whole ring. The basis is the reduced row echelon form of the span
+    in scalar coordinates, so it is canonical. Only a field (Q or Z/p) has
+    one; any other scalar ring refuses with UnsupportedOperationError.
+    """
+    gens = tuple(elements)
+    for g in gens:
+        if g.ring != ring:
+            raise RingMismatchError("generator does not belong to the ring")
+    field = ring.scalar_ring._field()
+    coords = ring.scalar_coords  # canonical scalars are canonical in the field
+    dim = len(coords(ring._zero))
+    span, rows = [], [coords(ring._one)]
+    while True:
+        rows = rows[: len(linalg._rref(rows, field))]
+        if len(rows) in (len(span), dim):
+            return tuple(Element(ring, ring.from_scalar_coords(r)) for r in rows)
+        span = rows
+        payloads = [ring.from_scalar_coords(r) for r in span]
+        rows = span + [coords(ring._mul(p, g.payload)) for p in payloads for g in gens]
 
 
 # ---------------------------------------------------------------------------

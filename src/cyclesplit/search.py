@@ -300,17 +300,16 @@ def enumerate_splittings(task: SearchTask) -> SearchOutcome:
     return SearchOutcome(task, witnesses, tuple(cycle_ids), len(class_of), counter.count)
 
 
-def counterexample_hunt(f: NCPoly, ring: Ring | None = None) -> SplittingWitness | None:
+def counterexample_hunt(f: NCPoly) -> SplittingWitness | None:
     """First splitting of f (canonical order, commutation filter off) in which
     some pseudoroot is not a right root of f; None when no splitting misses.
 
     The rightmost pseudoroot always is a right root (it has remainder zero by
     construction), so any hit comes from an earlier factor.
     """
-    ring = ring if ring is not None else f.ring
     if f.degree is None or f.degree < 1:
         raise ValueError("target must have degree at least 1")
-    task = SearchTask(ring, f, f.degree, "all_splittings")
+    task = SearchTask(f.ring, f, f.degree, "all_splittings")
     outcome = enumerate_splittings(task)
     for w in outcome.witnesses:
         if any(not right_eval(f, a).is_zero for a in w.pseudoroots):

@@ -219,6 +219,25 @@ def test_cli_example_suites_pass():
         assert invoke(*argv)[0] == 0, argv
 
 
+EXAMPLE2_STDOUT = """\
+[PASS] expansion equals X^3 - 4
+[PASS] commutation hypothesis
+[PASS] all rotations expand identically
+[PASS] every pseudoroot is a root
+[PASS] adjacent commutators equal the displayed matrix
+[PASS] mod 3 the pseudoroots collapse to one matrix
+[PASS] mod 3 the cubic becomes (X-1)^3
+[PASS] all nine matrix units are exact words in the pseudoroots over Q
+[PASS] centralizer over Z/6 is exactly the displayed shape with 3b = 0: count=108
+[PASS] centralizer over Q is exactly the scalars
+block Vandermonde over Q: det=5832 invertible=True
+"""
+
+
+def test_cli_example2_stdout_is_pinned():
+    assert invoke("example2") == (0, EXAMPLE2_STDOUT)
+
+
 def test_cli_example1_with_endo_battery():
     code, text = invoke("example1", "--p", "2")
     assert code == 0
@@ -287,6 +306,10 @@ def test_cli_parse_errors_exit_2(tmp_path):
         ("search", "--ring", "Zmod:3", "--poly", "0", "--n", "2"),
         ("search", "--ring", "Zmod:3", "--poly", "0", "--mode", "roots_only"),
         ("search", "--ring", "Zmod:3", "--poly", "2", "--mode", "counterexample_hunt"),
+        # --n names a factor count, which these two modes do not take
+        ("search", "--ring", "Zmod:4", "--poly", "X", "--mode", "roots_only", "--n", "3"),
+        ("search", "--ring", "Mat:2:Zmod:2", "--poly", "X^2 - X", "--mode", "counterexample_hunt",
+         "--n", "7"),
         ("search", "--task", json.dumps(
             {"ring": "Zmod:3", "target": {"ring": "Zmod:3", "coeffs": [0]}, "n": 2,
              "mode": "all_splittings"})),
@@ -431,6 +454,19 @@ def test_cli_check_failure_still_writes_the_output(tmp_path, capsys, monkeypatch
     assert lines[-1] == "[FAIL] table algebra is isomorphic to UT(2) via the standard map"
     assert len(lines) == 8 and all(line.startswith("[PASS]") for line in lines[:-1])
     assert capsys.readouterr().err.startswith("check failed: table algebra")
+
+
+def test_cli_example2_fails_when_a_matrix_unit_is_missing(capsys, monkeypatch):
+    from cyclesplit import cli
+
+    full = cli.generated_subalgebra
+    monkeypatch.setattr(cli, "generated_subalgebra", lambda ring, gens: full(ring, gens)[:-1])
+    code, text = invoke("example2")
+    assert code == 1
+    lines = text.splitlines()
+    assert lines[-1] == "[FAIL] all nine matrix units are exact words in the pseudoroots over Q"
+    assert lines[:-1] == EXAMPLE2_STDOUT.splitlines()[:7]
+    assert capsys.readouterr().err.startswith("check failed: all nine matrix units")
 
 
 def test_parse_error_carries_a_column_only_for_polynomial_text():

@@ -32,6 +32,7 @@ from cyclesplit.rings import (
     centralizer_of_set,
     commutator,
     equals,
+    generated_subalgebra,
     inverse,
     is_unit,
     parse_ring_spec,
@@ -553,6 +554,72 @@ def test_centralizer_example2_q_and_z():
     desc_z = centralizer_of_set(rz, example2_matrices(rz))
     assert desc_z.basis is not None and len(desc_z.basis) == 1
     assert desc_z.basis[0] in (rz.one(), -rz.one())
+
+
+def _closure(ring, gens):
+    """Every element that 0, 1 and ``gens`` reach under + and *."""
+    seen = {ring.zero(), ring.one(), *gens}
+    frontier = list(seen)
+    while frontier:
+        new = set()
+        for x in frontier:
+            for y in list(seen):
+                new.update(z for z in (x + y, x * y, y * x) if z not in seen)
+        seen |= new
+        frontier = list(new)
+    return seen
+
+
+GENERATED_SUBALGEBRA_RINGS = {
+    "UT:2:Zmod:2": 2,
+    "Mat:2:Zmod:2": 2,
+    "UT:2:Zmod:3": 3,
+    "Mat:2:Zmod:3": 3,
+    "cubic:3": 3,
+}
+
+
+@pytest.mark.parametrize("spec", GENERATED_SUBALGEBRA_RINGS)
+def test_generated_subalgebra_rank_matches_brute_force_closure(spec):
+    p = GENERATED_SUBALGEBRA_RINGS[spec]
+    ring = example1_algebra(ResidueRing(p)) if spec.startswith("cubic") else parse_ring_spec(spec)
+    rng = random.Random(26)
+    ranks = set()
+    for size in (0, 1, 1, 1, 2, 2, 2):
+        gens = [random_element(ring, rng) for _ in range(size)]
+        basis = generated_subalgebra(ring, gens)
+        closure = _closure(ring, gens)
+        assert len(closure) == p ** len(basis), gens
+        assert set(basis) <= closure
+        ranks.add(len(basis))
+    # the seeded sets reach a proper subalgebra and a larger one
+    assert len(ranks) > 1
+
+
+def test_generated_subalgebra_of_the_example_pseudoroots():
+    for base, rank in (("Q", 9), ("Zmod:5", 9), ("Zmod:7", 9), ("Zmod:3", 3)):
+        ring = example2_matrix_ring(parse_ring_spec(base))
+        basis = generated_subalgebra(ring, example2_matrices(ring))
+        assert len(basis) == rank, base
+    # over Q the canonical basis is the matrix units, row-major
+    rq = example2_matrix_ring(Q)
+    units = tuple(rq.element(b) for b in rq.module_basis())
+    assert generated_subalgebra(rq, example2_matrices(rq)) == units
+    for p in (2, 3, 5):
+        ring = example1_matrix_ring(ResidueRing(p))
+        assert len(generated_subalgebra(ring, example1_matrices(ring))) == 3, p
+
+
+def test_generated_subalgebra_needs_a_field():
+    for base in ("Z", "Zmod:6"):
+        ring = example2_matrix_ring(parse_ring_spec(base))
+        with pytest.raises(UnsupportedOperationError):
+            generated_subalgebra(ring, example2_matrices(ring))
+        with pytest.raises(UnsupportedOperationError):
+            generated_subalgebra(parse_ring_spec(base), [])
+    rq = example2_matrix_ring(Q)
+    with pytest.raises(RingMismatchError):
+        generated_subalgebra(rq, example2_matrices(example2_matrix_ring(Z)))
 
 
 def test_spec_grammar_round_trip():

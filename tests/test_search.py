@@ -373,7 +373,7 @@ def test_counterexample_hunt_mat2_z2():
     b = ring.element(((0, 1), (0, 0)))
     assert not commutator(a, b).is_zero
     f = x_minus(a) * x_minus(b)
-    w = counterexample_hunt(f, ring)
+    w = counterexample_hunt(f)
     assert w is not None
     assert expand(w) == f
     values = [right_eval(f, x) for x in w.pseudoroots]
@@ -388,13 +388,13 @@ def test_counterexample_hunt_commutative_rings_find_nothing():
         for _ in range(6):
             a, b = random_element(ring, rng), random_element(ring, rng)
             f = x_minus(a) * x_minus(b)
-            assert counterexample_hunt(f, ring) is None
+            assert counterexample_hunt(f) is None
 
 
 def test_example1_witness_is_not_a_counterexample():
     algebra = example1_algebra(ResidueRing(2))
     f = example1_cubic(algebra)
-    w = counterexample_hunt(f, algebra)
+    w = counterexample_hunt(f)
     # pseudoroots of every splitting of this scalar cubic are roots
     assert w is None
 
@@ -423,7 +423,7 @@ def test_run_task_dispatch():
         ring.zero(),
         ring.from_int(2),
     ]
-    assert counterexample_hunt(f, ring) is None
+    assert counterexample_hunt(f) is None
     outcome = enumerate_splittings(SearchTask(ring, f, 2, "all_splittings"))
     assert outcome.cycle_count == 2
 
