@@ -12,13 +12,15 @@ an out-of-range ``--n`` or ``--p``, a matrix spec above
 not ``--ring``, ``search --task`` with ``--ring``, ``--poly``, ``--n`` or
 ``--mode``, a search target that is zero (or constant, for
 ``counterexample_hunt``), ``--n`` in search mode ``roots_only`` or
-``counterexample_hunt``, or an ``export --table`` that names no table, all
+``counterexample_hunt`` (or, in those modes, a task whose ``n`` is not the
+degree of its target), or an ``export --table`` that names no table, all
 refused while the command line parses or before any work. The output is
 written once, when the command ends, so a refused invocation writes nothing,
 not even to ``--out``.
 
 ``endo`` and ``examples`` are imported only by the commands that use them,
-so the other commands start without them.
+so the other commands start without them; ``example1`` imports ``endo`` only
+for ``--p``.
 
 Polynomial text is a sum of terms, each an optional sign (required between
 terms), an optional integer or rational (``p/q``) coefficient with an
@@ -372,8 +374,15 @@ def _cmd_search(ns, out):
         raise ParseError("search needs --task or both --ring and --poly")
     if f.is_zero:
         raise ParseError("the target polynomial must be nonzero")
-    if mode in ("roots_only", "counterexample_hunt") and ns.n is not None:
-        raise ParseError(f"--n does not apply to mode {mode}")
+    if mode in ("roots_only", "counterexample_hunt"):
+        # neither mode takes a factor count: --n is refused, and a task's n
+        # must restate the target's degree
+        if ns.n is not None:
+            raise ParseError(f"--n does not apply to mode {mode}")
+        if ns.task is not None and n != f.degree:
+            raise ParseError(
+                f"a {mode} task's n must be the degree of its target, {f.degree}, got {n}"
+            )
     if mode == "roots_only":
         _emit(_roots_payload(f, ring), "text", out)
         return 0
@@ -439,11 +448,15 @@ def _cmd_export(ns, out):
 
 
 def _cmd_example1(ns, out):
-    from . import endo
     from . import examples as ex
 
-    # the battery first: a --p over its budget is refused before any output
-    suite = endo.full_suite(ns.p) if ns.p is not None else None
+    # the battery first: a --p over its budget is refused before any output;
+    # without --p, endo is not imported
+    suite = None
+    if ns.p is not None:
+        from . import endo
+
+        suite = endo.full_suite(ns.p)
     ring = ns.ring
     w = ex.example1_witness(ring)
     f = expand(w)
@@ -477,9 +490,9 @@ def _cmd_example1(ns, out):
     for name, x in (("a1", e1), ("a2", e2), ("a3", e3)):
         rows.append(
             [name]
-            + [endo.render_vec((x * y).payload) for y in (e1, e2, e3)]
+            + [ex.render_vec((x * y).payload) for y in (e1, e2, e3)]
         )
-    out.write(endo.format_table(headers, rows) + "\n")
+    out.write(ex.format_table(headers, rows) + "\n")
 
     if suite is not None:
         _check(out, f"endomorphism count over Z/{ns.p}", suite.monoid.endo_count == ns.p**2 + ns.p + 2)

@@ -45,7 +45,12 @@ read the maps too, so each endomorphism is applied once per root. The
 checks index roots by the root records and cycles by their keys. Each
 table of compositions, root images or cycle images is one loop that
 streams a row per endomorphism, and the table's check and its export both
-read it; the monoid check composes each ordered pair once. The context
+read it; the monoid check composes each ordered pair once. A row is built
+inline: a monoid row reads r's basis images off the column maps, one list
+aligned with ``endos`` that the context builds once (refusing an
+unclassified endomorphism there, once), and a cycle row takes the least of
+each image triple's three rotations. The checks read the families and the
+identity flags once per row and once per column, not per cell. The context
 refuses a prime whose monoid table has more than ``search.NODE_BUDGET``
 ordered pairs (p > 97) with ``SearchSpaceTooLargeError``, before any
 enumeration.
@@ -65,6 +70,8 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 
 from .examples import EXAMPLE1_DESCRIPTOR, example1_algebra, example1_cubic
+# endo's names too, for the report scripts and the tests
+from .examples import format_table, render_vec
 from .rings import Record, ResidueRing, TableAlgebra, Value
 from .search import (
     NODE_BUDGET,
@@ -125,6 +132,16 @@ class _Family(Value):
     def __init__(self, kind: str, params: tuple[int, ...] = ()):
         _set_kind(self, kind)
         _set_params(self, params)
+
+    # the Value protocol on the two slots, without its key getter: the tables
+    # compare and hash a tag per cell
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.kind == other.kind and self.params == other.params
+
+    def __hash__(self):
+        return hash((self.kind, self.params))
 
     def label(self) -> str:
         return _LABELS[self.kind] % self.params
@@ -286,13 +303,17 @@ def _monoid_report(battery: _Battery) -> MonoidTableReport:
     p, endos = battery.p, battery.endos
     unclassified = tuple(str(e.images) for e in endos if e.family.kind == "unclassified")
     ident = battery.algebra.module_basis()
+    families = [e.family for e in endos]
+    is_ident = [e.images == ident for e in endos]
     mismatches = []
     frozen_hits = 0
     reversed_hits = 0
-    neutral_ok = any(e.images == ident for e in endos)
-    for r, row in battery.composite_rows():
-        for c, composite in zip(endos, row):
-            predicted = predicted_composition(r.family, c.family, p)
+    neutral_ok = any(is_ident)
+    for (r, row), r_family, r_ident in zip(battery.composite_rows(), families, is_ident):
+        if r_ident and any(x.images != c.images for x, c in zip(row, endos)):
+            neutral_ok = False
+        for c, c_family, c_ident, composite in zip(endos, families, is_ident, row):
+            predicted = predicted_composition(r_family, c_family, p)
             actual = composite.family
             if actual == predicted:
                 frozen_hits += 1
@@ -300,11 +321,9 @@ def _monoid_report(battery: _Battery) -> MonoidTableReport:
                 mismatches.append(
                     (r.label(), c.label(), predicted.label(), actual.label())
                 )
-            if actual == predicted_composition(c.family, r.family, p):
+            if actual == predicted_composition(c_family, r_family, p):
                 reversed_hits += 1
-            if (r.images == ident and composite.images != c.images) or (
-                c.images == ident and composite.images != r.images
-            ):
+            if c_ident and composite.images != r.images:
                 neutral_ok = False
 
     autos = battery.automorphisms
@@ -628,21 +647,30 @@ class _Battery:
     def _endo_at(self) -> dict[tuple[Vec, Vec, Vec], EndoMap]:
         return {e.images: e for e in self.endos}
 
-    def compose(self, r: EndoMap, c: EndoMap) -> EndoMap:
-        """``compose_endos(r, c)``: r's basis images read off c's map."""
-        if r.family.kind == "unclassified" or c.family.kind == "unclassified":
+    @cached_property
+    def _column_maps(self) -> list[dict[Vec, Vec]]:
+        """The image map of each endomorphism, in ``endos`` order: the
+        columns of the monoid table. An unclassified endomorphism cannot be
+        composed, and the battery refuses it here, once."""
+        if any(e.family.kind == "unclassified" for e in self.endos):
             raise ClassificationError("cannot compose unclassified endomorphisms")
-        m = self.maps[c.images]
+        maps = self.maps
+        return [maps[e.images] for e in self.endos]
+
+    def composite_row(self, r: EndoMap) -> list[EndoMap]:
+        """``compose_endos(r, c)`` for each c in ``endos``: r's basis images
+        read off c's map."""
+        endo_at, algebra = self._endo_at, self.algebra
         u, v, w = r.images
-        images = (m[u], m[v], m[w])
-        composite = self._endo_at.get(images)
-        return composite if composite is not None else _mk_endo(self.algebra, images)
+        return [
+            endo_at.get(images) or _mk_endo(algebra, images)
+            for images in [(m[u], m[v], m[w]) for m in self._column_maps]
+        ]
 
     def composite_rows(self):
-        """Stream one row per endomorphism r: r and compose(r, c) for each c."""
-        endos = self.endos
-        for r in endos:
-            yield r, [self.compose(r, c) for c in endos]
+        """Stream one row per endomorphism r: r and its ``composite_row``."""
+        for r in self.endos:
+            yield r, self.composite_row(r)
 
     def root_image_rows(self, vecs: list[Vec]):
         """Stream one row per endomorphism e: e and its image of each root
@@ -656,7 +684,10 @@ class _Battery:
         three roots, the canonical rotation of its image under e."""
         for e in self.endos:
             m = self.maps[e.images]
-            yield e, [canonical_rotation((m[a], m[b], m[c])) for a, b, c in supports]
+            yield e, [
+                min((x, y, z), (y, z, x), (z, x, y))  # the canonical rotation
+                for x, y, z in [(m[a], m[b], m[c]) for a, b, c in supports]
+            ]
 
     @cached_property
     def automorphisms(self) -> list[EndoMap]:
@@ -808,21 +839,24 @@ def _action_report(battery: _Battery) -> ActionTablesReport:
     p, endos, records = battery.p, battery.endos, battery.root_records
     cycle_keys = battery.cycle_keys
     roots = set(battery.roots)
+    root_families = [rec.family for rec in records]
     root_mismatches = []
     cycle_mismatches = []
     images_are_roots = True
     for e, images in battery.root_image_rows([rec.element for rec in records]):
-        for rec, img in zip(records, images):
-            if img not in roots:
-                images_are_roots = False
-            expected = predicted_root_action(e.family, rec.family, p).element_vec(p)
+        if not roots.issuperset(images):
+            images_are_roots = False
+        e_family = e.family
+        for fam, img in zip(root_families, images):
+            expected = predicted_root_action(e_family, fam, p).element_vec(p)
             if img != expected:
                 root_mismatches.append(
-                    (e.label(), rec.family.label(), str(expected), str(img))
+                    (e.label(), fam.label(), str(expected), str(img))
                 )
     for e, got_keys in battery.cycle_image_rows(list(cycle_keys.values())):
+        e_family = e.family
         for fam, got in zip(cycle_keys, got_keys):
-            expected = cycle_keys[predicted_cycle_action(e.family, fam, p)]
+            expected = cycle_keys[predicted_cycle_action(e_family, fam, p)]
             if got != expected:
                 cycle_mismatches.append(
                     (e.label(), fam.label(), str(expected), str(got))
@@ -1064,27 +1098,8 @@ def full_suite(modulus: int) -> EndoSuiteReport:
 
 
 # ---------------------------------------------------------------------------
-# table rendering
+# tables (``render_vec`` and ``format_table`` live in ``examples``)
 # ---------------------------------------------------------------------------
-
-
-def render_vec(v: Vec) -> str:
-    terms = []
-    for coeff, name in zip(v, ("a1", "a2", "a3")):
-        if coeff == 0:
-            continue
-        terms.append(name if coeff == 1 else f"{coeff}*{name}")
-    return " + ".join(terms) if terms else "0"
-
-
-def format_table(headers: list[str], rows: list[list[str]]) -> str:
-    cols = [headers] + rows
-    widths = [max(len(r[i]) for r in cols) for i in range(len(headers))]
-    def fmt(row):
-        return "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
-    lines = [fmt(headers), fmt(["-" * w for w in widths])]
-    lines += [fmt(r) for r in rows]
-    return "\n".join(lines)
 
 
 def endo_images_rows(modulus: int) -> tuple[list[str], list[list[str]]]:

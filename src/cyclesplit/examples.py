@@ -94,6 +94,29 @@ def verify_example1_isomorphism(base: Ring) -> bool:
     return multiplicative and phi(algebra.one()) == ring.one()
 
 
+# -- plain-text tables, for example 1's multiplication table and endo's -------
+
+
+def render_vec(v) -> str:
+    """A coordinate vector over (a_1, a_2, a_3) as a sum of named terms."""
+    terms = []
+    for coeff, name in zip(v, ("a1", "a2", "a3")):
+        if coeff == 0:
+            continue
+        terms.append(name if coeff == 1 else f"{coeff}*{name}")
+    return " + ".join(terms) if terms else "0"
+
+
+def format_table(headers: list[str], rows: list[list[str]]) -> str:
+    cols = [headers] + rows
+    widths = [max(len(r[i]) for r in cols) for i in range(len(headers))]
+    def fmt(row):
+        return "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
+    lines = [fmt(headers), fmt(["-" * w for w in widths])]
+    lines += [fmt(r) for r in rows]
+    return "\n".join(lines)
+
+
 # -- Example 2: X^3 - 4 over 3x3 matrices -------------------------------------
 
 EXAMPLE2_GRIDS = (

@@ -894,7 +894,11 @@ class MatrixRing(FreeModuleRing):
         return f"{prefix}:{self.size}:{self.base.spec_string()}"
 
     def payload_to_json(self, payload):
-        return [[self.base.payload_to_json(e) for e in row] for row in payload]
+        to_json = self.base.payload_to_json
+        if to_json.__func__ is Ring.payload_to_json:
+            # the base's payloads are their own JSON (Z, Z/n): a list per row
+            return [list(row) for row in payload]
+        return [[to_json(e) for e in row] for row in payload]
 
 
 class TableAlgebraDescriptor(Value):
@@ -952,19 +956,28 @@ class TableAlgebra(FreeModuleRing):
         self._check_table()
 
     @cached_property
-    def _table(self):
-        # the nonzero structure constants as (i, j, k, c): e_i * e_j has
-        # coefficient c on e_k. Zeros are dropped after embedding into the
-        # base, where a nonzero integer can vanish (2 over Z/2).
+    def _plan(self):
+        # the product plan: the nonzero structure constants as (i, j, k, c),
+        # where e_i * e_j has coefficient c on e_k. Zeros are dropped after
+        # embedding into the base, where a nonzero integer can vanish (2 over
+        # Z/2), and c is None where it is the base's one. An embedded integer
+        # is central, so dropping that factor is exact on a noncommutative
+        # base too.
         base = self.base
-        table = []
+        plan = []
         for i, row in enumerate(self.descriptor.structure_constants):
             for j, vec in enumerate(row):
                 for k, n in enumerate(vec):
                     c = base._from_int(n)
                     if c != base._zero:
-                        table.append((i, j, k, c))
-        return tuple(table)
+                        plan.append((i, j, k, None if c == base._one else c))
+        return tuple(plan)
+
+    @cached_property
+    def _product(self):
+        # the plan and the base ops it runs, read once per product
+        base = self.base
+        return self._plan, base._add, base._mul, base._zero
 
     def basis_elements(self):
         return tuple(Element(self, b) for b in self.module_basis())
@@ -993,23 +1006,24 @@ class TableAlgebra(FreeModuleRing):
         return tuple(map(leaf, obj))
 
     def _add(self, a, b):
-        return tuple(self.base._add(x, y) for x, y in zip(a, b))
+        return tuple(map(self.base._add, a, b))
 
     def _neg(self, a):
-        return tuple(self.base._neg(x) for x in a)
+        return tuple(map(self.base._neg, a))
 
     def _mul(self, a, b):
-        badd, bmul = self.base._add, self.base._mul
-        zero = self.base._zero
-        out = [zero] * self.descriptor.basis_size
-        for i, j, k, c in self._table:
+        plan, badd, bmul, zero = self._product
+        out = [zero] * len(a)
+        for i, j, k, c in plan:
             ai = a[i]
             if ai == zero:
                 continue
             bj = b[j]
             if bj == zero:
                 continue
-            out[k] = badd(out[k], bmul(bmul(ai, bj), c))
+            term = bmul(ai, bj) if c is None else bmul(bmul(ai, bj), c)
+            # zero + term is term: add only into a nonzero sum
+            out[k] = term if out[k] == zero else badd(out[k], term)
         return tuple(out)
 
     @cached_property

@@ -234,8 +234,7 @@ def _rotation_closed_tuples(
 
 def canonical_rotation(payloads: tuple) -> tuple:
     """The lexicographically least cyclic rotation of a tuple."""
-    n = len(payloads)
-    return min(tuple(payloads[k:] + payloads[:k]) for k in range(n))
+    return min([payloads[k:] + payloads[:k] for k in range(len(payloads))])
 
 
 def enumerate_splittings(task: SearchTask) -> SearchOutcome:

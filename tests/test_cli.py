@@ -310,6 +310,12 @@ def test_cli_parse_errors_exit_2(tmp_path):
         ("search", "--ring", "Zmod:4", "--poly", "X", "--mode", "roots_only", "--n", "3"),
         ("search", "--ring", "Mat:2:Zmod:2", "--poly", "X^2 - X", "--mode", "counterexample_hunt",
          "--n", "7"),
+        # nor a task's n, which must then be the degree of its target
+        ("search", "--task", json.dumps(
+            {"ring": "Zmod:4", "target": {"coeffs": [0, 1]}, "n": 3, "mode": "roots_only"})),
+        ("search", "--task", json.dumps(
+            {"ring": "Zmod:4", "target": {"coeffs": [0, 0, 1]}, "n": 7,
+             "mode": "counterexample_hunt"})),
         ("search", "--task", json.dumps(
             {"ring": "Zmod:3", "target": {"ring": "Zmod:3", "coeffs": [0]}, "n": 2,
              "mode": "all_splittings"})),
@@ -570,6 +576,18 @@ def test_cli_commands_import_only_what_they_run():
     assert (result["codes"][0], result["out"]) == invoke(*argv)
 
 
+def test_cli_example1_loads_endo_only_for_its_battery():
+    # example 1's tables render through examples; only --p runs the battery
+    for argv, with_endo in (
+        (["example1", "--ring", "UT:2:Z"], False),
+        (["example1", "--ring", "UT:2:Zmod:3", "--p", "3"], True),
+    ):
+        result = _in_fresh_interpreter(argv)
+        assert "cyclesplit.examples" in result["loaded"]
+        assert ("cyclesplit.endo" in result["loaded"]) == with_endo
+        assert (result["codes"][0], result["out"]) == invoke(*argv)
+
+
 def test_cli_search_budget_refusal_is_fast(capsys):
     # the ring has 2^36 elements, over the budget of 10^8 candidates
     ring = parse_ring_spec("Mat:6:Zmod:2")
@@ -805,6 +823,19 @@ def test_cli_counterexample_hunt_reports_either_outcome(tmp_path):
         "ring": "Mat:2:Zmod:2", "leading": [[1, 0], [0, 1]],
         "pseudoroots": [[[0, 1], [0, 0]], [[0, 0], [1, 0]]],
     }}
+
+
+def test_cli_task_in_a_mode_without_a_factor_count_restates_the_degree():
+    # roots_only and counterexample_hunt run a task whose n is the degree of
+    # its target, as they run the same target given by --poly
+    for mode, coeffs in (("roots_only", [0, 1]), ("counterexample_hunt", [0, 0, 1])):
+        task = {"ring": "Zmod:4", "target": {"coeffs": coeffs}, "n": len(coeffs) - 1, "mode": mode}
+        got = invoke("search", "--task", json.dumps(task))
+        poly = " + ".join(f"X^{k}" for k, c in enumerate(coeffs) if c)
+        assert got == invoke("search", "--ring", "Zmod:4", "--poly", poly, "--mode", mode)
+        assert got[0] == 0
+        task["n"] += 1
+        assert invoke("search", "--task", json.dumps(task)) == (2, "")
 
 
 def test_cli_centralizer():

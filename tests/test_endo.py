@@ -112,15 +112,18 @@ def test_monoid_report_matches_two_order_reference(p):
 
 
 def test_monoid_table_composes_each_pair_once(monkeypatch):
-    # the monoid check composes through its context's image maps
+    # the monoid check composes through its context's image maps, a row of
+    # pairs (r, c) for every c in ``endos`` per call
     pairs = []
-    compose = endo._Battery.compose
+    composite_row = endo._Battery.composite_row
 
-    def counting_compose(battery, r, c):
-        pairs.append((r.images, c.images))
-        return compose(battery, r, c)
+    def counting_row(battery, r):
+        row = composite_row(battery, r)
+        assert len(row) == len(battery.endos)
+        pairs.extend((r.images, c.images) for c in battery.endos)
+        return row
 
-    monkeypatch.setattr(endo._Battery, "compose", counting_compose)
+    monkeypatch.setattr(endo._Battery, "composite_row", counting_row)
     p = 3
     report = verify_monoid_table(p)
     endo_count = p * p + p + 2
@@ -447,6 +450,18 @@ ENDO_GOLDEN = {
         "action-roots": "87c4dfe8714cd45e572508d9377682eb9c5d4b264d151402c075d4600c8edb56",
         "action-cycles": "4323f2b19925055075f70f5214b26a4921f4a5b5f7d55fb019602d946f8c11f9",
         "minpoly": "3fbf15c23fb425bd949a740905def60fe3e118e89009cb6886dd0cde39749c3f",
+    },
+    # recorded before the monoid and action rows were built inline and the
+    # table algebra's product skipped unit constants; the bench oracle
+    # covers only 3, 5 and 7
+    11: {
+        "suite": "ad4cd0f7525479505f5be312c36fa9c944cd02c5c796d0f080a1540d1c88c0b4",
+        "evidence": "6b969e6693cebedf4d1d3d40549d346a2edb4120f26e59831ed071309eb942dd",
+        "images": "d9a8b19bd7a581094b109b84a7c03e11af00e11e9e0568863b236bba7b23b72c",
+        "monoid": "f88d53252c763bb3261c172029c8707deb0ff6da07b689fbe5d842a41f4f04dc",
+        "action-roots": "686d3e56549b9f270c780f859d67a06782c4f08fa8670cff86f395c224204b18",
+        "action-cycles": "fcdd877d24884d05577f47150d283a6bd2eb07c5ada8390f0e3e7b09cacd26bc",
+        "minpoly": "d086713a437c7dc825c1f17d8b5ee827633eba8301685d52d2ade0d38faaee8a",
     },
 }
 

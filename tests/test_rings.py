@@ -146,7 +146,8 @@ def test_table_algebra_rejects_nonassociative_table():
         TableAlgebra(bad, Z)
 
 
-# basis (1, e) with e * e = 2e: over Z/2 the constant 2 vanishes
+# basis (1, e) with e * e = 2e: over Z/2 the constant 2 vanishes; the rank-1
+# table presents its base itself, noncommutative over Mat:2:Zmod:2
 TABLE_DESCRIPTORS = {
     "example1": EXAMPLE1_DESCRIPTOR,
     "e^2=2e": TableAlgebraDescriptor(
@@ -154,12 +155,16 @@ TABLE_DESCRIPTORS = {
         structure_constants=(((1, 0), (0, 1)), ((0, 1), (0, 2))),
         unit_vector=(1, 0),
     ),
+    "rank-1": TableAlgebraDescriptor(
+        basis_size=1, structure_constants=(((1,),),), unit_vector=(1,)
+    ),
 }
 
 
 @pytest.mark.parametrize(
     "name, spec",
     [
+        ("example1", "Zmod:2"),
         ("example1", "Zmod:3"),
         ("example1", "Zmod:4"),
         ("example1", "Z"),
@@ -167,11 +172,15 @@ TABLE_DESCRIPTORS = {
         ("e^2=2e", "Zmod:2"),
         ("e^2=2e", "Zmod:4"),
         ("e^2=2e", "Z"),
+        ("rank-1", "Mat:2:Zmod:2"),
     ],
 )
 def test_table_mul_matches_dense_reference(name, spec):
+    # the product plan against the sum of c_ijk a_i b_j over every (i, j, k)
     algebra = TableAlgebra(TABLE_DESCRIPTORS[name], parse_ring_spec(spec))
-    assert all(c != algebra.base._zero for *_, c in algebra._table)
+    base = algebra.base
+    # the plan keeps no zero constant and marks each unit constant None
+    assert all(c not in (base._zero, base._one) for *_, c in algebra._plan)
     if algebra.is_finite:
         pairs = itertools.product(list(algebra.payloads()), repeat=2)
     else:
@@ -675,6 +684,27 @@ def test_element_json_round_trip():
             x = random_element(ring, rng)
             blob = json.dumps(x.to_json())
             assert ring.element_from_json(json.loads(blob)) == x
+
+
+def _json_reference(ring, payload):
+    # one base call per matrix entry, at every level of the tower
+    if isinstance(ring, MatrixRing):
+        return [[_json_reference(ring.base, e) for e in row] for row in payload]
+    return ring.payload_to_json(payload)
+
+
+def test_matrix_json_is_byte_identical_to_the_entrywise_rule():
+    # a scalar base's payloads are their own JSON, so a matrix row over Z or
+    # Z/n is written whole; the text must not change
+    rng = random.Random(27)
+    for spec in ("Z", "Q", "Zmod:6", "Mat:2:Z", "Mat:3:Q", "Mat:2:Zmod:6", "UT:3:Z", "UT:2:Q",
+                 "Mat:2:Mat:2:Zmod:2"):
+        ring = parse_ring_spec(spec)
+        for _ in range(25):
+            x = random_element(ring, rng)
+            want = json.dumps(_json_reference(ring, x.payload))
+            assert json.dumps(ring.payload_to_json(x.payload)) == want
+            assert json.dumps(x.to_json()) == want
 
 
 def test_rational_payloads_canonical():

@@ -5,6 +5,7 @@ import random
 import zlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cyclesplit.examples import (
     example1_algebra,
@@ -34,6 +35,7 @@ import cyclesplit.search as search_mod
 from cyclesplit.search import (
     SearchSpaceTooLargeError,
     SearchTask,
+    canonical_rotation,
     counterexample_hunt,
     enumerate_splittings,
     find_roots,
@@ -516,3 +518,15 @@ def test_cache_linear_factor_product():
             len(got) - len(expected.coeffs)
         )
         assert [cache.elements[c] for c in got] == padded
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 2)), min_size=1, max_size=6))
+def test_canonical_rotation_is_the_least_rotation(items):
+    # payload-like entries from a small alphabet, so that rotations tie
+    payloads = tuple(items)
+    n = len(payloads)
+    rotations = [tuple(payloads[(k + i) % n] for i in range(n)) for k in range(n)]
+    got = canonical_rotation(payloads)
+    assert type(got) is tuple
+    assert got == min(rotations)
