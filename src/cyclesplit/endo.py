@@ -41,19 +41,18 @@ context is computed on first read, once, and dies with the call:
 
 A composite ``compose_endos(r, c)`` is r's basis images read off c's map,
 and the root and cycle action tables, the poset and the translation checks
-read the maps too, so each endomorphism is applied once per root. The
-checks index roots by the root records and cycles by their keys. Each
-table of compositions, root images or cycle images is one loop that
-streams a row per endomorphism, and the table's check and its export both
-read it; the monoid check composes each ordered pair once. A row is built
-inline: a monoid row reads r's basis images off the column maps, one list
-aligned with ``endos`` that the context builds once (refusing an
-unclassified endomorphism there, once), and a cycle row takes the least of
-each image triple's three rotations. The checks read the families and the
-identity flags once per row and once per column, not per cell. The context
-refuses a prime whose monoid table has more than ``search.NODE_BUDGET``
-ordered pairs (p > 97) with ``SearchSpaceTooLargeError``, before any
-enumeration.
+read the maps too, so each endomorphism is applied once per root. Each
+table of compositions, root images or cycle images is one loop that streams
+a row per endomorphism (a monoid row reads r's basis images off the column
+maps, which the context lists once, after refusing an unclassified
+endomorphism); the table's check and its export both read it. A check
+predicts a whole row at once: a row rule maps the row's family key, the
+plain (kind, params) tuple, to the key predicted in every column, and the
+check compares the row with the brute force as lists of tuples, building a
+tag or a label only for a cell that disagrees. The exports format each
+distinct label once per table. The context refuses a prime whose monoid
+table has more than ``search.NODE_BUDGET`` ordered pairs (p > 97) with
+``SearchSpaceTooLargeError``, before any enumeration.
 
 Composition order (frozen): ``compose_endos(e1, e2)`` applies e1 first and
 e2 second. Under this order the matrix model is a monoid homomorphism:
@@ -68,6 +67,7 @@ by the one ``rings.Record`` rule: fields in order, then ``passed``.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
+from operator import eq
 
 from .examples import EXAMPLE1_DESCRIPTOR, example1_algebra, example1_cubic
 # endo's names too, for the report scripts and the tests
@@ -85,6 +85,7 @@ from .search import (
 COMPOSITION_ORDER = "left-operand-first"
 
 Vec = tuple[int, int, int]
+Key = tuple[str, tuple[int, ...]]
 
 _UNIT: Vec = EXAMPLE1_DESCRIPTOR.unit_vector
 _ZERO: Vec = (0, 0, 0)
@@ -126,28 +127,27 @@ _LABELS = {
 class _Family(Value):
     """A family tag: its kind and parameters; ``_LABELS`` names it."""
 
-    # the battery builds tens of thousands of tags: slots and a plain __init__
+    # slots, so a plain __init__: a slot hides a class-attribute default
     __slots__ = _fields = ("kind", "params")
 
     def __init__(self, kind: str, params: tuple[int, ...] = ()):
         _set_kind(self, kind)
         _set_params(self, params)
 
-    # the Value protocol on the two slots, without its key getter: the tables
-    # compare and hash a tag per cell
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.kind == other.kind and self.params == other.params
-
-    def __hash__(self):
-        return hash((self.kind, self.params))
-
     def label(self) -> str:
         return _LABELS[self.kind] % self.params
 
 
 _set_kind, _set_params = _Family.kind.__set__, _Family.params.__set__
+
+
+def _keys(families) -> list[Key]:
+    """The (kind, params) key of each family tag, the prediction rules' form."""
+    return [(f.kind, f.params) for f in families]
+
+
+def _key_label(key: Key) -> str:
+    return _LABELS[key[0]] % key[1]
 
 
 # ---------------------------------------------------------------------------
@@ -217,33 +217,61 @@ def compose_endos(e1: EndoMap, e2: EndoMap) -> EndoMap:
     return _mk_endo(e1.algebra, vecs)
 
 
-def predicted_composition(f1: EndoFamily, f2: EndoFamily, p: int) -> EndoFamily:
-    """Family of compose(e1, e2) predicted by the matrix model M(e1) M(e2)."""
-    if f1.kind == "eps" or f1.kind == "eps_prime":
-        return EndoFamily(f1.kind)
-    if f1.kind == "eps_sigma_s":
-        s, v = f1.params
-        if f2.kind == "eps":
-            return EndoFamily("eps")
-        if f2.kind == "eps_prime":
-            return EndoFamily("eps_prime")
-        if f2.kind == "eps_sigma_s":
-            t, u = f2.params
-            return EndoFamily("eps_sigma_s", ((s * t) % p, (v * t + u) % p))
-        (u,) = f2.params
-        return EndoFamily("eps_s", (u,))
-    if f1.kind == "eps_s":
-        (v,) = f1.params
-        if f2.kind == "eps":
-            return EndoFamily("eps_prime")
-        if f2.kind == "eps_prime":
-            return EndoFamily("eps")
-        if f2.kind == "eps_sigma_s":
-            t, u = f2.params
-            return EndoFamily("eps_s", ((v * t + u) % p,))
-        (u,) = f2.params
-        return EndoFamily("eps_sigma_s", (0, u))
-    raise ClassificationError(f"no prediction for {f1!r}")
+def _composition_row(first: Key, columns: list[Key], p: int) -> list[Key]:
+    """The family key of compose(first, c) for each key c in ``columns``,
+    by the matrix model M(first) M(c)."""
+    kind, params = first
+    if kind == "eps" or kind == "eps_prime":
+        return [first] * len(columns)
+    if kind == "eps_sigma_s":
+        s, v = params
+        return [
+            ("eps_sigma_s", (s * q[0] % p, (v * q[0] + q[1]) % p)) if k == "eps_sigma_s"
+            else (k, q)
+            for k, q in columns
+        ]
+    if kind == "eps_s":
+        (v,) = params
+        swap = {"eps": ("eps_prime", ()), "eps_prime": ("eps", ())}
+        return [
+            ("eps_s", ((v * q[0] + q[1]) % p,)) if k == "eps_sigma_s"
+            else ("eps_sigma_s", (0, q[0])) if k == "eps_s" else swap[k]
+            for k, q in columns
+        ]
+    raise ClassificationError(f"no prediction for {first!r}")
+
+
+def _reversed_row(second: Key, columns: list[Key], p: int) -> list[Key]:
+    """The family key of compose(c, second) for each key c in ``columns``,
+    by M(c) M(second): the prediction under the reversed order."""
+    kind, params = second
+    if kind == "eps_sigma_s":
+        t, u = params
+        return [
+            ("eps_sigma_s", (q[0] * t % p, (q[1] * t + u) % p)) if k == "eps_sigma_s"
+            else ("eps_s", ((q[0] * t + u) % p,)) if k == "eps_s" else (k, q)
+            for k, q in columns
+        ]
+    if kind == "eps_s":
+        after_shift = ("eps_sigma_s", (0, params[0]))
+    elif kind == "eps" or kind == "eps_prime":
+        after_shift = ("eps_prime" if kind == "eps" else "eps", ())
+    else:
+        raise ClassificationError(f"no prediction for {second!r}")
+    # a scale-shift first leaves second as it is; a constant first stays
+    return [
+        second if k == "eps_sigma_s" else after_shift if k == "eps_s" else (k, q)
+        for k, q in columns
+    ]
+
+
+def _cell_mismatches(row: EndoMap, columns: list, expected: list, got: list, show=str) -> list:
+    """(row, column, expected, got) of each cell that disagrees, the last two by ``show``."""
+    return [
+        (row.label(), c.label(), show(want), show(img))
+        for c, want, img in zip(columns, expected, got)
+        if want != img
+    ]
 
 
 def identity_endo(modulus: int) -> EndoMap:
@@ -303,34 +331,25 @@ def _monoid_report(battery: _Battery) -> MonoidTableReport:
     p, endos = battery.p, battery.endos
     unclassified = tuple(str(e.images) for e in endos if e.family.kind == "unclassified")
     ident = battery.algebra.module_basis()
-    families = [e.family for e in endos]
-    is_ident = [e.images == ident for e in endos]
+    keys = _keys(e.family for e in endos)
+    at_ident = next((i for i, e in enumerate(endos) if e.images == ident), None)
     mismatches = []
-    frozen_hits = 0
-    reversed_hits = 0
-    neutral_ok = any(is_ident)
-    for (r, row), r_family, r_ident in zip(battery.composite_rows(), families, is_ident):
-        if r_ident and any(x.images != c.images for x, c in zip(row, endos)):
+    frozen_hits = reversed_hits = 0
+    neutral_ok = at_ident is not None
+    for i, ((r, row), r_key) in enumerate(zip(battery.composite_rows(), keys)):
+        actual = _keys(x.family for x in row)
+        predicted = _composition_row(r_key, keys, p)
+        frozen_hits += sum(map(eq, actual, predicted))
+        if actual != predicted:
+            mismatches += _cell_mismatches(r, endos, predicted, actual, _key_label)
+        reversed_hits += sum(map(eq, actual, _reversed_row(r_key, keys, p)))
+        # the identity column repeats r, and the identity row is ``endos``
+        if at_ident is not None and (row[at_ident] != r or i == at_ident and row != endos):
             neutral_ok = False
-        for c, c_family, c_ident, composite in zip(endos, families, is_ident, row):
-            predicted = predicted_composition(r_family, c_family, p)
-            actual = composite.family
-            if actual == predicted:
-                frozen_hits += 1
-            else:
-                mismatches.append(
-                    (r.label(), c.label(), predicted.label(), actual.label())
-                )
-            if actual == predicted_composition(c_family, r_family, p):
-                reversed_hits += 1
-            if c_ident and composite.images != r.images:
-                neutral_ok = False
 
     autos = battery.automorphisms
-    expected_autos = {
-        EndoFamily("eps_sigma_s", (s, v)) for s in range(1, p) for v in range(p)
-    }
-    invertibles_ok = {e.family for e in autos} == expected_autos
+    expected_autos = {("eps_sigma_s", (s, v)) for s in range(1, p) for v in range(p)}
+    invertibles_ok = set(_keys(e.family for e in autos)) == expected_autos
 
     return MonoidTableReport(
         p=p,
@@ -398,8 +417,13 @@ _PROPER_DIVISORS = {
     "X^2(X-1)": frozenset({"1", "X", "X-1", "X^2", "X(X-1)"}),
 }
 
+# every (divisor, multiple) pair of labels, each label dividing itself: the
+# poset checks test divisibility by one set lookup
+_DIVIDES = frozenset((d, m) for m, proper in _PROPER_DIVISORS.items() for d in proper | {m})
+
+
 def minpoly_divides(a: str, b: str) -> bool:
-    return a == b or a in _PROPER_DIVISORS[b]
+    return (a, b) in _DIVIDES
 
 
 def minpoly_label(x: Vec, p: int) -> str:
@@ -762,56 +786,50 @@ class _Battery:
 # ---------------------------------------------------------------------------
 
 
-def predicted_root_action(e: EndoFamily, r: RootFamily, p: int) -> RootFamily:
-    if e.kind == "eps":
-        if r.kind in ("r_tau", "r_tau_t"):
-            return RootFamily("r_tau", (0,))
-        return RootFamily("r")
-    if e.kind == "eps_prime":
-        if r.kind in ("r_tau", "r_t"):
-            return RootFamily("r_tau", (0,))
-        return RootFamily("r")
-    if e.kind == "eps_sigma_s":
-        s, v = e.params
-        if r.kind == "r_tau":
-            return RootFamily("r_tau", ((r.params[0] * s) % p,))
-        if r.kind == "r_tau_t":
-            t, u = r.params
-            return RootFamily("r_tau_t", ((t * s) % p, (u * s + v) % p))
-        if r.kind == "r_t":
-            return RootFamily("r_t", ((r.params[0] * s + v) % p,))
-        return RootFamily("r")
-    if e.kind == "eps_s":
-        (v,) = e.params
-        if r.kind == "r_tau":
-            return RootFamily("r_tau", (0,))
-        if r.kind == "r_tau_t":
-            return RootFamily("r_t", (v,))
-        if r.kind == "r_t":
-            return RootFamily("r_tau_t", (0, v))
-        return RootFamily("r")
-    raise ClassificationError(f"no action rule for {e!r}")
+def _root_action_row(e: Key, columns: list[Key], p: int) -> list[Key]:
+    """The family key of an image under e of a root of family c, for each
+    root family key c in ``columns``."""
+    kind, params = e
+    if kind == "eps_sigma_s":
+        s, v = params
+        return [
+            ("r_tau", (q[0] * s % p,)) if k == "r_tau"
+            else ("r_tau_t", (q[0] * s % p, (q[1] * s + v) % p)) if k == "r_tau_t"
+            else ("r_t", ((q[0] * s + v) % p,)) if k == "r_t" else (k, q)
+            for k, q in columns
+        ]
+    low, unit = ("r_tau", (0,)), ("r", ())
+    if kind == "eps_s":
+        (v,) = params
+        image = {"r_tau": low, "r_tau_t": ("r_t", (v,)), "r_t": ("r_tau_t", (0, v)), "r": unit}
+    elif kind == "eps" or kind == "eps_prime":
+        # eps sends x to x_1 times the unit, eps' to x_3 times it
+        a, b = (low, unit) if kind == "eps" else (unit, low)
+        image = {"r_tau": low, "r_tau_t": a, "r_t": b, "r": unit}
+    else:
+        raise ClassificationError(f"no action rule for {e!r}")
+    return [image[k] for k, _ in columns]
 
 
-def predicted_cycle_action(e: EndoFamily, c: CycleFamily, p: int) -> CycleFamily:
-    if e.kind in ("eps", "eps_prime"):
-        return CycleFamily("c_tau", (0,))
-    if e.kind == "eps_sigma_s":
-        s, v = e.params
-        if c.kind == "c_tau":
-            return CycleFamily("c_tau", ((c.params[0] * s) % p,))
-        if c.kind == "c_tau_t":
-            t, u = c.params
-            return CycleFamily("c_tau_t", ((t * s) % p, (u * s + v) % p))
-        # the shift parameter moves: c_t(u) -> c_t(u*s + v)
-        return CycleFamily("c_t", ((c.params[0] * s + v) % p,))
-    if e.kind == "eps_s":
-        (v,) = e.params
-        if c.kind == "c_tau":
-            return CycleFamily("c_tau", (0,))
-        if c.kind == "c_tau_t":
-            return CycleFamily("c_t", (v,))
-        return CycleFamily("c_tau_t", (0, v))
+def _cycle_action_row(e: Key, columns: list[Key], p: int) -> list[Key]:
+    """The family key of the image under e of a cycle class of family c,
+    for each cycle family key c in ``columns``."""
+    kind, params = e
+    if kind == "eps_sigma_s":
+        s, v = params
+        return [
+            ("c_tau", (q[0] * s % p,)) if k == "c_tau"
+            else ("c_tau_t", (q[0] * s % p, (q[1] * s + v) % p)) if k == "c_tau_t"
+            # the shift parameter moves: c_t(u) -> c_t(u*s + v)
+            else ("c_t", ((q[0] * s + v) % p,))
+            for k, q in columns
+        ]
+    if kind == "eps_s":
+        (v,) = params
+        image = {"c_tau": ("c_tau", (0,)), "c_tau_t": ("c_t", (v,)), "c_t": ("c_tau_t", (0, v))}
+        return [image[k] for k, _ in columns]
+    if kind == "eps" or kind == "eps_prime":
+        return [("c_tau", (0,))] * len(columns)
     raise ClassificationError(f"no action rule for {e!r}")
 
 
@@ -840,27 +858,24 @@ def _action_report(battery: _Battery) -> ActionTablesReport:
     cycle_keys = battery.cycle_keys
     roots = set(battery.roots)
     root_families = [rec.family for rec in records]
+    root_columns, cycle_columns = _keys(root_families), _keys(cycle_keys)
+    vec_at = dict(zip(root_columns, [rec.element for rec in records]))
+    key_at = dict(zip(cycle_columns, cycle_keys.values()))
     root_mismatches = []
     cycle_mismatches = []
     images_are_roots = True
     for e, images in battery.root_image_rows([rec.element for rec in records]):
         if not roots.issuperset(images):
             images_are_roots = False
-        e_family = e.family
-        for fam, img in zip(root_families, images):
-            expected = predicted_root_action(e_family, fam, p).element_vec(p)
-            if img != expected:
-                root_mismatches.append(
-                    (e.label(), fam.label(), str(expected), str(img))
-                )
+        e_key = (e.family.kind, e.family.params)
+        expected = [vec_at[k] for k in _root_action_row(e_key, root_columns, p)]
+        if expected != images:
+            root_mismatches += _cell_mismatches(e, root_families, expected, images)
     for e, got_keys in battery.cycle_image_rows(list(cycle_keys.values())):
-        e_family = e.family
-        for fam, got in zip(cycle_keys, got_keys):
-            expected = cycle_keys[predicted_cycle_action(e_family, fam, p)]
-            if got != expected:
-                cycle_mismatches.append(
-                    (e.label(), fam.label(), str(expected), str(got))
-                )
+        e_key = (e.family.kind, e.family.params)
+        expected = [key_at[k] for k in _cycle_action_row(e_key, cycle_columns, p)]
+        if expected != got_keys:
+            cycle_mismatches += _cell_mismatches(e, cycle_keys, expected, got_keys)
     return ActionTablesReport(
         p=p,
         root_action_checks=len(endos) * len(records),
@@ -883,11 +898,6 @@ def _expected_minpoly(fam: RootFamily, p: int) -> str:
     if fam.kind == "r_tau":
         return "X" if fam.params[0] % p == 0 else "X^2"
     return EXPECTED_MINPOLY[fam.kind]
-
-
-def _strictly_above(mp_x: str, mp_y: str) -> bool:
-    # x is above y when x's minimal polynomial properly divides y's
-    return mp_x != mp_y and minpoly_divides(mp_x, mp_y)
 
 
 class PosetReport(Record):
@@ -940,10 +950,12 @@ def _poset_report(battery: _Battery) -> PosetReport:
         (i, j)
         for i, x in enumerate(records)
         for j, y in enumerate(records)
-        if _strictly_above(x.minpoly, y.minpoly)
+        # x is above y when x's minimal polynomial properly divides y's
+        if x.minpoly in _PROPER_DIVISORS[y.minpoly]
     ]
     # every image is a root, and the records label each root once
     labels = {rec.element: rec.minpoly for rec in records}
+    record_mps = [rec.minpoly for rec in records]
     monotone_ok = True
     level_order_ok = True
     failing_kinds = set()
@@ -951,17 +963,17 @@ def _poset_report(battery: _Battery) -> PosetReport:
     failing_pair_count = 0
     automorphisms_preserve_ok = True
     for e, images in battery.root_image_rows([rec.element for rec in records]):
-        image_mps = []
-        for rec, img in zip(records, images):
-            mp_img = labels[img]
-            image_mps.append(mp_img)
-            if not minpoly_divides(mp_img, rec.minpoly):
+        image_mps = [labels[img] for img in images]
+        if image_mps == record_mps:
+            continue  # every label kept: each check below holds
+        for mp_img, mp in zip(image_mps, record_mps):
+            if (mp_img, mp) not in _DIVIDES:
                 monotone_ok = False
-            # a label's degree is its coefficient count less one
-            if len(MINPOLY_LATTICE[mp_img]) > len(MINPOLY_LATTICE[rec.minpoly]):
-                level_order_ok = False
+                # degree: coefficient count less one (a divisor's is no higher)
+                if len(MINPOLY_LATTICE[mp_img]) > len(MINPOLY_LATTICE[mp]):
+                    level_order_ok = False
         for i, j in strict_pairs:
-            if not minpoly_divides(image_mps[i], image_mps[j]):
+            if (image_mps[i], image_mps[j]) not in _DIVIDES:
                 x, y = records[i], records[j]
                 failing_pair_count += 1
                 failing_kinds.add(e.family.kind)
@@ -1113,9 +1125,12 @@ def endo_images_rows(modulus: int) -> tuple[list[str], list[list[str]]]:
 
 def monoid_table_rows(modulus: int) -> tuple[list[str], list[list[str]]]:
     battery = _Battery(modulus)
-    headers = ["first, then:"] + [e.label() for e in battery.endos]
+    # each label formatted once (a composite outside ``endos`` labels itself)
+    label = {id(e): e.label() for e in battery.endos}
+    headers = ["first, then:"] + list(label.values())
     rows = [
-        [r.label()] + [x.label() for x in row] for r, row in battery.composite_rows()
+        [label[id(r)]] + [label.get(id(x)) or x.label() for x in row]
+        for r, row in battery.composite_rows()
     ]
     return headers, rows
 
@@ -1125,8 +1140,11 @@ def root_action_rows(modulus: int) -> tuple[list[str], list[list[str]]]:
     p = battery.p
     fams = _all_root_families(p)
     headers = ["endo \\ root"] + [f.label() for f in fams]
+    # each root's label formatted once; an image that is no root is refused
+    label = {x: classify_element_as_root(x, p).label() for x in battery.roots}
     rows = [
-        [e.label()] + [classify_element_as_root(img, p).label() for img in images]
+        [e.label()]
+        + [label.get(img) or classify_element_as_root(img, p).label() for img in images]
         for e, images in battery.root_image_rows([f.element_vec(p) for f in fams])
     ]
     return headers, rows
@@ -1135,10 +1153,10 @@ def root_action_rows(modulus: int) -> tuple[list[str], list[list[str]]]:
 def cycle_action_rows(modulus: int) -> tuple[list[str], list[list[str]]]:
     battery = _Battery(modulus)
     cycle_keys = battery.cycle_keys
-    family_at = {key: fam for fam, key in cycle_keys.items()}
-    headers = ["endo \\ cycle"] + [f.label() for f in cycle_keys]
+    label = {key: fam.label() for fam, key in cycle_keys.items()}
+    headers = ["endo \\ cycle"] + list(label.values())
     rows = [
-        [e.label()] + [family_at[key].label() for key in keys]
+        [e.label()] + [label[key] for key in keys]
         for e, keys in battery.cycle_image_rows(list(cycle_keys.values()))
     ]
     return headers, rows

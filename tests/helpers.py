@@ -6,6 +6,7 @@ import itertools
 import random
 from fractions import Fraction
 
+from cyclesplit.endo import ClassificationError, CycleFamily, EndoFamily, RootFamily
 from cyclesplit.ncpoly import poly
 from cyclesplit.rings import Ring, TableAlgebra, TableAlgebraDescriptor, parse_ring_spec
 
@@ -249,12 +250,7 @@ def monoid_report_reference(p: int):
     Returns (frozen-order count, reversed-order count, neutral law holds,
     automorphisms in enumeration order).
     """
-    from cyclesplit.endo import (
-        compose_endos,
-        enumerate_endos,
-        identity_endo,
-        predicted_composition,
-    )
+    from cyclesplit.endo import compose_endos, enumerate_endos, identity_endo
 
     endos = enumerate_endos(p)
     frozen = reversed_ = 0
@@ -279,6 +275,92 @@ def monoid_report_reference(p: int):
         )
     ]
     return frozen, reversed_, neutral_ok, autos
+
+
+# The per-cell prediction rules, one family tag per cell: the reference that
+# the battery's row rules are checked against, cell by cell.
+
+
+def predicted_composition(f1: EndoFamily, f2: EndoFamily, p: int) -> EndoFamily:
+    """Family of compose(e1, e2) predicted by the matrix model M(e1) M(e2)."""
+    if f1.kind == "eps" or f1.kind == "eps_prime":
+        return EndoFamily(f1.kind)
+    if f1.kind == "eps_sigma_s":
+        s, v = f1.params
+        if f2.kind == "eps":
+            return EndoFamily("eps")
+        if f2.kind == "eps_prime":
+            return EndoFamily("eps_prime")
+        if f2.kind == "eps_sigma_s":
+            t, u = f2.params
+            return EndoFamily("eps_sigma_s", ((s * t) % p, (v * t + u) % p))
+        (u,) = f2.params
+        return EndoFamily("eps_s", (u,))
+    if f1.kind == "eps_s":
+        (v,) = f1.params
+        if f2.kind == "eps":
+            return EndoFamily("eps_prime")
+        if f2.kind == "eps_prime":
+            return EndoFamily("eps")
+        if f2.kind == "eps_sigma_s":
+            t, u = f2.params
+            return EndoFamily("eps_s", ((v * t + u) % p,))
+        (u,) = f2.params
+        return EndoFamily("eps_sigma_s", (0, u))
+    raise ClassificationError(f"no prediction for {f1!r}")
+
+
+def predicted_root_action(e: EndoFamily, r: RootFamily, p: int) -> RootFamily:
+    if e.kind == "eps":
+        if r.kind in ("r_tau", "r_tau_t"):
+            return RootFamily("r_tau", (0,))
+        return RootFamily("r")
+    if e.kind == "eps_prime":
+        if r.kind in ("r_tau", "r_t"):
+            return RootFamily("r_tau", (0,))
+        return RootFamily("r")
+    if e.kind == "eps_sigma_s":
+        s, v = e.params
+        if r.kind == "r_tau":
+            return RootFamily("r_tau", ((r.params[0] * s) % p,))
+        if r.kind == "r_tau_t":
+            t, u = r.params
+            return RootFamily("r_tau_t", ((t * s) % p, (u * s + v) % p))
+        if r.kind == "r_t":
+            return RootFamily("r_t", ((r.params[0] * s + v) % p,))
+        return RootFamily("r")
+    if e.kind == "eps_s":
+        (v,) = e.params
+        if r.kind == "r_tau":
+            return RootFamily("r_tau", (0,))
+        if r.kind == "r_tau_t":
+            return RootFamily("r_t", (v,))
+        if r.kind == "r_t":
+            return RootFamily("r_tau_t", (0, v))
+        return RootFamily("r")
+    raise ClassificationError(f"no action rule for {e!r}")
+
+
+def predicted_cycle_action(e: EndoFamily, c: CycleFamily, p: int) -> CycleFamily:
+    if e.kind in ("eps", "eps_prime"):
+        return CycleFamily("c_tau", (0,))
+    if e.kind == "eps_sigma_s":
+        s, v = e.params
+        if c.kind == "c_tau":
+            return CycleFamily("c_tau", ((c.params[0] * s) % p,))
+        if c.kind == "c_tau_t":
+            t, u = c.params
+            return CycleFamily("c_tau_t", ((t * s) % p, (u * s + v) % p))
+        # the shift parameter moves: c_t(u) -> c_t(u*s + v)
+        return CycleFamily("c_t", ((c.params[0] * s + v) % p,))
+    if e.kind == "eps_s":
+        (v,) = e.params
+        if c.kind == "c_tau":
+            return CycleFamily("c_tau", (0,))
+        if c.kind == "c_tau_t":
+            return CycleFamily("c_t", (v,))
+        return CycleFamily("c_tau_t", (0, v))
+    raise ClassificationError(f"no action rule for {e!r}")
 
 
 def divide_linear_reference(f, a, side: str):

@@ -21,7 +21,6 @@ from cyclesplit.endo import (
     minpoly_and_poset,
     minpoly_divides,
     minpoly_label,
-    predicted_composition,
     verify_action_tables,
     verify_cycle_suite,
     verify_monoid_table,
@@ -36,7 +35,12 @@ from cyclesplit.search import (
     canonical_rotation,
     find_roots,
 )
-from helpers import monoid_report_reference
+from helpers import (
+    monoid_report_reference,
+    predicted_composition,
+    predicted_cycle_action,
+    predicted_root_action,
+)
 
 PRIMES = (2, 3, 5)
 
@@ -128,6 +132,105 @@ def test_monoid_table_composes_each_pair_once(monkeypatch):
     report = verify_monoid_table(p)
     endo_count = p * p + p + 2
     assert len(pairs) == len(set(pairs)) == report.total_pairs == endo_count**2
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+def test_row_rules_match_the_per_cell_reference(p):
+    # every cell of each row rule, for every endomorphism family and over the
+    # full family lists, against the per-cell rules the reports used before
+    endo_families = [e.family for e in enumerate_endos(p)]
+    root_families = endo._all_root_families(p)
+    cycle_families = endo._all_cycle_families(p)
+    keys = endo._keys
+    for e in endo_families:
+        e_key = (e.kind, e.params)
+        assert endo._composition_row(e_key, keys(endo_families), p) == keys(
+            predicted_composition(e, c, p) for c in endo_families
+        )
+        assert endo._reversed_row(e_key, keys(endo_families), p) == keys(
+            predicted_composition(c, e, p) for c in endo_families
+        )
+        assert endo._root_action_row(e_key, keys(root_families), p) == keys(
+            predicted_root_action(e, r, p) for r in root_families
+        )
+        assert endo._cycle_action_row(e_key, keys(cycle_families), p) == keys(
+            predicted_cycle_action(e, c, p) for c in cycle_families
+        )
+    # no rule predicts anything for an unclassified endomorphism
+    for rule in (endo._composition_row, endo._reversed_row, endo._root_action_row,
+                 endo._cycle_action_row):
+        with pytest.raises(endo.ClassificationError):
+            rule(("unclassified", ()), keys(endo_families), p)
+
+
+def _shifted(rule):
+    """``rule`` with the first parameter of each predicted key moved by 1."""
+    def wrong(e, columns, p):
+        return [(k, ((q[0] + 1) % p,) + q[1:]) if q else (k, q) for k, q in rule(e, columns, p)]
+    return wrong
+
+
+@pytest.mark.parametrize(
+    "rule", ["_composition_row", "_reversed_row", "_root_action_row", "_cycle_action_row"]
+)
+def test_reports_catch_a_wrong_prediction(monkeypatch, rule):
+    # the reports compare rows of plain tuples; a wrong rule must show
+    p = 5
+    monoid, actions = verify_monoid_table(p), verify_action_tables(p)
+    monkeypatch.setattr(endo, rule, _shifted(getattr(endo, rule)))
+    wrong_monoid, wrong_actions = verify_monoid_table(p), verify_action_tables(p)
+    if rule == "_composition_row":
+        assert wrong_monoid.mismatches and not wrong_monoid.passed
+        assert wrong_monoid.frozen_order_agreement < monoid.frozen_order_agreement
+        # the labels of the predicted and the found family
+        assert ("eps^1_0", "eps^1_0", "eps^2_0", "eps^1_0") in wrong_monoid.mismatches
+    elif rule == "_reversed_row":
+        # the reversed order is evidence, not a check
+        assert wrong_monoid.reversed_order_agreement != monoid.reversed_order_agreement
+        assert wrong_monoid.passed
+    elif rule == "_root_action_row":
+        assert wrong_actions.root_action_mismatches and not wrong_actions.passed
+        assert not wrong_actions.cycle_action_mismatches
+        # the identity sends r^1 to itself, not to r^2
+        assert ("eps^1_0", "r^1", "(0, 2, 0)", "(0, 1, 0)") in wrong_actions.root_action_mismatches
+    else:
+        assert wrong_actions.cycle_action_mismatches and not wrong_actions.passed
+        assert not wrong_actions.root_action_mismatches
+    if rule != "_composition_row":
+        assert wrong_monoid.frozen_order_agreement == monoid.frozen_order_agreement
+
+
+def test_full_suite_builds_no_family_tag_per_cell(monkeypatch):
+    # with the context's fields built, the five reports compare plain keys:
+    # far fewer tags than the monoid table has cells (4347 before the row rules)
+    p = 5
+    battery = endo._Battery(p)
+    for field in ("endos", "maps", "_column_maps", "automorphisms", "root_records",
+                  "cycle_keys", "census", "cycle_records"):
+        getattr(battery, field)
+    calls = []
+    init = endo._Family.__init__
+
+    def counting_init(tag, *args, **kwargs):
+        calls.append(args)
+        init(tag, *args, **kwargs)
+
+    monkeypatch.setattr(endo._Family, "__init__", counting_init)
+    monkeypatch.setattr(endo, "_Battery", lambda modulus: battery)
+    assert endo.full_suite(p).passed
+    assert len(calls) < len(battery.endos) ** 2
+
+
+def test_root_action_export_refuses_an_image_that_is_no_root(monkeypatch):
+    rows = endo._Battery.root_image_rows
+
+    def rows_with_a_non_root(battery, vecs):
+        for e, images in rows(battery, vecs):
+            yield e, [(2, 0, 1)] + images[1:]
+
+    monkeypatch.setattr(endo._Battery, "root_image_rows", rows_with_a_non_root)
+    with pytest.raises(endo.ClassificationError, match="does not match any root family"):
+        endo.root_action_rows(3)
 
 
 def test_full_suite_applies_each_endomorphism_once_per_vector(monkeypatch):
