@@ -33,25 +33,27 @@ context is computed on first read, once, and dies with the call:
 * one sweep of A squares each element once and yields the idempotents, the
   square-zero elements and the roots (x^3 = x^2) in payload order;
 * the endomorphisms, enumerated from that sweep;
-* an image map per endomorphism, ``{x: e(x)}`` over the 3p+1 roots, which
-  hold every basis image; each entry is one ``apply_vec``;
+* the image maps, a list aligned with the endomorphisms: ``{x: e(x)}`` over
+  the 3p+1 roots, which hold every basis image; each entry is one
+  ``apply_vec``;
 * the root records, with one minimal polynomial per distinct root;
 * each cycle family's key, the canonical rotation of its support;
 * the splitting census of X^3 - X^2 and its rotation classes.
 
-A composite ``compose_endos(r, c)`` is r's basis images read off c's map,
-and the root and cycle action tables, the poset and the translation checks
-read the maps too, so each endomorphism is applied once per root. Each
-table of compositions, root images or cycle images is one loop that streams
-a row per endomorphism (a monoid row reads r's basis images off the column
-maps, which the context lists once, after refusing an unclassified
-endomorphism); the table's check and its export both read it. A check
-predicts a whole row at once: a row rule maps the row's family key, the
-plain (kind, params) tuple, to the key predicted in every column, and the
-check compares the row with the brute force as lists of tuples, building a
-tag or a label only for a cell that disagrees. The exports format each
-distinct label once per table. The context refuses a prime whose monoid
-table has more than ``search.NODE_BUDGET`` ordered pairs (p > 97) with
+A family, of an endomorphism, a root or a rotation class, is the plain
+tuple (kind, params); :func:`label` names it. A composite
+``compose_endos(r, c)`` is r's basis images read off c's map, and the root
+and cycle action tables, the poset and the translation checks read the maps
+too, so each endomorphism is applied once per root. Each table of
+compositions, root images or cycle images is one loop that streams a row
+per endomorphism (the monoid rows refuse an unclassified endomorphism
+before the first row); the table's check and its export both read it. A
+check predicts a whole row at once: a row rule maps the row's family to the
+family predicted in every column, and the check compares the row with the
+brute force as lists of tuples, building a label only for a cell that
+disagrees. The exports format each distinct label once per table. The
+context refuses a prime whose monoid table has more than
+``search.NODE_BUDGET`` ordered pairs (p > 97) with
 ``SearchSpaceTooLargeError``, before any enumeration.
 
 Composition order (frozen): ``compose_endos(e1, e2)`` applies e1 first and
@@ -124,30 +126,10 @@ _LABELS = {
 }
 
 
-class _Family(Value):
-    """A family tag: its kind and parameters; ``_LABELS`` names it."""
-
-    # slots, so a plain __init__: a slot hides a class-attribute default
-    __slots__ = _fields = ("kind", "params")
-
-    def __init__(self, kind: str, params: tuple[int, ...] = ()):
-        _set_kind(self, kind)
-        _set_params(self, params)
-
-    def label(self) -> str:
-        return _LABELS[self.kind] % self.params
-
-
-_set_kind, _set_params = _Family.kind.__set__, _Family.params.__set__
-
-
-def _keys(families) -> list[Key]:
-    """The (kind, params) key of each family tag, the prediction rules' form."""
-    return [(f.kind, f.params) for f in families]
-
-
-def _key_label(key: Key) -> str:
-    return _LABELS[key[0]] % key[1]
+def label(family: Key) -> str:
+    """The name of a family: its kind's format, filled from its parameters."""
+    kind, params = family
+    return _LABELS[kind] % params
 
 
 # ---------------------------------------------------------------------------
@@ -155,27 +137,22 @@ def _key_label(key: Key) -> str:
 # ---------------------------------------------------------------------------
 
 
-class EndoFamily(_Family):
-    """Family tag: eps, eps_prime, eps_sigma_s(scale, shift) or eps_s(shift)."""
-
-    __slots__ = ()
-
-
-def classify_endo_images(images: tuple[Vec, Vec, Vec], p: int) -> EndoFamily:
+def classify_endo_images(images: tuple[Vec, Vec, Vec], p: int) -> Key:
+    """eps, eps_prime, eps_sigma_s(scale, shift), eps_s(shift) or unclassified."""
     u, v, w = images
     if u == _UNIT and v == _ZERO and w == _ZERO:
-        return EndoFamily("eps")
+        return ("eps", ())
     if u == _ZERO and v == _ZERO and w == _UNIT:
-        return EndoFamily("eps_prime")
+        return ("eps_prime", ())
     if u[0] == 1 and u[2] == 0 and v[0] == 0 and v[2] == 0:
         scale, shift = v[1], u[1]
         if w == (0, (1 - scale - shift) % p, 1):
-            return EndoFamily("eps_sigma_s", (scale, shift))
+            return ("eps_sigma_s", (scale, shift))
     if v == _ZERO and u[0] == 0 and u[2] == 1 and w[0] == 1 and w[2] == 0:
         shift = w[1]
         if u[1] == (1 - shift) % p:
-            return EndoFamily("eps_s", (shift,))
-    return EndoFamily("unclassified")
+            return ("eps_s", (shift,))
+    return ("unclassified", ())
 
 
 class EndoMap(Value):
@@ -193,9 +170,6 @@ class EndoMap(Value):
             (a * u2 + b * v2 + c * w2) % p,
         )
 
-    def label(self) -> str:
-        return self.family.label()
-
 
 def _mk_endo(algebra: TableAlgebra, vecs: tuple[Vec, Vec, Vec]) -> EndoMap:
     return EndoMap(algebra, vecs, classify_endo_images(vecs, algebra.base.modulus))
@@ -211,7 +185,7 @@ def compose_endos(e1: EndoMap, e2: EndoMap) -> EndoMap:
     """Apply e1 first, then e2 (the frozen composition order)."""
     if e1.algebra != e2.algebra:
         raise ValueError("endomorphisms of different algebras")
-    if e1.family.kind == "unclassified" or e2.family.kind == "unclassified":
+    if e1.family[0] == "unclassified" or e2.family[0] == "unclassified":
         raise ClassificationError("cannot compose unclassified endomorphisms")
     vecs = tuple(e2.apply_vec(im) for im in e1.images)
     return _mk_endo(e1.algebra, vecs)
@@ -265,10 +239,11 @@ def _reversed_row(second: Key, columns: list[Key], p: int) -> list[Key]:
     ]
 
 
-def _cell_mismatches(row: EndoMap, columns: list, expected: list, got: list, show=str) -> list:
-    """(row, column, expected, got) of each cell that disagrees, the last two by ``show``."""
+def _cell_mismatches(row: Key, columns: list[Key], expected: list, got: list, show=str) -> list:
+    """(row, column, expected, got) of each cell that disagrees: the row's and
+    the column's family labels, then the last two by ``show``."""
     return [
-        (row.label(), c.label(), show(want), show(img))
+        (label(row), label(c), show(want), show(img))
         for c, want, img in zip(columns, expected, got)
         if want != img
     ]
@@ -329,27 +304,27 @@ def verify_monoid_table(modulus: int) -> MonoidTableReport:
 
 def _monoid_report(battery: _Battery) -> MonoidTableReport:
     p, endos = battery.p, battery.endos
-    unclassified = tuple(str(e.images) for e in endos if e.family.kind == "unclassified")
+    unclassified = tuple(str(e.images) for e in endos if e.family[0] == "unclassified")
     ident = battery.algebra.module_basis()
-    keys = _keys(e.family for e in endos)
+    families = [e.family for e in endos]
     at_ident = next((i for i, e in enumerate(endos) if e.images == ident), None)
     mismatches = []
     frozen_hits = reversed_hits = 0
     neutral_ok = at_ident is not None
-    for i, ((r, row), r_key) in enumerate(zip(battery.composite_rows(), keys)):
-        actual = _keys(x.family for x in row)
-        predicted = _composition_row(r_key, keys, p)
+    for i, (r, row) in enumerate(battery.composite_rows()):
+        actual = [x.family for x in row]
+        predicted = _composition_row(r.family, families, p)
         frozen_hits += sum(map(eq, actual, predicted))
         if actual != predicted:
-            mismatches += _cell_mismatches(r, endos, predicted, actual, _key_label)
-        reversed_hits += sum(map(eq, actual, _reversed_row(r_key, keys, p)))
+            mismatches += _cell_mismatches(r.family, families, predicted, actual, label)
+        reversed_hits += sum(map(eq, actual, _reversed_row(r.family, families, p)))
         # the identity column repeats r, and the identity row is ``endos``
         if at_ident is not None and (row[at_ident] != r or i == at_ident and row != endos):
             neutral_ok = False
 
     autos = battery.automorphisms
     expected_autos = {("eps_sigma_s", (s, v)) for s in range(1, p) for v in range(p)}
-    invertibles_ok = set(_keys(e.family for e in autos)) == expected_autos
+    invertibles_ok = {e.family for e in autos} == expected_autos
 
     return MonoidTableReport(
         p=p,
@@ -375,22 +350,20 @@ def composition_order_evidence(modulus: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
-class RootFamily(_Family):
-    """Tag: r_tau(t), r_tau_t(t, u), r_t(u) or r (the unit)."""
-
-    __slots__ = ()
-
-    def element_vec(self, p: int) -> Vec:
-        if self.kind == "r_tau":
-            return (0, self.params[0] % p, 0)
-        if self.kind == "r_tau_t":
-            t, u = self.params
-            return (0, (1 - t - u) % p, 1)
-        if self.kind == "r_t":
-            return (1, self.params[0] % p, 0)
-        if self.kind == "r":
-            return (1, 1, 1)
-        raise ValueError(f"no element for {self!r}")
+def root_element(family: Key, p: int) -> Vec:
+    """The element of a root family: r_tau(t), r_tau_t(t, u), r_t(u) or r
+    (the unit)."""
+    kind, params = family
+    if kind == "r_tau":
+        return (0, params[0] % p, 0)
+    if kind == "r_tau_t":
+        t, u = params
+        return (0, (1 - t - u) % p, 1)
+    if kind == "r_t":
+        return (1, params[0] % p, 0)
+    if kind == "r":
+        return (1, 1, 1)
+    raise ValueError(f"no element for {family!r}")
 
 
 class RootRecord(Value):
@@ -455,35 +428,36 @@ def minpoly_label(x: Vec, p: int) -> str:
     return minimal[0]
 
 
-def _all_root_families(p: int) -> list[RootFamily]:
-    fams = [RootFamily("r_tau", (t,)) for t in range(p)]
-    fams += [RootFamily("r_tau_t", (t, u)) for t in range(p) for u in range(p)]
-    fams += [RootFamily("r_t", (u,)) for u in range(p)]
-    fams.append(RootFamily("r"))
+def _all_root_families(p: int) -> list[Key]:
+    fams = [("r_tau", (t,)) for t in range(p)]
+    fams += [("r_tau_t", (t, u)) for t in range(p) for u in range(p)]
+    fams += [("r_t", (u,)) for u in range(p)]
+    fams.append(("r", ()))
     return fams
 
 
-def classify_element_as_root(x: Vec, p: int) -> RootFamily:
+def classify_element_as_root(x: Vec, p: int) -> Key:
     """Canonical family of a root element (r_tau_t is normalized to tau = 0)."""
     if x == (1, 1, 1):
-        return RootFamily("r")
+        return ("r", ())
     if x[0] == 1 and x[2] == 0:
-        return RootFamily("r_t", (x[1],))
+        return ("r_t", (x[1],))
     if x[0] == 0 and x[2] == 1:
-        return RootFamily("r_tau_t", (0, (1 - x[1]) % p))
+        return ("r_tau_t", (0, (1 - x[1]) % p))
     if x[0] == 0 and x[2] == 0:
-        return RootFamily("r_tau", (x[1],))
+        return ("r_tau", (x[1],))
     raise ClassificationError(f"{x} does not match any root family")
 
 
 def classify_roots(modulus: int) -> list[RootRecord]:
     """One record per family parameter instance, (p+1)^2 in all.
 
-    Every record's element is verified to be a root; the records' element
-    set is verified to equal the exhaustive root scan (3p+1 distinct
-    elements, the r_tau_t family depends only on t+u); and every scanned
-    root must classify into exactly one family kind (hard failure
-    otherwise).
+    Every record's element is verified to be a root, and every root of the
+    exhaustive scan to be some record's element (hard failure otherwise),
+    so the records' element set equals the scan: 3p+1 distinct elements,
+    the r_tau_t family depending only on t+u. Each root has one family kind,
+    since the four kinds' elements differ in their first and last
+    coordinates.
     """
     return _Battery(modulus).root_records
 
@@ -493,42 +467,30 @@ def classify_roots(modulus: int) -> list[RootRecord]:
 # ---------------------------------------------------------------------------
 
 
-class CycleFamily(_Family):
-    """Tag: c_tau(t), c_tau_t(t, u) or c_t(u)."""
-
-    __slots__ = ()
-
-    def support_vecs(self, p: int) -> tuple[Vec, Vec, Vec]:
-        if self.kind == "c_tau":
-            (t,) = self.params
-            return (
-                RootFamily("r_tau", (t,)).element_vec(p),
-                RootFamily("r_tau", ((-t) % p,)).element_vec(p),
-                RootFamily("r").element_vec(p),
-            )
-        if self.kind == "c_tau_t":
-            t, u = self.params
-            return (
-                RootFamily("r_tau", (t,)).element_vec(p),
-                RootFamily("r_tau_t", (t, u)).element_vec(p),
-                RootFamily("r_t", (u,)).element_vec(p),
-            )
-        (u,) = self.params
-        return (
-            RootFamily("r_tau", (0,)).element_vec(p),
-            RootFamily("r_t", (u,)).element_vec(p),
-            RootFamily("r_tau_t", (0, u)).element_vec(p),
-        )
+def cycle_support(family: Key, p: int) -> tuple[Vec, Vec, Vec]:
+    """The three roots of a cycle family, c_tau(t), c_tau_t(t, u) or c_t(u),
+    in the order of its splitting."""
+    kind, params = family
+    if kind == "c_tau":
+        (t,) = params
+        roots = ("r_tau", (t,)), ("r_tau", ((-t) % p,)), ("r", ())
+    elif kind == "c_tau_t":
+        t, u = params
+        roots = ("r_tau", (t,)), ("r_tau_t", (t, u)), ("r_t", (u,))
+    else:
+        (u,) = params
+        roots = ("r_tau", (0,)), ("r_t", (u,)), ("r_tau_t", (0, u))
+    return tuple(root_element(root, p) for root in roots)
 
 
 class CycleRecord(Value):
     _fields = ("algebra", "roots", "family")  # roots in canonical rotation
 
 
-def _all_cycle_families(p: int) -> list[CycleFamily]:
-    fams = [CycleFamily("c_tau", (t,)) for t in range(p)]
-    fams += [CycleFamily("c_tau_t", (t, u)) for t in range(p) for u in range(p)]
-    fams += [CycleFamily("c_t", (u,)) for u in range(p)]
+def _all_cycle_families(p: int) -> list[Key]:
+    fams = [("c_tau", (t,)) for t in range(p)]
+    fams += [("c_tau_t", (t, u)) for t in range(p) for u in range(p)]
+    fams += [("c_t", (u,)) for u in range(p)]
     return fams
 
 
@@ -572,7 +534,7 @@ def _cycle_report(battery: _Battery) -> CycleSuiteReport:
 
     basis_ok = all(
         cycle_is_basis(rec)
-        == (rec.family.kind == "c_tau_t" and rec.family.params[0] % p != 0)
+        == (rec.family[0] == "c_tau_t" and rec.family[1][0] % p != 0)
         for rec in cycles
     )
     return CycleSuiteReport(
@@ -659,27 +621,17 @@ class _Battery:
         return [_mk_endo(algebra, vecs) for vecs in found]
 
     @cached_property
-    def maps(self) -> dict[tuple[Vec, Vec, Vec], dict[Vec, Vec]]:
-        """Per endomorphism, by its basis images, its value on every root.
+    def maps(self) -> list[dict[Vec, Vec]]:
+        """Per endomorphism, in ``endos`` order, its value on every root.
         The roots hold every basis image (a_1 and a_3 go to idempotents,
         a_2 to a square-zero element), and an endomorphism maps roots to
         roots, so these maps are all the phases apply."""
         roots = self.roots
-        return {e.images: {x: e.apply_vec(x) for x in roots} for e in self.endos}
+        return [{x: e.apply_vec(x) for x in roots} for e in self.endos]
 
     @cached_property
     def _endo_at(self) -> dict[tuple[Vec, Vec, Vec], EndoMap]:
         return {e.images: e for e in self.endos}
-
-    @cached_property
-    def _column_maps(self) -> list[dict[Vec, Vec]]:
-        """The image map of each endomorphism, in ``endos`` order: the
-        columns of the monoid table. An unclassified endomorphism cannot be
-        composed, and the battery refuses it here, once."""
-        if any(e.family.kind == "unclassified" for e in self.endos):
-            raise ClassificationError("cannot compose unclassified endomorphisms")
-        maps = self.maps
-        return [maps[e.images] for e in self.endos]
 
     def composite_row(self, r: EndoMap) -> list[EndoMap]:
         """``compose_endos(r, c)`` for each c in ``endos``: r's basis images
@@ -688,26 +640,28 @@ class _Battery:
         u, v, w = r.images
         return [
             endo_at.get(images) or _mk_endo(algebra, images)
-            for images in [(m[u], m[v], m[w]) for m in self._column_maps]
+            for images in [(m[u], m[v], m[w]) for m in self.maps]
         ]
 
     def composite_rows(self):
-        """Stream one row per endomorphism r: r and its ``composite_row``."""
+        """Stream one row per endomorphism r: r and its ``composite_row``.
+        An unclassified endomorphism cannot be composed: it is refused once,
+        before the first row."""
+        if any(e.family[0] == "unclassified" for e in self.endos):
+            raise ClassificationError("cannot compose unclassified endomorphisms")
         for r in self.endos:
             yield r, self.composite_row(r)
 
     def root_image_rows(self, vecs: list[Vec]):
         """Stream one row per endomorphism e: e and its image of each root
         in ``vecs``."""
-        for e in self.endos:
-            m = self.maps[e.images]
+        for e, m in zip(self.endos, self.maps):
             yield e, [m[v] for v in vecs]
 
     def cycle_image_rows(self, supports: list[tuple[Vec, Vec, Vec]]):
         """Stream one row per endomorphism e: e and, for each support of
         three roots, the canonical rotation of its image under e."""
-        for e in self.endos:
-            m = self.maps[e.images]
+        for e, m in zip(self.endos, self.maps):
             yield e, [
                 min((x, y, z), (y, z, x), (z, x, y))  # the canonical rotation
                 for x, y, z in [(m[a], m[b], m[c]) for a, b, c in supports]
@@ -727,29 +681,28 @@ class _Battery:
         minpolys = {}
         records = []
         for fam in _all_root_families(p):
-            vec = fam.element_vec(p)
+            vec = root_element(fam, p)
             if vec not in scan_set:
-                raise ClassificationError(f"family instance {fam.label()} is not a root")
+                raise ClassificationError(f"family instance {label(fam)} is not a root")
             if vec not in minpolys:
                 minpolys[vec] = minpoly_label(vec, p)
             records.append(RootRecord(vec, fam, minpolys[vec]))
         for x in scan:
             if x not in minpolys:
                 raise ClassificationError(f"root {x} matched no family")
-            classify_element_as_root(x, p)  # raises if shape-ambiguous
         return records
 
     @cached_property
-    def cycle_keys(self) -> dict[CycleFamily, tuple[Vec, Vec, Vec]]:
+    def cycle_key_at(self) -> dict[Key, tuple[Vec, Vec, Vec]]:
         """Each cycle family's key, the canonical rotation of its support.
         A rotation of a support has the key's canonical image under every
         endomorphism, so ``cycle_image_rows`` takes the keys as supports."""
         keys, family_at = {}, {}
         for fam in _all_cycle_families(self.p):
-            key = canonical_rotation(fam.support_vecs(self.p))
+            key = canonical_rotation(cycle_support(fam, self.p))
             if key in family_at:
                 raise ClassificationError(
-                    f"cycle families {family_at[key].label()} and {fam.label()} collide"
+                    f"cycle families {label(family_at[key])} and {label(fam)} collide"
                 )
             family_at[key] = fam
             keys[fam] = key
@@ -769,13 +722,13 @@ class _Battery:
             canonical_rotation(tuple(a.payload for a in w.pseudoroots))
             for w in self.census.witnesses
         }
-        for key in found_keys.difference(self.cycle_keys.values()):
+        for key in found_keys.difference(self.cycle_key_at.values()):
             raise ClassificationError(f"splitting class {key} matched no family")
         records = []
-        for fam, key in self.cycle_keys.items():
+        for fam, key in self.cycle_key_at.items():
             if key not in found_keys:
                 raise ClassificationError(
-                    f"family instance {fam.label()} was not found by the search"
+                    f"family instance {label(fam)} was not found by the search"
                 )
             records.append(CycleRecord(self.algebra, key, fam))
         return records
@@ -855,32 +808,28 @@ def verify_action_tables(modulus: int) -> ActionTablesReport:
 
 def _action_report(battery: _Battery) -> ActionTablesReport:
     p, endos, records = battery.p, battery.endos, battery.root_records
-    cycle_keys = battery.cycle_keys
+    cycle_key_at = battery.cycle_key_at
     roots = set(battery.roots)
-    root_families = [rec.family for rec in records]
-    root_columns, cycle_columns = _keys(root_families), _keys(cycle_keys)
-    vec_at = dict(zip(root_columns, [rec.element for rec in records]))
-    key_at = dict(zip(cycle_columns, cycle_keys.values()))
+    root_families, cycle_families = [rec.family for rec in records], list(cycle_key_at)
+    vec_at = {rec.family: rec.element for rec in records}
     root_mismatches = []
     cycle_mismatches = []
     images_are_roots = True
     for e, images in battery.root_image_rows([rec.element for rec in records]):
         if not roots.issuperset(images):
             images_are_roots = False
-        e_key = (e.family.kind, e.family.params)
-        expected = [vec_at[k] for k in _root_action_row(e_key, root_columns, p)]
+        expected = [vec_at[k] for k in _root_action_row(e.family, root_families, p)]
         if expected != images:
-            root_mismatches += _cell_mismatches(e, root_families, expected, images)
-    for e, got_keys in battery.cycle_image_rows(list(cycle_keys.values())):
-        e_key = (e.family.kind, e.family.params)
-        expected = [key_at[k] for k in _cycle_action_row(e_key, cycle_columns, p)]
+            root_mismatches += _cell_mismatches(e.family, root_families, expected, images)
+    for e, got_keys in battery.cycle_image_rows(list(cycle_key_at.values())):
+        expected = [cycle_key_at[k] for k in _cycle_action_row(e.family, cycle_families, p)]
         if expected != got_keys:
-            cycle_mismatches += _cell_mismatches(e, cycle_keys, expected, got_keys)
+            cycle_mismatches += _cell_mismatches(e.family, cycle_families, expected, got_keys)
     return ActionTablesReport(
         p=p,
         root_action_checks=len(endos) * len(records),
         root_action_mismatches=tuple(root_mismatches),
-        cycle_action_checks=len(endos) * len(cycle_keys),
+        cycle_action_checks=len(endos) * len(cycle_key_at),
         cycle_action_mismatches=tuple(cycle_mismatches),
         images_are_roots=images_are_roots,
     )
@@ -894,10 +843,11 @@ def _action_report(battery: _Battery) -> ActionTablesReport:
 EXPECTED_MINPOLY = {"r_tau_t": "X(X-1)", "r_t": "X(X-1)", "r": "X-1"}
 
 
-def _expected_minpoly(fam: RootFamily, p: int) -> str:
-    if fam.kind == "r_tau":
-        return "X" if fam.params[0] % p == 0 else "X^2"
-    return EXPECTED_MINPOLY[fam.kind]
+def _expected_minpoly(fam: Key, p: int) -> str:
+    kind, params = fam
+    if kind == "r_tau":
+        return "X" if params[0] % p == 0 else "X^2"
+    return EXPECTED_MINPOLY[kind]
 
 
 class PosetReport(Record):
@@ -976,10 +926,10 @@ def _poset_report(battery: _Battery) -> PosetReport:
             if (image_mps[i], image_mps[j]) not in _DIVIDES:
                 x, y = records[i], records[j]
                 failing_pair_count += 1
-                failing_kinds.add(e.family.kind)
+                failing_kinds.add(e.family[0])
                 if id(e) in autos:
                     automorphisms_preserve_ok = False
-                patterns.add((e.family.kind, x.family.label(), y.family.kind))
+                patterns.add((e.family[0], label(x.family), y.family[0]))
 
     exception_pattern_ok = patterns == set(EXPECTED_EXCEPTION_PATTERNS)
 
@@ -1031,27 +981,24 @@ def verify_translate_properties(modulus: int) -> TranslateReport:
 
 def _translate_report(battery: _Battery) -> TranslateReport:
     p, roots = battery.p, battery.roots
-    maps = battery.maps.values()
+    maps = battery.maps
 
-    seed_roots = [
-        RootFamily("r_tau", (1,)).element_vec(p),
-        RootFamily("r_tau_t", (1, 0)).element_vec(p),
-    ]
+    seed_roots = [root_element(("r_tau", (1,)), p), root_element(("r_tau_t", (1, 0)), p)]
     one_step_images = {m[v] for m in maps for v in seed_roots}
     roots_from_seeds = set(roots) <= one_step_images
 
-    sinks = {RootFamily("r_tau", (0,)).element_vec(p), RootFamily("r").element_vec(p)}
+    sinks = {root_element(("r_tau", (0,)), p), root_element(("r", ()), p)}
     roots_to_sinks = all(any(m[v] in sinks for m in maps) for v in roots)
 
-    cycle_keys = battery.cycle_keys
-    seeds = [cycle_keys[CycleFamily("c_tau", (1,))], cycle_keys[CycleFamily("c_tau_t", (1, 0))]]
+    cycle_key_at = battery.cycle_key_at
+    seeds = [cycle_key_at[("c_tau", (1,))], cycle_key_at[("c_tau_t", (1, 0))]]
     one_step_cycle_images = {key for _, keys in battery.cycle_image_rows(seeds) for key in keys}
-    cycles_from_seeds = one_step_cycle_images.issuperset(cycle_keys.values())
+    cycles_from_seeds = one_step_cycle_images.issuperset(cycle_key_at.values())
 
-    sink_key = cycle_keys[CycleFamily("c_tau", (0,))]
+    sink_key = cycle_key_at[("c_tau", (0,))]
     cycles_to_sink = all(
         any(canonical_rotation((m[a], m[b], m[c])) == sink_key for m in maps)
-        for a, b, c in cycle_keys.values()
+        for a, b, c in cycle_key_at.values()
     )
 
     # reachability closure of the seeds; single application must already
@@ -1118,7 +1065,7 @@ def endo_images_rows(modulus: int) -> tuple[list[str], list[list[str]]]:
     endos = enumerate_endos(modulus)
     headers = ["endo", "a1 ->", "a2 ->", "a3 ->"]
     rows = [
-        [e.label(), *(render_vec(v) for v in e.images)] for e in endos
+        [label(e.family), *(render_vec(v) for v in e.images)] for e in endos
     ]
     return headers, rows
 
@@ -1126,10 +1073,10 @@ def endo_images_rows(modulus: int) -> tuple[list[str], list[list[str]]]:
 def monoid_table_rows(modulus: int) -> tuple[list[str], list[list[str]]]:
     battery = _Battery(modulus)
     # each label formatted once (a composite outside ``endos`` labels itself)
-    label = {id(e): e.label() for e in battery.endos}
-    headers = ["first, then:"] + list(label.values())
+    names = {id(e): label(e.family) for e in battery.endos}
+    headers = ["first, then:"] + list(names.values())
     rows = [
-        [label[id(r)]] + [label.get(id(x)) or x.label() for x in row]
+        [names[id(r)]] + [names.get(id(x)) or label(x.family) for x in row]
         for r, row in battery.composite_rows()
     ]
     return headers, rows
@@ -1139,25 +1086,25 @@ def root_action_rows(modulus: int) -> tuple[list[str], list[list[str]]]:
     battery = _Battery(modulus)
     p = battery.p
     fams = _all_root_families(p)
-    headers = ["endo \\ root"] + [f.label() for f in fams]
+    headers = ["endo \\ root"] + [label(f) for f in fams]
     # each root's label formatted once; an image that is no root is refused
-    label = {x: classify_element_as_root(x, p).label() for x in battery.roots}
+    names = {x: label(classify_element_as_root(x, p)) for x in battery.roots}
     rows = [
-        [e.label()]
-        + [label.get(img) or classify_element_as_root(img, p).label() for img in images]
-        for e, images in battery.root_image_rows([f.element_vec(p) for f in fams])
+        [label(e.family)]
+        + [names.get(img) or label(classify_element_as_root(img, p)) for img in images]
+        for e, images in battery.root_image_rows([root_element(f, p) for f in fams])
     ]
     return headers, rows
 
 
 def cycle_action_rows(modulus: int) -> tuple[list[str], list[list[str]]]:
     battery = _Battery(modulus)
-    cycle_keys = battery.cycle_keys
-    label = {key: fam.label() for fam, key in cycle_keys.items()}
-    headers = ["endo \\ cycle"] + list(label.values())
+    cycle_key_at = battery.cycle_key_at
+    names = {key: label(fam) for fam, key in cycle_key_at.items()}
+    headers = ["endo \\ cycle"] + list(names.values())
     rows = [
-        [e.label()] + [label[key] for key in keys]
-        for e, keys in battery.cycle_image_rows(list(cycle_keys.values()))
+        [label(e.family)] + [names[key] for key in keys]
+        for e, keys in battery.cycle_image_rows(list(cycle_key_at.values()))
     ]
     return headers, rows
 
@@ -1166,7 +1113,7 @@ def minpoly_rows(modulus: int) -> tuple[list[str], list[list[str]]]:
     records = classify_roots(modulus)
     headers = ["root", "element", "minpoly"]
     rows = [
-        [r.family.label(), render_vec(r.element), r.minpoly]
+        [label(r.family), render_vec(r.element), r.minpoly]
         for r in records
     ]
     return headers, rows

@@ -6,7 +6,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from cyclesplit.endo import ClassificationError, CycleFamily, EndoFamily, RootFamily
+from cyclesplit.endo import ClassificationError
 from cyclesplit.ncpoly import poly
 from cyclesplit.rings import Ring, TableAlgebra, TableAlgebraDescriptor, parse_ring_spec
 
@@ -277,89 +277,92 @@ def monoid_report_reference(p: int):
     return frozen, reversed_, neutral_ok, autos
 
 
-# The per-cell prediction rules, one family tag per cell: the reference that
-# the battery's row rules are checked against, cell by cell.
+# The per-cell prediction rules, one family (kind, params) per cell: the
+# reference that the battery's row rules are checked against, cell by cell.
 
 
-def predicted_composition(f1: EndoFamily, f2: EndoFamily, p: int) -> EndoFamily:
+def predicted_composition(f1, f2, p: int):
     """Family of compose(e1, e2) predicted by the matrix model M(e1) M(e2)."""
-    if f1.kind == "eps" or f1.kind == "eps_prime":
-        return EndoFamily(f1.kind)
-    if f1.kind == "eps_sigma_s":
-        s, v = f1.params
-        if f2.kind == "eps":
-            return EndoFamily("eps")
-        if f2.kind == "eps_prime":
-            return EndoFamily("eps_prime")
-        if f2.kind == "eps_sigma_s":
-            t, u = f2.params
-            return EndoFamily("eps_sigma_s", ((s * t) % p, (v * t + u) % p))
-        (u,) = f2.params
-        return EndoFamily("eps_s", (u,))
-    if f1.kind == "eps_s":
-        (v,) = f1.params
-        if f2.kind == "eps":
-            return EndoFamily("eps_prime")
-        if f2.kind == "eps_prime":
-            return EndoFamily("eps")
-        if f2.kind == "eps_sigma_s":
-            t, u = f2.params
-            return EndoFamily("eps_s", ((v * t + u) % p,))
-        (u,) = f2.params
-        return EndoFamily("eps_sigma_s", (0, u))
+    (k1, q1), (k2, q2) = f1, f2
+    if k1 == "eps" or k1 == "eps_prime":
+        return (k1, ())
+    if k1 == "eps_sigma_s":
+        s, v = q1
+        if k2 == "eps":
+            return ("eps", ())
+        if k2 == "eps_prime":
+            return ("eps_prime", ())
+        if k2 == "eps_sigma_s":
+            t, u = q2
+            return ("eps_sigma_s", ((s * t) % p, (v * t + u) % p))
+        (u,) = q2
+        return ("eps_s", (u,))
+    if k1 == "eps_s":
+        (v,) = q1
+        if k2 == "eps":
+            return ("eps_prime", ())
+        if k2 == "eps_prime":
+            return ("eps", ())
+        if k2 == "eps_sigma_s":
+            t, u = q2
+            return ("eps_s", ((v * t + u) % p,))
+        (u,) = q2
+        return ("eps_sigma_s", (0, u))
     raise ClassificationError(f"no prediction for {f1!r}")
 
 
-def predicted_root_action(e: EndoFamily, r: RootFamily, p: int) -> RootFamily:
-    if e.kind == "eps":
-        if r.kind in ("r_tau", "r_tau_t"):
-            return RootFamily("r_tau", (0,))
-        return RootFamily("r")
-    if e.kind == "eps_prime":
-        if r.kind in ("r_tau", "r_t"):
-            return RootFamily("r_tau", (0,))
-        return RootFamily("r")
-    if e.kind == "eps_sigma_s":
-        s, v = e.params
-        if r.kind == "r_tau":
-            return RootFamily("r_tau", ((r.params[0] * s) % p,))
-        if r.kind == "r_tau_t":
-            t, u = r.params
-            return RootFamily("r_tau_t", ((t * s) % p, (u * s + v) % p))
-        if r.kind == "r_t":
-            return RootFamily("r_t", ((r.params[0] * s + v) % p,))
-        return RootFamily("r")
-    if e.kind == "eps_s":
-        (v,) = e.params
-        if r.kind == "r_tau":
-            return RootFamily("r_tau", (0,))
-        if r.kind == "r_tau_t":
-            return RootFamily("r_t", (v,))
-        if r.kind == "r_t":
-            return RootFamily("r_tau_t", (0, v))
-        return RootFamily("r")
+def predicted_root_action(e, r, p: int):
+    (ek, eq), (rk, rq) = e, r
+    if ek == "eps":
+        if rk in ("r_tau", "r_tau_t"):
+            return ("r_tau", (0,))
+        return ("r", ())
+    if ek == "eps_prime":
+        if rk in ("r_tau", "r_t"):
+            return ("r_tau", (0,))
+        return ("r", ())
+    if ek == "eps_sigma_s":
+        s, v = eq
+        if rk == "r_tau":
+            return ("r_tau", ((rq[0] * s) % p,))
+        if rk == "r_tau_t":
+            t, u = rq
+            return ("r_tau_t", ((t * s) % p, (u * s + v) % p))
+        if rk == "r_t":
+            return ("r_t", ((rq[0] * s + v) % p,))
+        return ("r", ())
+    if ek == "eps_s":
+        (v,) = eq
+        if rk == "r_tau":
+            return ("r_tau", (0,))
+        if rk == "r_tau_t":
+            return ("r_t", (v,))
+        if rk == "r_t":
+            return ("r_tau_t", (0, v))
+        return ("r", ())
     raise ClassificationError(f"no action rule for {e!r}")
 
 
-def predicted_cycle_action(e: EndoFamily, c: CycleFamily, p: int) -> CycleFamily:
-    if e.kind in ("eps", "eps_prime"):
-        return CycleFamily("c_tau", (0,))
-    if e.kind == "eps_sigma_s":
-        s, v = e.params
-        if c.kind == "c_tau":
-            return CycleFamily("c_tau", ((c.params[0] * s) % p,))
-        if c.kind == "c_tau_t":
-            t, u = c.params
-            return CycleFamily("c_tau_t", ((t * s) % p, (u * s + v) % p))
+def predicted_cycle_action(e, c, p: int):
+    (ek, eq), (ck, cq) = e, c
+    if ek in ("eps", "eps_prime"):
+        return ("c_tau", (0,))
+    if ek == "eps_sigma_s":
+        s, v = eq
+        if ck == "c_tau":
+            return ("c_tau", ((cq[0] * s) % p,))
+        if ck == "c_tau_t":
+            t, u = cq
+            return ("c_tau_t", ((t * s) % p, (u * s + v) % p))
         # the shift parameter moves: c_t(u) -> c_t(u*s + v)
-        return CycleFamily("c_t", ((c.params[0] * s + v) % p,))
-    if e.kind == "eps_s":
-        (v,) = e.params
-        if c.kind == "c_tau":
-            return CycleFamily("c_tau", (0,))
-        if c.kind == "c_tau_t":
-            return CycleFamily("c_t", (v,))
-        return CycleFamily("c_tau_t", (0, v))
+        return ("c_t", ((cq[0] * s + v) % p,))
+    if ek == "eps_s":
+        (v,) = eq
+        if ck == "c_tau":
+            return ("c_tau", (0,))
+        if ck == "c_tau_t":
+            return ("c_t", (v,))
+        return ("c_tau_t", (0, v))
     raise ClassificationError(f"no action rule for {e!r}")
 
 

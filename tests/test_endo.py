@@ -6,9 +6,6 @@ import pytest
 from cyclesplit import endo
 from cyclesplit.endo import (
     MINPOLY_LATTICE,
-    CycleFamily,
-    EndoFamily,
-    RootFamily,
     RootRecord,
     automorphisms,
     classify_cycles,
@@ -58,7 +55,7 @@ def test_modulus_must_be_prime():
 def test_endo_count_and_classification(p):
     endos = enumerate_endos(p)
     assert len(endos) == p * p + p + 2
-    kinds = [e.family.kind for e in endos]
+    kinds = [e.family[0] for e in endos]
     assert "unclassified" not in kinds
     assert kinds.count("eps") == 1
     assert kinds.count("eps_prime") == 1
@@ -83,7 +80,7 @@ def test_every_enumerated_endo_is_multiplicative_and_unital(p):
 def test_identity_is_scale_one_shift_zero():
     for p in PRIMES:
         ident = identity_endo(p)
-        assert ident.family == EndoFamily("eps_sigma_s", (1, 0))
+        assert ident.family == ("eps_sigma_s", (1, 0))
         for b in ident.algebra.module_basis():
             assert ident.apply_vec(b) == b
 
@@ -111,7 +108,7 @@ def test_monoid_report_matches_two_order_reference(p):
     assert report.neutral_ok == neutral_ok
     assert automorphisms(enumerate_endos(p)) == autos
     assert report.automorphism_count == len(autos)
-    expected = {EndoFamily("eps_sigma_s", (s, v)) for s in range(1, p) for v in range(p)}
+    expected = {("eps_sigma_s", (s, v)) for s in range(1, p) for v in range(p)}
     assert report.invertibles_ok == ({e.family for e in autos} == expected)
 
 
@@ -134,6 +131,25 @@ def test_monoid_table_composes_each_pair_once(monkeypatch):
     assert len(pairs) == len(set(pairs)) == report.total_pairs == endo_count**2
 
 
+def test_monoid_table_refuses_an_unclassified_endomorphism(monkeypatch):
+    # every endomorphism of the cubic algebra classifies, so eps is made
+    # unclassified; the zero triple, which is no endomorphism, gives the family
+    p = 3
+    classify = endo.classify_endo_images
+    unclassified = classify(((0, 0, 0),) * 3, p)
+    eps_images = ((1, 1, 1), (0, 0, 0), (0, 0, 0))
+    monkeypatch.setattr(
+        endo, "classify_endo_images",
+        lambda images, p: unclassified if images == eps_images else classify(images, p),
+    )
+    odd = next(e for e in enumerate_endos(p) if e.images == eps_images)
+    ident = identity_endo(p)
+    for call in (lambda: verify_monoid_table(p), lambda: endo.monoid_table_rows(p),
+                 lambda: compose_endos(odd, ident), lambda: compose_endos(ident, odd)):
+        with pytest.raises(endo.ClassificationError, match="cannot compose unclassified"):
+            call()
+
+
 @pytest.mark.parametrize("p", (2, 3, 5, 7))
 def test_row_rules_match_the_per_cell_reference(p):
     # every cell of each row rule, for every endomorphism family and over the
@@ -141,26 +157,24 @@ def test_row_rules_match_the_per_cell_reference(p):
     endo_families = [e.family for e in enumerate_endos(p)]
     root_families = endo._all_root_families(p)
     cycle_families = endo._all_cycle_families(p)
-    keys = endo._keys
     for e in endo_families:
-        e_key = (e.kind, e.params)
-        assert endo._composition_row(e_key, keys(endo_families), p) == keys(
+        assert endo._composition_row(e, endo_families, p) == [
             predicted_composition(e, c, p) for c in endo_families
-        )
-        assert endo._reversed_row(e_key, keys(endo_families), p) == keys(
+        ]
+        assert endo._reversed_row(e, endo_families, p) == [
             predicted_composition(c, e, p) for c in endo_families
-        )
-        assert endo._root_action_row(e_key, keys(root_families), p) == keys(
+        ]
+        assert endo._root_action_row(e, root_families, p) == [
             predicted_root_action(e, r, p) for r in root_families
-        )
-        assert endo._cycle_action_row(e_key, keys(cycle_families), p) == keys(
+        ]
+        assert endo._cycle_action_row(e, cycle_families, p) == [
             predicted_cycle_action(e, c, p) for c in cycle_families
-        )
+        ]
     # no rule predicts anything for an unclassified endomorphism
     for rule in (endo._composition_row, endo._reversed_row, endo._root_action_row,
                  endo._cycle_action_row):
         with pytest.raises(endo.ClassificationError):
-            rule(("unclassified", ()), keys(endo_families), p)
+            rule(("unclassified", ()), endo_families, p)
 
 
 def _shifted(rule):
@@ -198,27 +212,6 @@ def test_reports_catch_a_wrong_prediction(monkeypatch, rule):
         assert not wrong_actions.root_action_mismatches
     if rule != "_composition_row":
         assert wrong_monoid.frozen_order_agreement == monoid.frozen_order_agreement
-
-
-def test_full_suite_builds_no_family_tag_per_cell(monkeypatch):
-    # with the context's fields built, the five reports compare plain keys:
-    # far fewer tags than the monoid table has cells (4347 before the row rules)
-    p = 5
-    battery = endo._Battery(p)
-    for field in ("endos", "maps", "_column_maps", "automorphisms", "root_records",
-                  "cycle_keys", "census", "cycle_records"):
-        getattr(battery, field)
-    calls = []
-    init = endo._Family.__init__
-
-    def counting_init(tag, *args, **kwargs):
-        calls.append(args)
-        init(tag, *args, **kwargs)
-
-    monkeypatch.setattr(endo._Family, "__init__", counting_init)
-    monkeypatch.setattr(endo, "_Battery", lambda modulus: battery)
-    assert endo.full_suite(p).passed
-    assert len(calls) < len(battery.endos) ** 2
 
 
 def test_root_action_export_refuses_an_image_that_is_no_root(monkeypatch):
@@ -271,7 +264,7 @@ def test_image_rows_equal_apply_vec_cell_by_cell(p):
     # every root, so every entry of every image map, and every cycle support
     battery = endo._Battery(p)
     roots = battery.roots
-    supports = [fam.support_vecs(p) for fam in battery.cycle_keys]
+    supports = [endo.cycle_support(fam, p) for fam in battery.cycle_key_at]
     root_rows = list(battery.root_image_rows(roots))
     cycle_rows = list(battery.cycle_image_rows(supports))
     assert [e for e, _ in root_rows] == [e for e, _ in cycle_rows] == battery.endos
@@ -283,9 +276,9 @@ def test_image_rows_equal_apply_vec_cell_by_cell(p):
 
 def test_cycle_keys_refuse_colliding_families(monkeypatch):
     # two families with one support would be one rotation class
-    monkeypatch.setattr(CycleFamily, "support_vecs", lambda fam, p: ((0, 0, 0),) * 3)
+    monkeypatch.setattr(endo, "cycle_support", lambda fam, p: ((0, 0, 0),) * 3)
     with pytest.raises(endo.ClassificationError, match="collide"):
-        endo._Battery(2).cycle_keys
+        endo._Battery(2).cycle_key_at
 
 
 def test_battery_refuses_a_monoid_table_over_the_budget():
@@ -302,20 +295,20 @@ def test_battery_refuses_a_monoid_table_over_the_budget():
 def test_composition_spec_cells():
     p = 3
     endos = {e.family: e for e in enumerate_endos(p)}
-    eps = endos[EndoFamily("eps")]
-    eps_s1 = endos[EndoFamily("eps_s", (1,))]
-    eps_s2 = endos[EndoFamily("eps_s", (2,))]
-    sig = endos[EndoFamily("eps_sigma_s", (2, 1))]
+    eps = endos[("eps", ())]
+    eps_s1 = endos[("eps_s", (1,))]
+    eps_s2 = endos[("eps_s", (2,))]
+    sig = endos[("eps_sigma_s", (2, 1))]
     # any composite whose first-applied operand is eps collapses to eps
     for other in endos.values():
-        assert compose_endos(eps, other).family == EndoFamily("eps")
+        assert compose_endos(eps, other).family == ("eps", ())
     # eps_s then eps_t lands on scale-zero with the second shift
-    assert compose_endos(eps_s1, eps_s2).family == EndoFamily("eps_sigma_s", (0, 2))
+    assert compose_endos(eps_s1, eps_s2).family == ("eps_sigma_s", (0, 2))
     # two scale-shift maps compose like the triangular matrix product
-    got = compose_endos(sig, endos[EndoFamily("eps_sigma_s", (1, 2))]).family
+    got = compose_endos(sig, endos[("eps_sigma_s", (1, 2))]).family
     # M(2,1) * M(1,2) = ((2,0),(1,1)) * ((1,0),(2,1)) = ((2,0),(1*1+2,1))
-    assert got == EndoFamily("eps_sigma_s", (2, 3 % p))
-    assert got == predicted_composition(sig.family, EndoFamily("eps_sigma_s", (1, 2)), p)
+    assert got == ("eps_sigma_s", (2, 3 % p))
+    assert got == predicted_composition(sig.family, ("eps_sigma_s", (1, 2)), p)
 
 
 @pytest.mark.parametrize("p", (2, 3))
@@ -328,24 +321,24 @@ def test_root_records_and_elements(p):
     # each element maps to exactly one family kind
     kind_by_element = {}
     for rec in records:
-        kind = kind_by_element.setdefault(rec.element, rec.family.kind)
-        assert kind == rec.family.kind
+        kind = kind_by_element.setdefault(rec.element, rec.family[0])
+        assert kind == rec.family[0]
 
 
 def test_root_family_values():
     p = 3
     records = classify_roots(p)
     by_family = {rec.family: rec for rec in records}
-    unit_rec = by_family[RootFamily("r")]
+    unit_rec = by_family[("r", ())]
     assert unit_rec.element == (1, 1, 1)
     assert unit_rec.minpoly == "X-1"
-    zero_rec = by_family[RootFamily("r_tau", (0,))]
+    zero_rec = by_family[("r_tau", (0,))]
     assert zero_rec.element == (0, 0, 0)
     assert zero_rec.minpoly == "X"
     for t in range(1, p):
-        assert by_family[RootFamily("r_tau", (t,))].minpoly == "X^2"
-    assert by_family[RootFamily("r_t", (1,))].minpoly == "X(X-1)"
-    assert by_family[RootFamily("r_tau_t", (1, 2))].minpoly == "X(X-1)"
+        assert by_family[("r_tau", (t,))].minpoly == "X^2"
+    assert by_family[("r_t", (1,))].minpoly == "X(X-1)"
+    assert by_family[("r_tau_t", (1, 2))].minpoly == "X(X-1)"
 
 
 def test_minpoly_label_requires_root():
@@ -383,7 +376,7 @@ def test_minpoly_label_matches_right_eval(p):
 def test_cycle_classification(p):
     records = classify_cycles(p)
     assert len(records) == p * p + 2 * p
-    kinds = [r.family.kind for r in records]
+    kinds = [r.family[0] for r in records]
     assert kinds.count("c_tau") == p
     assert kinds.count("c_tau_t") == p * p
     assert kinds.count("c_t") == p
@@ -393,7 +386,7 @@ def test_pseudoroot_triple_is_the_scale_one_cycle():
     # the defining splitting (a1, a2, a3) belongs to the c^1_0 class
     p = 3
     records = {r.family: r for r in classify_cycles(p)}
-    rec = records[CycleFamily("c_tau_t", (1, 0))]
+    rec = records[("c_tau_t", (1, 0))]
     support = set(rec.roots)
     assert support == {(0, 1, 0), (0, 0, 1), (1, 0, 0)}
 
@@ -401,7 +394,7 @@ def test_pseudoroot_triple_is_the_scale_one_cycle():
 def test_zero_cycle_contains_zero_twice():
     p = 3
     records = {r.family: r for r in classify_cycles(p)}
-    rec = records[CycleFamily("c_tau", (0,))]
+    rec = records[("c_tau", (0,))]
     payloads = list(rec.roots)
     assert payloads.count((0, 0, 0)) == 2
     assert (1, 1, 1) in payloads
@@ -414,7 +407,7 @@ def test_basis_cycles():
             r.family for r in records if cycle_is_basis(r)
         }
         expected = {
-            CycleFamily("c_tau_t", (t, u))
+            ("c_tau_t", (t, u))
             for t in range(1, p)
             for u in range(p)
         }
@@ -452,17 +445,17 @@ def test_action_spec_cells():
         img = e.apply_vec(rec.element)
         return RootRecord(img, classify_element_as_root(img, p), minpoly_label(img, p))
 
-    eps = endos[EndoFamily("eps")]
+    eps = endos[("eps", ())]
     # eps sends the family r_t to the unit root r
-    assert image(eps, records[RootFamily("r_t", (2,))]).family == RootFamily("r")
+    assert image(eps, records[("r_t", (2,))]).family == ("r", ())
     # the identity fixes every root and its minimal polynomial
-    ident = endos[EndoFamily("eps_sigma_s", (1, 0))]
+    ident = endos[("eps_sigma_s", (1, 0))]
     for rec in records.values():
         img = image(ident, rec)
         assert (img.element, img.minpoly) == (rec.element, rec.minpoly)
     # eps_s sends any r^tau_t to r_s
-    eps_s = endos[EndoFamily("eps_s", (2,))]
-    assert image(eps_s, records[RootFamily("r_tau_t", (1, 1))]).family == RootFamily("r_t", (2,))
+    eps_s = endos[("eps_s", (2,))]
+    assert image(eps_s, records[("r_tau_t", (1, 1))]).family == ("r_t", (2,))
 
 
 def test_classify_element_rejects_non_roots():

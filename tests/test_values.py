@@ -79,21 +79,19 @@ CASES = {
         "EvaluationHomReport(witness=0, sample_values=1, additive_ok=2, multiplicative_ok=3, "
         "zero_tuple_ok=4, rotation_permutes_ok=5)",
     ),
-    "_Family": (endo._Family, ("r_t", (2,)), "_Family(kind='r_t', params=(2,))"),
-    "EndoFamily": (endo.EndoFamily, ("eps_s", (1,)), "EndoFamily(kind='eps_s', params=(1,))"),
     "EndoMap": (
-        endo.EndoMap, (ALGEBRA, (UNIT, (0, 0, 0), (0, 0, 0)), endo.EndoFamily("eps")),
+        endo.EndoMap, (ALGEBRA, (UNIT, (0, 0, 0), (0, 0, 0)), ("eps", ())),
         f"EndoMap(algebra={ALGEBRA!r}, images=((1, 1, 1), (0, 0, 0), (0, 0, 0)), "
-        "family=EndoFamily(kind='eps', params=()))",
+        "family=('eps', ()))",
     ),
     "RootRecord": (
-        endo.RootRecord, ((1, 1, 1), endo.RootFamily("r"), "X - 1"),
-        "RootRecord(element=(1, 1, 1), family=RootFamily(kind='r', params=()), minpoly='X - 1')",
+        endo.RootRecord, ((1, 1, 1), ("r", ()), "X - 1"),
+        "RootRecord(element=(1, 1, 1), family=('r', ()), minpoly='X - 1')",
     ),
     "CycleRecord": (
-        endo.CycleRecord, (ALGEBRA, ((0, 0, 0),) * 3, endo.CycleFamily("c_t", (0,))),
+        endo.CycleRecord, (ALGEBRA, ((0, 0, 0),) * 3, ("c_t", (0,))),
         f"CycleRecord(algebra={ALGEBRA!r}, roots=((0, 0, 0), (0, 0, 0), (0, 0, 0)), "
-        "family=CycleFamily(kind='c_t', params=(0,)))",
+        "family=('c_t', (0,)))",
     ),
     "MonoidTableReport": (
         endo.MonoidTableReport, _ints(endo.MonoidTableReport),
@@ -134,8 +132,6 @@ DEFAULTS = {
     rings.MatrixRing: ("upper_triangular", False),
     rings.TableAlgebra: ("source_path", None),
     search.SearchOutcome: ("nodes", 0),
-    endo._Family: ("params", ()),
-    endo.EndoFamily: ("params", ()),
     endo.MonoidTableReport: ("composition_order", endo.COMPOSITION_ORDER),
 }
 
@@ -161,9 +157,9 @@ def test_value_protocol(name):
         with pytest.raises(AttributeError):
             delattr(a, field)
     assert a == b
-    # slots for elements, polynomials and family tags; the rings keep an
-    # instance dict for their cached properties
-    slotted = cls in (rings.Element, NCPoly) or issubclass(cls, endo._Family)
+    # slots for elements and polynomials; the rings keep an instance dict
+    # for their cached properties
+    slotted = cls in (rings.Element, NCPoly)
     assert hasattr(a, "__dict__") != slotted
 
     # keyword construction, defaults and the argument checks
